@@ -311,7 +311,9 @@ void bench_u8_requant(benchmark::State& state, nn::kernels::Isa isa) {
 
 void bench_f32_row_block(benchmark::State& state, nn::kernels::Isa isa) {
   const nn::kernels::KernelSet& kset = nn::kernels::kernel_set(isa);
-  const std::size_t rows = 4, k = 256, j = 256;
+  // One row band at the variant's own micro-tile height, as
+  // gemm_rowmajor hands them out.
+  const std::size_t rows = kset.f32_tile_rows, k = 256, j = 256;
   const nn::Tensor a = random_features(rows, k, 35);
   const nn::Tensor b = random_features(k, j, 36);
   std::vector<float> c(rows * j);

@@ -17,12 +17,19 @@ float sigmoid(float x) {
 }
 
 Tensor ReLU::forward(const Tensor& x, bool training) {
+  if (!training) {
+    Tensor y = x;
+    float* __restrict v = y.data();
+#pragma omp simd
+    for (std::size_t i = 0; i < y.size(); ++i) v[i] = relu(v[i]);
+    return y;
+  }
   Tensor y(x.rows(), x.cols());
-  if (training) mask_ = Tensor(x.rows(), x.cols());
+  mask_ = Tensor(x.rows(), x.cols());
   for (std::size_t i = 0; i < x.size(); ++i) {
     const float v = x.vec()[i];
     y.vec()[i] = v > 0.0f ? v : 0.0f;
-    if (training) mask_.vec()[i] = v > 0.0f ? 1.0f : 0.0f;
+    mask_.vec()[i] = v > 0.0f ? 1.0f : 0.0f;
   }
   return y;
 }

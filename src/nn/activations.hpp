@@ -11,7 +11,7 @@
 
 namespace adapt::nn {
 
-class ReLU : public Layer {
+class ReLU final : public Layer {
  public:
   Tensor forward(const Tensor& x, bool training) override;
   Tensor backward(const Tensor& grad_out) override;
@@ -33,5 +33,11 @@ class Sigmoid : public Layer {
 
 /// Scalar sigmoid, shared with inference wrappers.
 float sigmoid(float x);
+
+/// ReLU's arithmetic, v > 0 ? v : 0: -0.0 and NaN map to +0.0 and
+/// denormals pass through.  A select, not a branch, so loops over it
+/// vectorize to one packed max per vector.  ReLU::forward and
+/// Sequential's fused epilogue both use it.
+inline float relu(float v) { return v > 0.0f ? v : 0.0f; }
 
 }  // namespace adapt::nn

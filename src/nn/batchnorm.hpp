@@ -13,7 +13,7 @@
 
 namespace adapt::nn {
 
-class BatchNorm1d : public Layer {
+class BatchNorm1d final : public Layer {
  public:
   explicit BatchNorm1d(std::size_t features, double momentum = 0.1,
                        double eps = 1e-5);

@@ -225,32 +225,14 @@ void f32_row_block_avx2(const float* a, std::size_t lda, const float* b,
                         std::size_t ldb, float* c, std::size_t ldc,
                         std::size_t rows, std::size_t k, std::size_t j0,
                         std::size_t j1) {
-  std::size_t j = j0;
-  for (; j + kColChunk <= j1; j += kColChunk) {
-    switch (rows) {
-      case 4: micro_tile_full<4>(a, lda, b + j, ldb, c + j, ldc, k); break;
-      case 3: micro_tile_full<3>(a, lda, b + j, ldb, c + j, ldc, k); break;
-      case 2: micro_tile_full<2>(a, lda, b + j, ldb, c + j, ldc, k); break;
-      default: micro_tile_full<1>(a, lda, b + j, ldb, c + j, ldc, k); break;
-    }
-  }
-  if (j < j1) {
-    const std::size_t jw = j1 - j;
-    switch (rows) {
-      case 4:
-        micro_tile_partial<4>(a, lda, b + j, ldb, c + j, ldc, k, jw);
-        break;
-      case 3:
-        micro_tile_partial<3>(a, lda, b + j, ldb, c + j, ldc, k, jw);
-        break;
-      case 2:
-        micro_tile_partial<2>(a, lda, b + j, ldb, c + j, ldc, k, jw);
-        break;
-      default:
-        micro_tile_partial<1>(a, lda, b + j, ldb, c + j, ldc, k, jw);
-        break;
-    }
-  }
+  dispatch_f32_rows(rows, [&](auto rows_c) {
+    constexpr int R = decltype(rows_c)::value;
+    std::size_t j = j0;
+    for (; j + kColChunk <= j1; j += kColChunk)
+      micro_tile_full<R>(a, lda, b + j, ldb, c + j, ldc, k);
+    if (j < j1)
+      micro_tile_partial<R>(a, lda, b + j, ldb, c + j, ldc, k, j1 - j);
+  });
 }
 
 }  // namespace adapt::nn::kernels::detail

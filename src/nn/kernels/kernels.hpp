@@ -89,10 +89,12 @@ using U8RequantFn = void (*)(const std::int32_t* acc, std::size_t rows,
                              const float* weight_scales, float next_scale,
                              std::int32_t next_zp, std::uint8_t* out);
 
-/// One block of up to 4 C rows against columns [j0, j1):
+/// One block of 1..8 C rows against columns [j0, j1):
 /// C[r][j] = sum_t A[r][t] * B[t][j], overwriting C.  A has row stride
 /// lda, B row stride ldb, C row stride ldc.  Accumulation per element
-/// is ascending t with unfused mul+add in every variant.
+/// is ascending t with unfused mul+add in every variant, so the row
+/// count a caller picks never changes a result bit.  Any other row
+/// count fails an ADAPT_REQUIRE.
 using F32RowBlockFn = void (*)(const float* a, std::size_t lda, const float* b,
                                std::size_t ldb, float* c, std::size_t ldc,
                                std::size_t rows, std::size_t k, std::size_t j0,
@@ -104,6 +106,12 @@ struct KernelSet {
   U8I8GemmFn u8i8_gemm = nullptr;
   U8RequantFn u8_requant = nullptr;
   F32RowBlockFn f32_row_block = nullptr;
+  /// Rows per f32_row_block call that keep this variant's accumulators
+  /// in registers: 8 for the AVX2/AVX-512 tiles (8 accumulator
+  /// registers out of 16/32), 4 for the scalar tile, whose 8 rows of
+  /// two SSE registers each would spill.  Fixed by the ISA; results do
+  /// not depend on it.
+  std::size_t f32_tile_rows = 4;
   /// nn.kernel.{u8i8_gemm,u8_requant,f32_gemm}.<name>: callers bump
   /// these once per layer/GEMM so --metrics shows which variant
   /// actually served.

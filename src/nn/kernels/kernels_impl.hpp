@@ -8,8 +8,37 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 
 namespace adapt::nn::kernels::detail {
+
+/// Tallest float micro-tile any variant instantiates: f32_row_block
+/// accepts rows in 1..kMaxF32TileRows.
+inline constexpr std::size_t kMaxF32TileRows = 8;
+
+/// ADAPT_REQUIRE that rows is in 1..kMaxF32TileRows.  Defined in
+/// scalar.cpp so the contract machinery is only ever compiled with
+/// baseline flags, never inside a SIMD TU.
+void require_f32_rows(std::size_t rows);
+
+/// Calls tile(std::integral_constant<int, R>{}) with R == rows, so each
+/// variant instantiates one micro-tile per row count 1..kMaxF32TileRows
+/// and every row of the block is written.  Any other count fails loudly
+/// instead of silently computing a single row.
+template <typename Tile>
+inline void dispatch_f32_rows(std::size_t rows, Tile&& tile) {
+  switch (rows) {
+    case 1: tile(std::integral_constant<int, 1>{}); return;
+    case 2: tile(std::integral_constant<int, 2>{}); return;
+    case 3: tile(std::integral_constant<int, 3>{}); return;
+    case 4: tile(std::integral_constant<int, 4>{}); return;
+    case 5: tile(std::integral_constant<int, 5>{}); return;
+    case 6: tile(std::integral_constant<int, 6>{}); return;
+    case 7: tile(std::integral_constant<int, 7>{}); return;
+    case 8: tile(std::integral_constant<int, 8>{}); return;
+    default: require_f32_rows(rows);  // Throws: rows is out of range.
+  }
+}
 
 void u8i8_gemm_scalar(const std::uint8_t* x, const std::int8_t* w,
                       std::int32_t* acc, std::size_t rows,

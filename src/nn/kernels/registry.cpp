@@ -31,13 +31,14 @@ const char* isa_name(Isa isa) {
 }
 
 KernelSet make_set(Isa isa, U8I8GemmFn u8i8, U8RequantFn requant,
-                   F32RowBlockFn f32) {
+                   F32RowBlockFn f32, std::size_t f32_tile_rows) {
   KernelSet k;
   k.isa = isa;
   k.name = isa_name(isa);
   k.u8i8_gemm = u8i8;
   k.u8_requant = requant;
   k.f32_row_block = f32;
+  k.f32_tile_rows = f32_tile_rows;
   k.u8i8_calls =
       &tm::counter(std::string("nn.kernel.u8i8_gemm.") + k.name);
   k.requant_calls =
@@ -49,17 +50,17 @@ KernelSet make_set(Isa isa, U8I8GemmFn u8i8, U8RequantFn requant,
 const KernelSet& set_for(Isa isa) {
   static const KernelSet scalar =
       make_set(Isa::kScalar, detail::u8i8_gemm_scalar,
-               detail::u8_requant_scalar, detail::f32_row_block_scalar);
+               detail::u8_requant_scalar, detail::f32_row_block_scalar, 4);
 #ifdef ADAPT_KERNELS_HAVE_AVX2
   static const KernelSet avx2 =
       make_set(Isa::kAvx2, detail::u8i8_gemm_avx2, detail::u8_requant_avx2,
-               detail::f32_row_block_avx2);
+               detail::f32_row_block_avx2, 8);
   if (isa == Isa::kAvx2) return avx2;
 #endif
 #ifdef ADAPT_KERNELS_HAVE_AVX512
   static const KernelSet avx512 =
       make_set(Isa::kAvx512, detail::u8i8_gemm_avx512,
-               detail::u8_requant_avx512, detail::f32_row_block_avx512);
+               detail::u8_requant_avx512, detail::f32_row_block_avx512, 8);
   if (isa == Isa::kAvx512) return avx512;
 #endif
   (void)isa;

@@ -9,7 +9,7 @@
 
 namespace adapt::nn {
 
-class Linear : public Layer {
+class Linear final : public Layer {
  public:
   Linear(std::size_t in_features, std::size_t out_features, core::Rng& rng);
 

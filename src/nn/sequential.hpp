@@ -22,6 +22,9 @@ class Sequential {
 
   void add(LayerPtr layer);
 
+  /// Whole-stack forward.  With training=false each Linear runs fused
+  /// with the ReLU / BatchNorm1d layers after it (see infer()), bit-
+  /// identical to calling every layer's forward(x, false) in turn.
   Tensor forward(const Tensor& x, bool training = false);
 
   /// Backward through the whole stack; returns the input gradient.
@@ -44,6 +47,10 @@ class Sequential {
   std::string describe() const;
 
  private:
+  /// forward(x, false): allocation-free in steady state, safe for
+  /// concurrent callers (all scratch is thread_local).
+  Tensor infer(const Tensor& x);
+
   std::vector<LayerPtr> layers_;
 };
 

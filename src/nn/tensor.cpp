@@ -64,7 +64,6 @@ double Tensor::squared_norm() const {
 
 namespace {
 
-constexpr std::size_t kRowBlock = 4;  ///< C rows per kernel row block.
 constexpr std::size_t kColChunk = 8;  ///< column-tile rounding unit.
 
 /// Column-tile width: keep the B stripe (k x tile floats) within half
@@ -96,12 +95,14 @@ void gemm_rowmajor(const float* a, std::size_t lda, const float* b,
   const kernels::KernelSet& kset = kernels::active();
   kset.f32_calls->add();
   const std::size_t jt = tile_cols(k, m);
-  const std::size_t n_blocks = (n + kRowBlock - 1) / kRowBlock;
+  // C rows per kernel call: the dispatched variant's micro-tile height.
+  const std::size_t row_block = kset.f32_tile_rows;
+  const std::size_t n_blocks = (n + row_block - 1) / row_block;
   core::parallel_for(
       n_blocks,
       [&](std::size_t blk) {
-        const std::size_t i0 = blk * kRowBlock;
-        const std::size_t rows = std::min(kRowBlock, n - i0);
+        const std::size_t i0 = blk * row_block;
+        const std::size_t rows = std::min(row_block, n - i0);
         for (std::size_t j0 = 0; j0 < m; j0 += jt) {
           const std::size_t j1 = std::min(j0 + jt, m);
           kset.f32_row_block(a + i0 * lda, lda, b, m, c + i0 * m, m, rows, k,
@@ -121,12 +122,20 @@ std::vector<float>& pack_scratch() {
   return scratch;
 }
 
-/// Pack src (r x c, row-major) transposed into dst (c x r, row-major).
+/// Pack src (r x c, row-major) transposed into dst (c x r, row-major),
+/// in 16 x 16 tiles: a straight row walk scatters consecutive writes
+/// over c different dst cache lines, and inference repacks every
+/// weight (128 x 256 for the background net) on each call.
 void pack_transposed(const float* __restrict src, std::size_t r,
                      std::size_t c, float* __restrict dst) {
-  for (std::size_t i = 0; i < r; ++i) {
-    const float* __restrict si = src + i * c;
-    for (std::size_t j = 0; j < c; ++j) dst[j * r + i] = si[j];
+  constexpr std::size_t kTile = 16;
+  for (std::size_t i0 = 0; i0 < r; i0 += kTile) {
+    const std::size_t i1 = std::min(i0 + kTile, r);
+    for (std::size_t j0 = 0; j0 < c; j0 += kTile) {
+      const std::size_t j1 = std::min(j0 + kTile, c);
+      for (std::size_t i = i0; i < i1; ++i)
+        for (std::size_t j = j0; j < j1; ++j) dst[j * r + i] = src[i * c + j];
+    }
   }
 }
 
@@ -136,8 +145,14 @@ void matmul_abt(const Tensor& a, const Tensor& b, Tensor& c) {
   ADAPT_REQUIRE(a.cols() == b.cols(), "matmul_abt: inner dims mismatch");
   const std::size_t n = a.rows();
   const std::size_t m = b.rows();
-  const std::size_t k = a.cols();
   if (c.rows() != n || c.cols() != m) c = Tensor(n, m);
+  matmul_abt(a.data(), n, a.cols(), b, c.data());
+}
+
+void matmul_abt(const float* a, std::size_t n, std::size_t k,
+                const Tensor& b, float* c) {
+  ADAPT_REQUIRE(b.cols() == k, "matmul_abt: inner dims mismatch");
+  const std::size_t m = b.rows();
   if (n == 0 || m == 0) return;
 
   // Pack B (m x k) into a contiguous (k x m) panel: B^T rows become
@@ -145,7 +160,7 @@ void matmul_abt(const Tensor& a, const Tensor& b, Tensor& c) {
   std::vector<float>& bt = pack_scratch();
   bt.resize(k * m);
   pack_transposed(b.data(), m, k, bt.data());
-  gemm_rowmajor(a.data(), k, bt.data(), c.data(), n, k, m);
+  gemm_rowmajor(a, k, bt.data(), c, n, k, m);
 }
 
 void matmul_ab(const Tensor& a, const Tensor& b, Tensor& c) {

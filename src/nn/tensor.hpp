@@ -67,6 +67,12 @@ class Tensor {
 /// (out_features x in_features).
 void matmul_abt(const Tensor& a, const Tensor& b, Tensor& c);
 
+/// The same product over raw row-major panels: A is (n x k) at `a`, C
+/// (n x b.rows()) at `c`, which must not alias A.  Lets Sequential's
+/// inference pass run GEMMs straight between its scratch panels.
+void matmul_abt(const float* a, std::size_t n, std::size_t k,
+                const Tensor& b, float* c);
+
 /// C = A * B.  A is (n x k), B is (k x m), C is (n x m).
 void matmul_ab(const Tensor& a, const Tensor& b, Tensor& c);
 

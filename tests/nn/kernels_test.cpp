@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "core/rng.hpp"
@@ -285,6 +286,92 @@ TEST(F32RowBlockKernels, AllVariantsMatchScalarExactly) {
             << kernel_set(isa).name << " rows=" << s.rows << " k=" << s.k
             << " j=" << s.j << " idx=" << i;
     }
+  }
+}
+
+/// The reference every variant is pinned to: C[r][j] = sum_t A[r][t] *
+/// B[t][j] accumulated in ascending t with separate mul and add.
+std::vector<float> naive_row_block(const std::vector<float>& a,
+                                   const std::vector<float>& b,
+                                   std::size_t rows, std::size_t k,
+                                   std::size_t j) {
+  std::vector<float> c(rows * j);
+  for (std::size_t r = 0; r < rows; ++r)
+    for (std::size_t col = 0; col < j; ++col) {
+      float acc = 0.0f;
+      for (std::size_t t = 0; t < k; ++t) {
+        const float prod = a[r * k + t] * b[t * j + col];
+        acc += prod;
+      }
+      c[r * j + col] = acc;
+    }
+  return c;
+}
+
+TEST(F32RowBlockKernels, EveryRowCountAndColumnTailIsWritten) {
+  // Rows 1..8 (every micro-tile height) x column counts 1..33: every
+  // tail of the 8- and 16-wide vector chunks, alone (1..17) and after
+  // full chunks (18..33).  The output starts poisoned, so a row the
+  // kernel skips shows up as a mismatch rather than a stale zero.
+  core::Rng rng(8);
+  for (const std::size_t k : {std::size_t{1}, std::size_t{13}}) {
+    for (std::size_t rows = 1; rows <= 8; ++rows) {
+      for (std::size_t j = 1; j <= 33; ++j) {
+        std::vector<float> a(rows * k);
+        std::vector<float> b(k * j);
+        for (auto& v : a) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+        for (auto& v : b) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+        const std::vector<float> want = naive_row_block(a, b, rows, k, j);
+        for (const Isa isa : supported_isas()) {
+          std::vector<float> got(rows * j, -7.0f);
+          kernel_set(isa).f32_row_block(a.data(), k, b.data(), j, got.data(),
+                                        j, rows, k, 0, j);
+          for (std::size_t i = 0; i < want.size(); ++i)
+            ASSERT_EQ(got[i], want[i])
+                << kernel_set(isa).name << " rows=" << rows << " k=" << k
+                << " j=" << j << " idx=" << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(F32RowBlockKernels, ColumnRangeOffsetLeavesOtherColumnsAlone) {
+  // gemm_rowmajor hands out column tiles [j0, j1) of a wider C: only
+  // those columns may be written.
+  core::Rng rng(9);
+  const std::size_t rows = 8, k = 5, ld = 40, j0 = 3, j1 = 3 + 17 + 16;
+  std::vector<float> a(rows * k);
+  std::vector<float> b(k * ld);
+  for (auto& v : a) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+  for (auto& v : b) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+  const std::vector<float> full = naive_row_block(a, b, rows, k, ld);
+  for (const Isa isa : supported_isas()) {
+    std::vector<float> got(rows * ld, -7.0f);
+    kernel_set(isa).f32_row_block(a.data(), k, b.data(), ld, got.data(), ld,
+                                  rows, k, j0, j1);
+    for (std::size_t r = 0; r < rows; ++r)
+      for (std::size_t j = 0; j < ld; ++j) {
+        const float want = j >= j0 && j < j1 ? full[r * ld + j] : -7.0f;
+        ASSERT_EQ(got[r * ld + j], want)
+            << kernel_set(isa).name << " r=" << r << " j=" << j;
+      }
+  }
+}
+
+TEST(F32RowBlockKernels, RowCountOutsideTileRangeIsRejected) {
+  // A count above the tallest tile must fail loudly, never compute one
+  // row and leave the rest of the block unwritten.
+  const std::vector<float> a(9 * 4, 1.0f);
+  const std::vector<float> b(4 * 8, 1.0f);
+  std::vector<float> c(9 * 8, 0.0f);
+  for (const Isa isa : supported_isas()) {
+    const KernelSet& ks = kernel_set(isa);
+    for (const std::size_t rows : {std::size_t{0}, std::size_t{9}})
+      EXPECT_THROW(ks.f32_row_block(a.data(), 4, b.data(), 8, c.data(), 8,
+                                    rows, 4, 0, 8),
+                   std::invalid_argument)
+          << ks.name << " rows=" << rows;
   }
 }
 

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <limits>
+#include <vector>
 
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
@@ -153,6 +157,38 @@ TEST(ReLU, ForwardClampsNegatives) {
   EXPECT_FLOAT_EQ(y(0, 1), 0.0f);
   EXPECT_FLOAT_EQ(y(0, 2), 2.0f);
   EXPECT_FLOAT_EQ(y(0, 3), 0.0f);
+}
+
+TEST(ReLU, EdgeValuesMatchTheSelectDefinition) {
+  // ReLU is v > 0 ? v : 0, and the branch-free inference loop must keep
+  // exactly that: -0.0 and NaN fail the comparison and become +0.0,
+  // positive denormals pass through unflushed, negative ones become
+  // +0.0.  The training path computes the same values.
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<float> in = {-0.0f, nan, -nan, denorm, -denorm,
+                                 1e-40f, inf, -inf, 0.0f};
+  const std::vector<float> want = {0.0f, 0.0f, 0.0f, denorm, 0.0f,
+                                   1e-40f, inf, 0.0f, 0.0f};
+  for (const bool training : {false, true}) {
+    // Widths around the vector lengths, so edge values land in both the
+    // vector body and the scalar tail.
+    for (std::size_t reps = 1; reps <= 5; ++reps) {
+      Tensor x(reps, in.size());
+      for (std::size_t r = 0; r < reps; ++r)
+        std::copy(in.begin(), in.end(), x.data() + r * in.size());
+      ReLU relu;
+      const Tensor y = relu.forward(x, training);
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        const float got = y.vec()[i];
+        const float expect = want[i % in.size()];
+        EXPECT_EQ(std::memcmp(&got, &expect, sizeof(float)), 0)
+            << "training=" << training << " in=" << in[i % in.size()]
+            << " got=" << got << " signbit=" << std::signbit(got);
+      }
+    }
+  }
 }
 
 TEST(ReLU, BackwardMasksGradient) {

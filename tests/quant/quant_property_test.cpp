@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "nn/mlp.hpp"
 #include "quant/fuse.hpp"
@@ -28,6 +29,16 @@ struct ArchCase {
   std::size_t input_dim;
   double input_scale;
 };
+
+// Printed into the parameterized test names; without it gtest dumps the
+// struct's raw bytes, vector heap pointers included, so the names would
+// change from one process to the next.
+void PrintTo(const ArchCase& ac, std::ostream* os) {
+  *os << "widths=";
+  for (std::size_t i = 0; i < ac.widths.size(); ++i)
+    *os << (i ? "x" : "") << ac.widths[i];
+  *os << ",in=" << ac.input_dim << ",scale=" << ac.input_scale;
+}
 
 class QuantArchSweep : public ::testing::TestWithParam<ArchCase> {};
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -46,14 +47,24 @@ void run_concurrently(Fn&& fn) {
 
 TEST(ConcurrentInference, SharedFp32BackgroundNetWithBatchNorm) {
   // build_mlp's default blocks start with BatchNorm1d — the layer
-  // whose inference scratch used to be a member.
+  // whose inference scratch used to be a member.  Each thread cycles
+  // through batch widths 1, 24 and 617 (from a different starting
+  // width per thread), so the fused forward's thread_local ping/pong
+  // panels grow and get reused at other widths while other threads
+  // do the same — the cross-width guard QuantizedMlp's panels have.
   auto net = synthetic_background_net(61);
-  const Stream s = make_stream(24, 1);
-  const auto reference = net.logits_batch(s.rings, s.polar);
+  const std::vector<Stream> widths = {make_stream(1, 1), make_stream(24, 11),
+                                      make_stream(617, 21)};
+  std::vector<std::vector<float>> references;
+  for (const Stream& s : widths)
+    references.push_back(net.logits_batch(s.rings, s.polar));
 
-  run_concurrently([&](std::size_t) {
-    for (int i = 0; i < kRepeats; ++i)
-      EXPECT_EQ(net.logits_batch(s.rings, s.polar), reference);
+  run_concurrently([&](std::size_t t) {
+    for (int i = 0; i < kRepeats; ++i) {
+      const std::size_t w = (t + static_cast<std::size_t>(i)) % widths.size();
+      EXPECT_EQ(net.logits_batch(widths[w].rings, widths[w].polar),
+                references[w]);
+    }
   });
 }
 
@@ -100,21 +111,36 @@ TEST(ConcurrentInference, SharedQatLinearInferenceForward) {
 // Distinct polar guesses per thread: concurrent callers with
 // DIFFERENT inputs must not bleed into each other (the failure mode a
 // shared scratch buffer produces).
+// Each thread also interleaves batch widths 1, 24 and 617, so one
+// thread's panel resize never lands in another thread's activations.
 TEST(ConcurrentInference, DistinctInputsDoNotBleed) {
   auto net = synthetic_background_net(65);
-  const Stream s = make_stream(16, 4);
+  const std::vector<std::size_t> kWidths = {1, 24, 617};
+  const Stream s = make_stream(kWidths.back(), 4);
 
-  std::vector<std::vector<float>> references(kThreads);
+  // references[t][w]: thread t's polar guess on the first kWidths[w]
+  // rings.
+  std::vector<std::vector<std::vector<float>>> references(kThreads);
   std::vector<std::vector<double>> polar_sets(kThreads);
+  const auto prefix = [&](std::size_t w) {
+    return std::span<const recon::ComptonRing>(s.rings).first(kWidths[w]);
+  };
   for (std::size_t t = 0; t < kThreads; ++t) {
     polar_sets[t].assign(s.rings.size(),
                          5.0 + 20.0 * static_cast<double>(t));
-    references[t] = net.logits_batch(s.rings, polar_sets[t]);
+    for (std::size_t w = 0; w < kWidths.size(); ++w)
+      references[t].push_back(net.logits_batch(
+          prefix(w), std::span<const double>(polar_sets[t]).first(kWidths[w])));
   }
 
   run_concurrently([&](std::size_t t) {
-    for (int i = 0; i < kRepeats; ++i)
-      EXPECT_EQ(net.logits_batch(s.rings, polar_sets[t]), references[t]);
+    for (int i = 0; i < kRepeats; ++i) {
+      const std::size_t w = (t + static_cast<std::size_t>(i)) % kWidths.size();
+      EXPECT_EQ(net.logits_batch(prefix(w), std::span<const double>(
+                                                polar_sets[t])
+                                                .first(kWidths[w])),
+                references[t][w]);
+    }
   });
 }
 

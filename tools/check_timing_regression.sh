@@ -314,7 +314,10 @@ fi
 # ---- SIMD kernel throughput gate ----------------------------------
 # bench_nn_kernels registers one benchmark per dispatched kernel
 # variant (BM_U8I8GemmKernel/<isa>, BM_U8RequantKernel/<isa>,
-# BM_F32RowBlockKernel/<isa>) plus the dispatch-level int8 paths.
+# BM_F32RowBlockKernel/<isa>) plus the dispatch-level int8 paths and
+# the whole FP32 forward of both paper networks (BM_BackgroundNetFp32,
+# BM_DetaNetFp32: a slow activation or epilogue shows up there, not in
+# any single kernel row).
 # Each row in tools/bench_nn_kernels.baseline.csv is a deliberately
 # conservative items/s floor (well below a quiet-machine run, so
 # shared-runner noise does not trip it); throughput below
@@ -328,7 +331,7 @@ if [ ! -x "$kernel_bench" ]; then
   exit 2
 fi
 validate_baseline "$kernel_baseline"
-"$kernel_bench" --benchmark_filter='Kernel|Int8Dot|BackgroundNetInt8' \
+"$kernel_bench" --benchmark_filter='Kernel|Int8Dot|BackgroundNetInt8|Fp32' \
   --benchmark_format=csv >"$scratch/kernels.csv" 2>"$scratch/kernels.log" || {
   cat "$scratch/kernels.log" >&2
   echo "error: kernel bench failed" >&2
