@@ -11,6 +11,10 @@
 ///     in the grid size, while the batch recompute is O(pixels*rings);
 ///   * `inc_update_res<r>` must therefore stay below `batch_res<r>`
 ///     at every resolution (a machine-independent structural check);
+///   * `touched/ring`, the candidate pixels a ring tests, is a count
+///     fixed by the seeded stream, so it is gated exactly against the
+///     baseline: a looser band enumeration shows there long before the
+///     sub-microsecond update time moves past the timer floor;
 ///   * the 68% credible radius shrinks monotonically-ish with ring
 ///     count, which is what makes the serve-layer early alert
 ///     (`adaptctl serve-bench --alert-deg`) useful.

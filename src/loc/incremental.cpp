@@ -4,7 +4,6 @@
 #include <array>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <utility>
 
 #include "core/contract.hpp"
@@ -20,6 +19,13 @@ namespace {
 
 constexpr std::size_t kNpos = std::numeric_limits<std::size_t>::max();
 
+/// Slack [bins] by which a candidate range reaches past the pixel
+/// centres inside the analytic arc.  The arc ends come from acos of a
+/// rounded cosine, so they can sit a rounding error away from where
+/// the per-pixel test flips; this slack plus the guard bins absorbs
+/// that, and is far below a bin, so it adds almost no wasted tests.
+constexpr double kArcSlackBins = 0.02;
+
 /// Candidate azimuth-bin ranges of one grid row for a ring band.
 ///
 /// On the row at polar angle theta, the ring dot product is
@@ -28,11 +34,16 @@ constexpr std::size_t kNpos = std::numeric_limits<std::size_t>::max();
 ///   phi0 = atan2(c_y, c_x),
 /// so |c.s - eta| <= w selects up to two azimuth arcs symmetric about
 /// phi0.  The ranges returned are inclusive *unwrapped* bin intervals
-/// (map with a positive modulo), conservative by at least one bin on
-/// each end, and guaranteed duplicate-free mod bins; the caller applies
-/// the exact per-pixel-center residual test, which is the same
-/// condition the batch path evaluates, so over-inclusion costs only a
-/// wasted test while under-inclusion cannot happen.
+/// (reduce the first bin with a positive modulo, then walk with
+/// increment-and-wrap), guaranteed duplicate-free mod bins.  Each range
+/// holds the bins whose centres lie inside its arc widened by
+/// kArcSlackBins, plus one always-tested guard bin on each side.  The
+/// caller applies the exact per-pixel-centre residual test, which is
+/// the same condition the batch path evaluates; every pixel that
+/// passes it lies in a range, so each sum is the same as a scan of the
+/// whole row would give, bit for bit (each pixel gets at most one add
+/// per ring), while a ring tests only ~1 bin per arc end it does not
+/// add to.
 struct BinRanges {
   std::array<std::pair<long, long>, 2> r;
   int n = 0;
@@ -59,9 +70,12 @@ BinRanges band_bin_ranges(int bins, double m, double s, double phi0,
   const double a_max = std::acos(std::clamp(lo, -1.0, 1.0));
   const double bin_w = core::kTwoPi / static_cast<double>(bins);
   const auto to_range = [&](double lo_phi, double hi_phi) {
-    // Bin b centers at (b + 0.5) * bin_w; widen one bin each side.
-    const long b0 = static_cast<long>(std::floor(lo_phi / bin_w - 0.5)) - 1;
-    const long b1 = static_cast<long>(std::ceil(hi_phi / bin_w - 0.5)) + 1;
+    // Bin b centres at (b + 0.5) * bin_w: the centres inside the
+    // slack-widened arc, plus one guard bin each side.
+    const long b0 = static_cast<long>(std::ceil(lo_phi / bin_w - 0.5 -
+                                                kArcSlackBins)) - 1;
+    const long b1 = static_cast<long>(std::floor(hi_phi / bin_w - 0.5 +
+                                                 kArcSlackBins)) + 1;
     return std::pair<long, long>{b0, b1};
   };
   const auto rp = to_range(phi0 + a_min, phi0 + a_max);
@@ -114,7 +128,7 @@ IncrementalLocalizer::IncrementalLocalizer(const IncrementalConfig& config)
 }
 
 void IncrementalLocalizer::accumulate_band(
-    const SkyGrid& grid, std::size_t row, const recon::ComptonRing& ring,
+    const SkyGrid& grid, std::size_t row, const RingBand& ring,
     double cap2, std::vector<double>& excess, std::size_t base,
     std::size_t& touched) {
   const double w = config_.truncation_sigma * ring.d_eta;
@@ -125,16 +139,17 @@ void IncrementalLocalizer::accumulate_band(
   // with the batch path's ring_residual to ~1 ulp, within the
   // documented equivalence tolerance (see incremental.hpp).
   const double m = ring.axis.z * grid.row_cos(row);
-  const double s = std::hypot(ring.axis.x, ring.axis.y) * grid.row_sin(row);
-  const double phi0 = std::atan2(ring.axis.y, ring.axis.x);
+  const double s = ring.axis_xy * grid.row_sin(row);
+  const double phi0 = ring.phi0;
   const BinRanges ranges = band_bin_ranges(bins, m, s, phi0, ring.eta, w);
   const double bin_w = core::kTwoPi / static_cast<double>(bins);
   const long lbins = bins;
+  const auto ubins = static_cast<std::size_t>(bins);
   for (int k = 0; k < ranges.n; ++k) {
-    for (long b = ranges.r[static_cast<std::size_t>(k)].first;
-         b <= ranges.r[static_cast<std::size_t>(k)].second; ++b) {
-      const auto az =
-          static_cast<std::size_t>(((b % lbins) + lbins) % lbins);
+    const auto [b0, b1] = ranges.r[static_cast<std::size_t>(k)];
+    auto az = static_cast<std::size_t>(((b0 % lbins) + lbins) % lbins);
+    const auto count = static_cast<std::size_t>(b1 - b0 + 1);
+    for (std::size_t j = 0; j < count; ++j) {
       const double phi_c = (static_cast<double>(az) + 0.5) * bin_w;
       // Same contribution rule as the batch likelihood: only residuals
       // strictly inside the cap add excess.
@@ -142,8 +157,9 @@ void IncrementalLocalizer::accumulate_band(
                        ring.d_eta;
       const double r2 = r * r;
       if (r2 < cap2) excess[base + az] += 0.5 * (cap2 - r2);
-      ++touched;
+      if (++az == ubins) az = 0;
     }
+    touched += count;
   }
 }
 
@@ -172,13 +188,16 @@ std::size_t IncrementalLocalizer::add_ring(const recon::ComptonRing& ring) {
     return 0;
   }
   const tm::ScopedTimer timer(update_ms);
-  rings_.push_back(ring);
+  const RingBand& band = rings_.emplace_back(
+      RingBand{ring.axis, ring.eta, ring.d_eta,
+               std::hypot(ring.axis.x, ring.axis.y),
+               std::atan2(ring.axis.y, ring.axis.x)});
   const double cap2 = config_.truncation_sigma * config_.truncation_sigma;
   std::size_t touched = 0;
 
   for (std::size_t row = 0;
        row < static_cast<std::size_t>(coarse_.n_rows()); ++row) {
-    accumulate_band(coarse_, row, ring, cap2, coarse_excess_,
+    accumulate_band(coarse_, row, band, cap2, coarse_excess_,
                     coarse_.row_offset(row), touched);
   }
   for (std::size_t cr = 0;
@@ -187,7 +206,7 @@ std::size_t IncrementalLocalizer::add_ring(const recon::ComptonRing& ring) {
     std::size_t first = 0;
     const std::size_t count = fine_rows_of(cr, first);
     for (std::size_t fr = first; fr < first + count; ++fr) {
-      accumulate_band(fine_, fr, ring, cap2, fine_excess_[fr], 0, touched);
+      accumulate_band(fine_, fr, band, cap2, fine_excess_[fr], 0, touched);
     }
   }
 
@@ -219,8 +238,8 @@ void IncrementalLocalizer::refine_coarse_row(std::size_t coarse_row) {
     // Replay in arrival order so the sums are bit-identical to the
     // ones a from-the-start refined row would have accumulated.
     std::size_t touched = 0;
-    for (const auto& ring : rings_) {
-      accumulate_band(fine_, fr, ring, cap2, fine_excess_[fr], 0, touched);
+    for (const RingBand& band : rings_) {
+      accumulate_band(fine_, fr, band, cap2, fine_excess_[fr], 0, touched);
     }
     pixels_touched_ += touched;
     refined_ctr.add();
@@ -241,29 +260,17 @@ void IncrementalLocalizer::ensure_posterior() {
     for (std::size_t cr = 0; cr < n_coarse_rows; ++cr)
       refine_coarse_row(cr);
   } else {
-    std::vector<double> coarse_prob;
-    normalize_log_posterior(coarse_, coarse_excess_, coarse_prob);
-    std::vector<double> row_mass(n_coarse_rows, 0.0);
+    normalize_log_posterior(coarse_, coarse_excess_, coarse_prob_);
+    row_mass_.assign(n_coarse_rows, 0.0);
     for (std::size_t cr = 0; cr < n_coarse_rows; ++cr) {
       const std::size_t off = coarse_.row_offset(cr);
       const auto bins = static_cast<std::size_t>(coarse_.az_bins(cr));
       for (std::size_t b = 0; b < bins; ++b)
-        row_mass[cr] += coarse_prob[off + b];
+        row_mass_[cr] += coarse_prob_[off + b];
     }
-    std::vector<std::size_t> order(n_coarse_rows);
-    std::iota(order.begin(), order.end(), 0u);
-    std::sort(order.begin(), order.end(),
-              [&](std::size_t a, std::size_t b) {
-                if (row_mass[a] != row_mass[b])
-                  return row_mass[a] > row_mass[b];
-                return a < b;  // deterministic tie-break
-              });
-    double mass = 0.0;
-    for (const std::size_t cr : order) {
-      refine_coarse_row(cr);
-      mass += row_mass[cr];
-      if (mass >= config_.refine_mass_fraction) break;
-    }
+    greedy_mass_cut(row_mass_, row_mass_, config_.refine_mass_fraction,
+                    cut_heap_,
+                    [this](std::size_t cr) { refine_coarse_row(cr); });
   }
 
   // Assemble the mixed posterior: refined rows contribute their fine
@@ -374,25 +381,16 @@ Vec3 IncrementalLocalizer::peak() {
 double IncrementalLocalizer::credible_region_area_deg2(double content) {
   ADAPT_REQUIRE(std::isfinite(content) && content > 0.0 && content < 1.0,
                 "credible content in (0, 1)");
+  namespace tm = core::telemetry;
+  static tm::Histogram& query_ms = tm::histogram("loc.incremental.query_ms");
+  const tm::ScopedTimer timer(query_ms);
   ensure_posterior();
   ADAPT_REQUIRE(!mixed_prob_.empty(), "credible region of an empty map");
   // Greedy density cut, like the batch map: posterior density is
-  // monotone in the excess value, so sort by value (deterministic
-  // index tie-break).
-  std::vector<std::size_t> order(mixed_value_.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (mixed_value_[a] != mixed_value_[b])
-      return mixed_value_[a] > mixed_value_[b];
-    return a < b;
-  });
-  double mass = 0.0;
+  // monotone in the excess value, so cut on it directly.
   double area = 0.0;
-  for (const std::size_t i : order) {
-    mass += mixed_prob_[i];
-    area += mixed_sa_[i];
-    if (mass >= content) break;
-  }
+  greedy_mass_cut(mixed_value_, mixed_prob_, content, cut_heap_,
+                  [&](std::size_t i) { area += mixed_sa_[i]; });
   return area;
 }
 

@@ -17,7 +17,12 @@
 /// the sky.  IncrementalLocalizer keeps per-pixel `excess` sums and
 /// adds each arriving ring to just that band, enumerated analytically
 /// per grid row (at most two azimuth arcs per row), in O(band pixels)
-/// instead of O(grid).
+/// instead of O(grid).  The arcs are cut tight: a row tests the pixel
+/// centres inside each arc plus one guard bin per arc end, and every
+/// pixel that passes the exact residual test is among them, so the
+/// sums equal a full-row scan's bit for bit.  A ring's azimuth-only
+/// invariants (hypot and atan2 of its axis) are computed once per ring,
+/// not once per row.
 ///
 /// Coarse-to-fine: a coarse grid (`coarse_factor` x the resolution) is
 /// always updated; full-resolution rows are materialized lazily — only
@@ -26,6 +31,14 @@
 /// Refinement is monotone (a refined row stays refined and is kept
 /// current by subsequent updates) and replay happens in ring-arrival
 /// order, so results are independent of *when* refinement happened.
+/// The replay log keeps per ring only what the band fold reads (axis,
+/// eta, d_eta and the two per-ring invariants, 56 bytes), not the
+/// whole ComptonRing.
+///
+/// Known deviation: when max_polar_deg is not a multiple of the coarse
+/// pixel, the last coarse row reaches past the field of view (an 8 deg
+/// coarse grid over 90 deg centres its last row at 92 deg); that row
+/// still competes for refinement with its full coarse solid angle.
 ///
 /// Equivalence contract against the batch path (tested in
 /// tests/loc/incremental_test.cpp):
@@ -39,6 +52,9 @@
 ///     (different association order), and the accumulator evaluates
 ///     the residual in the per-row closed form m + s*cos(phi - phi0),
 ///     which agrees with the batch dot product to ~1 ulp.
+///   - credible regions (here and in SkyMap) come from one greedy cut,
+///     greedy_mass_cut(), taking entries by (value descending, index
+///     ascending), so tied pixels are cut in a defined order.
 ///   - adaptive queries (default config) additionally approximate the
 ///     unrefined tail by its coarse pixels; with the default
 ///     refine_mass_fraction = 0.999 the peak is exact and the 68%/90%
@@ -61,8 +77,10 @@
 ///
 /// Telemetry: `loc.incremental.rings`, `loc.incremental.rings_rejected`
 /// counters; `loc.incremental.update_ms` and
-/// `loc.incremental.pixels_touched` histograms per update;
-/// `loc.incremental.rows_refined` counter.
+/// `loc.incremental.pixels_touched` histograms per update (the fold);
+/// `loc.incremental.query_ms` histogram per credible-region query
+/// (posterior rebuild plus the cut); `loc.incremental.rows_refined`
+/// counter.
 
 #include <cstdint>
 #include <span>
@@ -125,13 +143,28 @@ class IncrementalLocalizer {
   /// Fine rows currently materialized at full resolution.
   std::size_t refined_fine_rows() const;
 
+  /// Accumulated excess of fine row `row`, one value per azimuth bin
+  /// (empty while the row is not refined).
+  std::span<const double> fine_row_excess(std::size_t row) const {
+    return fine_excess_[row];
+  }
+
   const SkyGrid& fine_grid() const { return fine_; }
   const SkyGrid& coarse_grid() const { return coarse_; }
   const IncrementalConfig& config() const { return config_; }
 
  private:
+  /// One accepted ring as the band fold reads it.
+  struct RingBand {
+    core::Vec3 axis;
+    double eta;
+    double d_eta;
+    double axis_xy;  ///< hypot(axis.x, axis.y)
+    double phi0;     ///< atan2(axis.y, axis.x)
+  };
+
   void accumulate_band(const SkyGrid& grid, std::size_t row,
-                       const recon::ComptonRing& ring, double cap2,
+                       const RingBand& ring, double cap2,
                        std::vector<double>& excess, std::size_t base,
                        std::size_t& touched);
   void refine_coarse_row(std::size_t coarse_row);
@@ -147,8 +180,8 @@ class IncrementalLocalizer {
   std::vector<std::vector<double>> fine_excess_;  ///< Per fine row
                                                   ///< (empty: not
                                                   ///< refined).
-  std::vector<recon::ComptonRing> rings_;  ///< Replay log for
-                                           ///< refinement backfill.
+  std::vector<RingBand> rings_;  ///< Replay log for refinement
+                                 ///< backfill, in arrival order.
 
   std::size_t rings_rejected_ = 0;
   std::uint64_t pixels_touched_ = 0;
@@ -164,6 +197,11 @@ class IncrementalLocalizer {
   /// (npos when refined).
   std::vector<std::size_t> fine_row_off_;
   std::vector<std::size_t> coarse_row_off_;
+
+  // Per-query scratch, reused across queries.
+  std::vector<double> coarse_prob_;
+  std::vector<double> row_mass_;
+  std::vector<std::size_t> cut_heap_;
 };
 
 }  // namespace adapt::loc

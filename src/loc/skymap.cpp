@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
-#include <numeric>
 
 #include "core/contract.hpp"
 #include "core/parallel.hpp"
@@ -77,19 +76,14 @@ double SkyMap::credible_region_area_deg2(double content) const {
   ADAPT_REQUIRE(!probability_.empty(), "credible region of an empty map");
   // Greedy: add pixels in decreasing posterior density until the mass
   // target is met.
-  std::vector<std::size_t> order(probability_.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return probability_[a] / grid_.pixel_solid_angle_deg2(a) >
-           probability_[b] / grid_.pixel_solid_angle_deg2(b);
-  });
-  double mass = 0.0;
+  std::vector<double> density(probability_.size());
+  for (std::size_t i = 0; i < density.size(); ++i)
+    density[i] = probability_[i] / grid_.pixel_solid_angle_deg2(i);
   double area = 0.0;
-  for (const std::size_t i : order) {
-    mass += probability_[i];
+  std::vector<std::size_t> heap;
+  greedy_mass_cut(density, probability_, content, heap, [&](std::size_t i) {
     area += grid_.pixel_solid_angle_deg2(i);
-    if (mass >= content) break;
-  }
+  });
   return area;
 }
 

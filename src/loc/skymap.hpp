@@ -19,6 +19,8 @@
 /// Unusable rings (non-finite axis/eta, d_eta <= 0) are filtered out
 /// before evaluation, matching the point-estimate localizer paths.
 
+#include <algorithm>
+#include <numeric>
 #include <optional>
 #include <span>
 #include <string>
@@ -35,6 +37,38 @@ struct SkyMapConfig {
   double truncation_sigma = 3.0;  ///< Outlier cap of the likelihood.
   double max_polar_deg = 90.0;    ///< Field-of-view edge.
 };
+
+/// Greedy mass cut shared by every credible-region query (SkyMap,
+/// IncrementalLocalizer) and the incremental localizer's row
+/// refinement: calls `take(i)` for entries in (key descending, index
+/// ascending) order — a strict total order, so the visit sequence, and
+/// with it every floating-point sum over it, never depends on the
+/// sort implementation — and stops after the entry that brings the
+/// summed `mass` to `content` (or after the last entry).  Heap-ordered:
+/// one make_heap plus a pop per taken entry, O(n + k log n) for the k
+/// entries a peaked posterior needs instead of a full sort.  `heap` is
+/// caller-owned scratch.
+template <class Take>
+void greedy_mass_cut(std::span<const double> key,
+                     std::span<const double> mass, double content,
+                     std::vector<std::size_t>& heap, Take&& take) {
+  heap.resize(key.size());
+  std::iota(heap.begin(), heap.end(), std::size_t{0});
+  // Heap "less": a is taken after b.
+  const auto after = [key](std::size_t a, std::size_t b) {
+    if (key[a] != key[b]) return key[a] < key[b];
+    return a > b;
+  };
+  std::make_heap(heap.begin(), heap.end(), after);
+  double sum = 0.0;
+  for (auto end = heap.end(); end != heap.begin(); --end) {
+    std::pop_heap(heap.begin(), end, after);
+    const std::size_t i = *(end - 1);
+    take(i);
+    sum += mass[i];
+    if (sum >= content) break;
+  }
+}
 
 class SkyMap {
  public:

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "core/rng.hpp"
@@ -54,6 +57,185 @@ double max_rel_diff(const SkyMap& a, const SkyMap& b) {
         worst, std::abs(a.probability_at(dir) - b.probability_at(dir)));
   }
   return worst / peak;
+}
+
+/// Test-only reference fold: every pixel of every row gets the exact
+/// per-pixel residual test, with the accumulator's per-row closed form.
+/// `missed` flags the rows the fold's row-level test skips whole (band
+/// clear of the row's cosine range, or |m - eta| > w + 1e-12 on an
+/// azimuth-independent row).
+struct FullScan {
+  std::vector<std::vector<double>> rows;
+  std::vector<bool> missed;
+};
+
+FullScan full_scan_excess(const SkyGrid& grid,
+                          const recon::ComptonRing& ring, double sigma) {
+  const double cap2 = sigma * sigma;
+  const double w = sigma * ring.d_eta;
+  const double axis_xy = std::hypot(ring.axis.x, ring.axis.y);
+  const double phi0 = std::atan2(ring.axis.y, ring.axis.x);
+  const auto n_rows = static_cast<std::size_t>(grid.n_rows());
+  FullScan scan{std::vector<std::vector<double>>(n_rows),
+                std::vector<bool>(n_rows)};
+  for (std::size_t row = 0; row < n_rows; ++row) {
+    const int bins = grid.az_bins(row);
+    const double m = ring.axis.z * grid.row_cos(row);
+    const double s = axis_xy * grid.row_sin(row);
+    scan.missed[row] = s < 1e-12
+                           ? !(std::abs(m - ring.eta) <= w + 1e-12)
+                           : (ring.eta - w - m) / s > 1.0 ||
+                                 (ring.eta + w - m) / s < -1.0;
+    const double bin_w = core::kTwoPi / static_cast<double>(bins);
+    scan.rows[row].assign(static_cast<std::size_t>(bins), 0.0);
+    for (int az = 0; az < bins; ++az) {
+      const double phi_c = (static_cast<double>(az) + 0.5) * bin_w;
+      const double r =
+          (m + s * std::cos(phi_c - phi0) - ring.eta) / ring.d_eta;
+      const double r2 = r * r;
+      if (r2 < cap2)
+        scan.rows[row][static_cast<std::size_t>(az)] += 0.5 * (cap2 - r2);
+    }
+  }
+  return scan;
+}
+
+recon::ComptonRing make_ring(const core::Vec3& axis, double eta,
+                             double d_eta) {
+  recon::ComptonRing r;
+  r.axis = axis;
+  r.eta = eta;
+  r.d_eta = d_eta;
+  return r;
+}
+
+/// Rings aimed at the band enumeration's edge cases on `grid`.
+std::vector<recon::ComptonRing> adversarial_rings(const SkyGrid& grid,
+                                                  double sigma) {
+  std::vector<recon::ComptonRing> rings;
+  // Axis at, or within 1e-12 .. 1e-3 rad of, either pole.
+  for (const bool north : {true, false}) {
+    for (const double tilt : {0.0, 1e-12, 1e-9, 1e-6, 1e-3}) {
+      const core::Vec3 axis =
+          core::from_spherical(north ? tilt : core::kPi - tilt, 0.4);
+      for (const double eta : {-1.0, -0.3, 0.0, 0.7, 1.0})
+        rings.push_back(make_ring(axis, eta, 0.02));
+    }
+  }
+  // eta = +-1 (the band is a cap around +-axis), widths 1e-4 .. 2.
+  for (const double polar : {0.3, 1.2, 2.0}) {
+    const core::Vec3 axis = core::from_spherical(polar, -2.5);
+    for (const double eta : {-1.0, 1.0})
+      for (const double d_eta : {1e-4, 0.01, 0.3, 2.0})
+        rings.push_back(make_ring(axis, eta, d_eta));
+  }
+  // Per-row constructions on the first two, middle and last two rows.
+  const auto n_rows = static_cast<std::size_t>(grid.n_rows());
+  for (const std::size_t row :
+       {std::size_t{0}, std::size_t{1}, n_rows / 2, n_rows - 2, n_rows - 1}) {
+    if (row >= n_rows) continue;
+    const double bin_w =
+        core::kTwoPi / static_cast<double>(grid.az_bins(row));
+    // A generic azimuth and one exactly on a pixel centre of the row
+    // (so a pixel sits at delta-phi = 0 and, for even bins, at pi).
+    for (const double az : {0.77, 3.5 * bin_w}) {
+      const core::Vec3 axis = core::from_spherical(0.9, az);
+      const double m = axis.z * grid.row_cos(row);
+      const double s = std::hypot(axis.x, axis.y) * grid.row_sin(row);
+      for (const double d_eta : {0.002, 0.03}) {
+        const double w = sigma * d_eta;
+        // Band edge tangent to the row at delta-phi = 0 and at pi, from
+        // either side.
+        for (const double eta : {m + s + w, m + s - w, m - s - w, m - s + w})
+          rings.push_back(make_ring(axis, eta, d_eta));
+        // Arcs merging across delta-phi = 0 and across pi.
+        rings.push_back(make_ring(axis, m + s - 0.4 * w, d_eta));
+        rings.push_back(make_ring(axis, m - s + 0.4 * w, d_eta));
+      }
+      // A band covering the whole row.
+      rings.push_back(make_ring(axis, m, 1.5 * s / sigma + 1e-3));
+      // s just above the 1e-12 early-out, band edge across the row.
+      const double tilt = std::asin(1.5e-12 / grid.row_sin(row));
+      const core::Vec3 near_pole = core::from_spherical(tilt, az);
+      const double m0 = near_pole.z * grid.row_cos(row);
+      const double s0 =
+          std::hypot(near_pole.x, near_pole.y) * grid.row_sin(row);
+      for (const double frac : {-0.9, 0.0, 0.5})
+        rings.push_back(make_ring(near_pole, m0 + 0.06 + frac * s0, 0.02));
+    }
+  }
+  return rings;
+}
+
+/// Every row the band reaches must hold the full scan's sums bit for
+/// bit.  A row the row-level test skips must get nothing, and the scan
+/// may only disagree there by a rounding-level tie: a pixel centre
+/// exactly at a band's tangent point, whose residual lands a few ulps
+/// inside the cap while the row test rounds the other way.
+::testing::AssertionResult rows_equal(const IncrementalLocalizer& inc,
+                                      const FullScan& want) {
+  for (std::size_t row = 0; row < want.rows.size(); ++row) {
+    const std::span<const double> got = inc.fine_row_excess(row);
+    if (got.size() != want.rows[row].size())
+      return ::testing::AssertionFailure() << "row " << row << " size";
+    for (std::size_t az = 0; az < got.size(); ++az) {
+      const double ref = want.rows[row][az];
+      const bool ok =
+          want.missed[row]
+              ? got[az] == 0.0 && ref < 1e-12
+              : std::bit_cast<std::uint64_t>(got[az]) ==
+                    std::bit_cast<std::uint64_t>(ref);
+      if (!ok)
+        return ::testing::AssertionFailure()
+               << "row " << row << (want.missed[row] ? " (skipped)" : "")
+               << " az " << az << ": " << got[az] << " vs " << ref;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(IncrementalLocalizer, BandFoldEqualsFullRowScanBitForBit) {
+  for (const double res : {0.5, 1.0, 2.0, 8.0}) {
+    for (const double max_polar : {90.0, 100.0}) {
+      IncrementalConfig ic;
+      ic.resolution_deg = res;
+      ic.max_polar_deg = max_polar;
+      ic.coarse_factor = 1;
+      ic.refine_all = true;
+      const SkyGrid grid(res, max_polar);
+      const auto rings = adversarial_rings(grid, ic.truncation_sigma);
+      const std::string where =
+          "res " + std::to_string(res) + " fov " + std::to_string(max_polar);
+
+      // Every row refined before any ring: later rings fold live.
+      IncrementalLocalizer refined(ic);
+      (void)refined.degenerate();
+      IncrementalLocalizer live = refined;
+      IncrementalLocalizer replay(ic);
+      FullScan total = full_scan_excess(grid, rings.front(), 1.0);
+      for (auto& row : total.rows) std::fill(row.begin(), row.end(), 0.0);
+      std::fill(total.missed.begin(), total.missed.end(), false);
+      for (std::size_t k = 0; k < rings.size(); ++k) {
+        const FullScan want =
+            full_scan_excess(grid, rings[k], ic.truncation_sigma);
+        IncrementalLocalizer one = refined;
+        one.add_ring(rings[k]);
+        ASSERT_TRUE(rows_equal(one, want)) << where << " ring " << k;
+        live.add_ring(rings[k]);
+        replay.add_ring(rings[k]);
+        for (std::size_t row = 0; row < want.rows.size(); ++row) {
+          if (want.missed[row]) continue;
+          for (std::size_t az = 0; az < want.rows[row].size(); ++az)
+            total.rows[row][az] += want.rows[row][az];
+        }
+      }
+      // The replay log refines every row from scratch, in arrival
+      // order: the same sums as the live fold and the summed scans.
+      (void)replay.degenerate();
+      EXPECT_TRUE(rows_equal(live, total)) << where << " live sums";
+      EXPECT_TRUE(rows_equal(replay, total)) << where << " replayed sums";
+    }
+  }
 }
 
 TEST(IncrementalLocalizer, SnapshotMatchesBatchAtCheckpoints) {
@@ -286,6 +468,61 @@ TEST(IncrementalLocalizer, RefinementIsMonotone) {
     }
   }
   EXPECT_GT(last, 0u);
+}
+
+
+/// FNV-1a over the bit patterns of a sequence of doubles.
+struct Fnv64 {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  void add(double v) {
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    for (int k = 0; k < 8; ++k) {
+      h ^= (bits >> (8 * k)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  }
+};
+
+TEST(IncrementalLocalizer, SeededStreamDigestIsPinned) {
+  // Pins every accumulator value and query result of a seeded stream:
+  // the adaptive 68%/90% radii and peak at checkpoints (lazy
+  // refinement plus the credible cut), then the full snapshot()
+  // probabilities and its batch-path credible radii.  The value was
+  // recorded before the band fold and the credible cut were last
+  // rewritten; any change to which pixels a ring reaches, the order of
+  // the adds, or the order of the cut moves it.
+  core::Rng rng(2026);
+  const core::Vec3 s = core::from_spherical(core::deg_to_rad(35.0),
+                                            core::deg_to_rad(120.0));
+  const auto rings = rings_for(s, 240, 0.05, rng, 80);
+
+  Fnv64 digest;
+  IncrementalConfig fleet;  // the serve path's grid
+  fleet.resolution_deg = 2.0;
+  IncrementalConfig wide;  // odd coarse factor, field of view past 90 deg
+  wide.resolution_deg = 0.5;
+  wide.coarse_factor = 3;
+  wide.max_polar_deg = 100.0;
+  for (const IncrementalConfig& ic : {IncrementalConfig{}, fleet, wide}) {
+    IncrementalLocalizer inc(ic);
+    for (std::size_t i = 0; i < rings.size(); ++i) {
+      inc.add_ring(rings[i]);
+      if (i % 64 == 63) {
+        digest.add(inc.credible_radius_deg(0.68));
+        digest.add(inc.credible_radius_deg(0.9));
+        const core::Vec3 p = inc.peak();
+        digest.add(p.x);
+        digest.add(p.y);
+        digest.add(p.z);
+      }
+    }
+    const SkyMap snap = inc.snapshot();
+    for (std::size_t i = 0; i < snap.n_pixels(); ++i)
+      digest.add(snap.probability_at(snap.grid().pixel_center(i)));
+    digest.add(snap.credible_radius_deg(0.68));
+    digest.add(snap.credible_radius_deg(0.9));
+  }
+  EXPECT_EQ(digest.h, 0x019e5a3e343538ffull) << std::hex << digest.h;
 }
 
 }  // namespace

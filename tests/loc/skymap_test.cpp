@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <numeric>
 
 #include "core/rng.hpp"
 #include "core/units.hpp"
@@ -209,6 +211,84 @@ TEST(SkyMap, ResolutionControlsPixelCount) {
   EXPECT_GT(b.n_pixels(), 10 * a.n_pixels());
   EXPECT_THROW(SkyMap::compute(rings, SkyMapConfig{0.0, 3.0, 90.0}),
                std::invalid_argument);
+}
+
+/// Greedy cut through a std::stable_sort on key descending: ties keep
+/// ascending index order.
+double stable_sort_cut_area(const std::vector<double>& key,
+                            const std::vector<double>& mass,
+                            const std::vector<double>& area, double content) {
+  std::vector<std::size_t> order(key.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) { return key[a] > key[b]; });
+  double sum = 0.0;
+  double total = 0.0;
+  for (const std::size_t i : order) {
+    total += area[i];
+    sum += mass[i];
+    if (sum >= content) break;
+  }
+  return total;
+}
+
+TEST(CredibleCut, TiesTakenInIndexOrderLikeStableSort) {
+  core::Rng rng(21);
+  for (const int levels : {1, 2, 5, 1000}) {
+    const std::size_t n = 997;
+    std::vector<double> key(n);
+    std::vector<double> mass(n);
+    std::vector<double> area(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      key[i] = static_cast<double>(
+          static_cast<int>(rng.uniform(0.0, static_cast<double>(levels))));
+      area[i] = rng.uniform(0.5, 2.0);
+    }
+    double norm = 0.0;
+    for (std::size_t i = 0; i < n; ++i) norm += (mass[i] = key[i] + 1.0);
+    for (double& m : mass) m /= norm;
+    for (const double content : {0.05, 0.5, 0.68, 0.9, 0.999}) {
+      std::vector<std::size_t> heap;
+      std::vector<std::size_t> taken;
+      greedy_mass_cut(key, mass, content, heap,
+                      [&](std::size_t i) { taken.push_back(i); });
+      ASSERT_FALSE(taken.empty());
+      for (std::size_t k = 1; k < taken.size(); ++k) {
+        const std::size_t a = taken[k - 1];
+        const std::size_t b = taken[k];
+        EXPECT_TRUE(key[a] > key[b] || (key[a] == key[b] && a < b))
+            << "levels " << levels << " step " << k;
+      }
+      double cut_area = 0.0;
+      for (const std::size_t i : taken) cut_area += area[i];
+      EXPECT_EQ(cut_area, stable_sort_cut_area(key, mass, area, content))
+          << "levels " << levels << " content " << content;
+    }
+  }
+}
+
+TEST(SkyMap, TiedAndUniformMapsCutLikeStableSort) {
+  const SkyGrid grid(3.0, 90.0);
+  std::vector<double> uniform(grid.n_pixels(), 0.0);
+  std::vector<double> plateaus(grid.n_pixels());
+  for (std::size_t i = 0; i < plateaus.size(); ++i)
+    plateaus[i] = static_cast<double>((i / 37) % 3);
+  for (const auto& log_post : {uniform, plateaus}) {
+    const SkyMap map =
+        SkyMap::from_log_posterior(grid, log_post, SkyMapConfig{3.0, 3.0, 90.0});
+    std::vector<double> density(grid.n_pixels());
+    std::vector<double> mass(grid.n_pixels());
+    std::vector<double> area(grid.n_pixels());
+    for (std::size_t i = 0; i < grid.n_pixels(); ++i) {
+      mass[i] = map.probability_at(grid.pixel_center(i));
+      area[i] = grid.pixel_solid_angle_deg2(i);
+      density[i] = mass[i] / area[i];
+    }
+    for (const double content : {0.1, 0.68, 0.9})
+      EXPECT_EQ(map.credible_region_area_deg2(content),
+                stable_sort_cut_area(density, mass, area, content))
+          << "content " << content;
+  }
 }
 
 }  // namespace

@@ -385,7 +385,7 @@ fi
 # bench_loc_incremental writes name,mean_ms rows (plus informational
 # columns) comparing a full batch SkyMap recompute against the
 # streaming accumulator's per-ring update and query cost at several
-# grid resolutions.  Two checks:
+# grid resolutions.  Three checks:
 #   * each row's mean stays under baseline * tolerance
 #     (tools/bench_loc_incremental.baseline.csv), same ceiling rule as
 #     the stage-timing gate;
@@ -393,6 +393,14 @@ fi
 #     every resolution — the machine-independent reason the
 #     incremental localizer exists.  A violation means the band
 #     enumeration degenerated into a full-grid walk.
+#   * exactly, each inc_update_res<r> row's touched/ring (candidate
+#     pixels tested per ring, a count fixed by the seeded ring stream)
+#     stays at or below its baseline value.  The per-ring update is far
+#     below the 0.5 ms timer floor of the first check, so this is what
+#     catches a band enumeration that tests more pixels than it did.
+#     Machine-independent, so it gates even under --check-only.
+# The bench runs at its default stream size so touched/ring matches the
+# baseline exactly.
 loc_bench="$build_dir/bench/bench_loc_incremental"
 loc_baseline="$repo_root/tools/bench_loc_incremental.baseline.csv"
 if [ ! -x "$loc_bench" ]; then
@@ -401,7 +409,7 @@ if [ ! -x "$loc_bench" ]; then
 fi
 validate_baseline "$loc_baseline"
 loc_bench=$(CDPATH= cd -- "$(dirname -- "$loc_bench")" && pwd)/$(basename -- "$loc_bench")
-(cd "$scratch" && "$loc_bench" >loc.log 2>&1) || {
+(cd "$scratch" && ADAPT_LOC_BENCH_RINGS=400 "$loc_bench" >loc.log 2>&1) || {
   cat "$scratch/loc.log" >&2
   echo "error: incremental localizer bench failed" >&2
   exit 2
@@ -453,6 +461,28 @@ awk -F, -v tol="$tolerance" '
     exit failed ? 1 : 0
   }
 ' "$loc_baseline" "$loc_csv" || loc_status=$?
+
+touched_status=0
+awk -F, '
+  NR == FNR { if (FNR > 1) base[$1] = $4; next }
+  FNR > 1 && $1 ~ /^inc_update_res/ {
+    if (!($1 in base) || base[$1] == "-") {
+      printf "FAIL  %-22s no touched/ring baseline\n", $1
+      failed = 1
+    } else if ($4 + 0 > base[$1] + 0) {
+      printf "FAIL  %-22s touched/ring %s > ceiling %s\n", $1, $4, base[$1]
+      failed = 1
+    } else {
+      printf "ok    %-22s touched/ring %s (ceiling %s)\n", $1, $4, base[$1]
+    }
+  }
+  END { exit failed ? 1 : 0 }
+' "$loc_baseline" "$loc_csv" || touched_status=$?
+if [ "$touched_status" -ne 0 ]; then
+  echo "incremental localizer touched/ring ceiling FAILED — the band" >&2
+  echo "enumeration tests more pixels per ring than the baseline" >&2
+  exit "$touched_status"
+fi
 
 if [ "$loc_status" -eq 0 ]; then
   echo "incremental localizer check passed (tolerance ${tolerance}x)"
