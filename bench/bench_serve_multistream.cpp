@@ -7,8 +7,8 @@
 /// same models as bench_serve_throughput so the streams_1 row is
 /// directly comparable to that bench's batch_64 row).  Rows:
 ///   * streams_1        — parity config (1 stream / 1 shard / 1 worker):
-///                        the router's fixed overhead over the
-///                        single-stream InferenceServer;
+///                        the engine shape of bench_serve_throughput's
+///                        batch_64 row, on the flood event stream;
 ///   * streams_10_uniform — 10 equal streams over 2 shards;
 ///   * streams_100_skew1  — 100 streams at Zipf skew 1.0 over 4 shards,
 ///                        the fleet-scale headline row;

@@ -331,14 +331,18 @@ void append_counter(std::string& out, const char* name, std::uint64_t v) {
 CampaignResult run_campaign(const CampaignSpec& spec) {
   ADAPT_REQUIRE(spec.events > 0, "campaign needs a nonzero event stream");
 
-  // Serving knobs the accounting depends on: the queue must never
-  // shed (every admitted event is part of the ledger), and overload
-  // degradation would make flag counts timing-dependent.
+  // Serving knobs the accounting depends on: the shard must never
+  // shed (every admitted event is part of the ledger) — neither at
+  // its capacity nor at the per-stream cap, since every ring rides
+  // stream 0 — and overload degradation would make flag counts
+  // timing-dependent.
   serve::SupervisorConfig cfg = spec.supervisor;
-  cfg.serve.queue_capacity =
-      std::max(cfg.serve.queue_capacity, spec.events + 64);
-  cfg.serve.max_batch = std::min(cfg.serve.max_batch, cfg.serve.queue_capacity);
-  cfg.serve.degrade_when_saturated = false;
+  cfg.router.shard_capacity =
+      std::max(cfg.router.shard_capacity, spec.events + 64);
+  cfg.router.per_stream_cap = cfg.router.shard_capacity;
+  cfg.router.max_batch =
+      std::min(cfg.router.max_batch, cfg.router.shard_capacity);
+  cfg.router.degrade_when_saturated = false;
 
   pipeline::BackgroundNet background =
       serve::synthetic_background_net_int8(spec.seed ^ 0xB16B00B5ULL);

@@ -38,7 +38,7 @@
 ///
 /// Thread model: decision/corruption/arming methods run on the
 /// campaign (producer) thread only.  `on_forward_attempt` is the one
-/// member invoked from the server worker thread (via the Supervisor's
+/// member invoked from the router worker thread (via the Supervisor's
 /// ForwardHook); it touches only the atomic armed counters.
 
 #include <array>

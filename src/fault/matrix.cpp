@@ -502,10 +502,12 @@ std::string run_fault_row(const scenario::ScenarioData& data,
   const std::vector<StreamItem> stream = flatten_stream(data, summary);
 
   serve::SupervisorConfig cfg = spec.supervisor;
-  cfg.serve.queue_capacity =
-      std::max<std::size_t>(cfg.serve.queue_capacity, stream.size() + 256);
-  cfg.serve.max_batch = 1;  // Every ring its own batch (see matrix.hpp).
-  cfg.serve.degrade_when_saturated = false;
+  // One stream on one shard: both caps must hold the whole stream.
+  cfg.router.shard_capacity =
+      std::max<std::size_t>(cfg.router.shard_capacity, stream.size() + 256);
+  cfg.router.per_stream_cap = cfg.router.shard_capacity;
+  cfg.router.max_batch = 1;  // Every ring its own batch (see matrix.hpp).
+  cfg.router.degrade_when_saturated = false;
   cfg.checksum_every_n_ticks = 0;  // Campaign ticks manually.
 
   serve::Supervisor sup(models, cfg,

@@ -22,9 +22,9 @@
 /// Determinism contract: every cell derives its seed from (matrix
 /// seed, scenario index, row index); serving uses max_batch = 1 so
 /// each ring is its own batch (batch boundaries, localizer check
-/// cadence, and per-batch counters are schedule-independent), queue
-/// capacities exceed the stream length, overload degradation is off,
-/// and no wall-clock value enters a report.  Two runs of
+/// cadence, and per-batch counters are schedule-independent), shard
+/// and per-stream caps exceed the stream length, overload degradation
+/// is off, and no wall-clock value enters a report.  Two runs of
 /// `adaptctl campaign --matrix --seed N` produce byte-identical
 /// reports — the property the scenario-matrix CI job diffs.
 

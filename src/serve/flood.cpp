@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <thread>
 #include <utility>
 
 #include "core/require.hpp"
 #include "core/rng.hpp"
 #include "core/units.hpp"
+#include "serve/load_generator.hpp"
 #include "serve/stream_router.hpp"
 #include "serve/synthetic_models.hpp"
 
@@ -71,16 +71,8 @@ std::vector<FloodEvent> make_flood_stream(const FloodConfig& config) {
   return events;
 }
 
-double percentile(std::vector<double>& sorted_in_place, double p) {
-  if (sorted_in_place.empty()) return 0.0;
-  std::sort(sorted_in_place.begin(), sorted_in_place.end());
-  const auto idx = static_cast<std::size_t>(
-      p * static_cast<double>(sorted_in_place.size() - 1));
-  return sorted_in_place[idx];
-}
-
 /// Strict non-negative integer flag (count() rejects 0, which is a
-/// legal value for a deadline now that zero means "flush immediately").
+/// legal --deadline-us: the router then idles in 100 us waits).
 std::uint64_t non_negative_count(const core::CliArgs& args,
                                  const std::string& key,
                                  std::uint64_t fallback) {
@@ -166,22 +158,9 @@ FloodReport measure_flood(pipeline::Models models, const FloodConfig& config) {
 
   const auto t0 = std::chrono::steady_clock::now();
   router.start();
-  {
-    std::vector<std::thread> producers;
-    const std::size_t per =
-        (events.size() + config.producers - 1) / config.producers;
-    for (std::size_t p = 0; p < config.producers; ++p) {
-      const std::size_t lo = p * per;
-      const std::size_t hi = std::min(events.size(), lo + per);
-      if (lo >= hi) break;
-      producers.emplace_back([&, lo, hi] {
-        for (std::size_t i = lo; i < hi; ++i)
-          router.submit(events[i].stream_id, events[i].ring,
-                        events[i].polar_deg);
-      });
-    }
-    for (std::thread& t : producers) t.join();
-  }
+  fan_out_producers(events.size(), config.producers, [&](std::size_t i) {
+    router.submit(events[i].stream_id, events[i].ring, events[i].polar_deg);
+  });
   router.stop();
   const auto t1 = std::chrono::steady_clock::now();
 

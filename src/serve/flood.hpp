@@ -48,6 +48,7 @@ struct FloodConfig {
   std::size_t per_stream_cap = 1024;
   std::size_t quantum = 16;
   std::size_t max_batch = 64;
+  /// The router's idle wait (RouterConfig::flush_deadline).
   std::chrono::microseconds flush_deadline{200};
   double degrade_watermark = 0.75;
   bool degrade_when_saturated = true;

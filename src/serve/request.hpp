@@ -1,7 +1,8 @@
 #pragma once
 
 /// \file request.hpp
-/// Wire types of the streaming serving layer (`adapt::serve`).
+/// Wire and engine types of the streaming serving layer
+/// (`adapt::serve`).
 ///
 /// A ServeRequest is one reconstructed Compton ring awaiting NN
 /// evaluation — background classification plus a dEta prediction —
@@ -12,6 +13,9 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
+#include <span>
+#include <vector>
 
 #include "recon/ring.hpp"
 
@@ -20,13 +24,11 @@ namespace adapt::serve {
 struct ServeRequest {
   recon::ComptonRing ring;
   double polar_deg_guess = 0.0;  ///< Localization estimate at submit time.
-  std::uint64_t sequence = 0;    ///< Assigned by InferenceServer::submit.
+  std::uint64_t sequence = 0;    ///< Assigned by StreamRouter::submit.
   std::uint32_t stream_id = 0;   ///< Logical event stream (telescope /
-                                 ///< replayed burst).  The single-stream
-                                 ///< InferenceServer leaves it 0; the
-                                 ///< StreamRouter keys shard placement,
-                                 ///< fairness, and per-stream
-                                 ///< localization on it.
+                                 ///< replayed burst); the router keys
+                                 ///< shard placement, fairness, and
+                                 ///< per-stream localization on it.
   std::chrono::steady_clock::time_point enqueued_at{};
 };
 
@@ -48,5 +50,30 @@ struct ServeResult {
                                    ///< never silently substituted.
   double latency_ms = 0.0;         ///< Enqueue -> result, wall clock.
 };
+
+/// Consumes each finished micro-batch on a worker thread.  Keep it
+/// cheap — inference stalls while the sink runs.
+using ResultSink = std::function<void(std::span<const ServeResult>)>;
+
+/// What one batch forward produced.  `degraded`/`fallback` apply to
+/// the whole batch (the worker stamps them onto each result).
+struct BatchOutputs {
+  std::vector<std::uint8_t> is_background;  ///< One entry per ring.
+  std::vector<double> d_eta;                ///< One entry per ring.
+  bool degraded = false;  ///< Overload policy skipped the dEta net.
+  bool fallback = false;  ///< Supervised recovery path served this batch.
+};
+
+/// Computes the model outputs for one batch on a worker thread.  When
+/// installed (StreamRouter::set_engine), it replaces the built-in
+/// direct Models calls — the supervisor's fault-tolerant engine
+/// (checksum gating, retry-with-backoff, analytic fallback) plugs in
+/// here.  `degrade_requested` is the router's own overload signal for
+/// this batch.  Must return one is_background and one d_eta per input
+/// ring; an engine that throws fails the batch over to the router's
+/// analytic emergency path (results flagged `fallback`).
+using InferenceEngine = std::function<BatchOutputs(
+    std::span<const recon::ComptonRing>, std::span<const double>,
+    bool degrade_requested)>;
 
 }  // namespace adapt::serve

@@ -6,14 +6,13 @@
 /// micro-batches by quantum round-robin across the streams resident in
 /// the shard.
 ///
-/// Why not one FIFO per shard (the single-stream EventQueue)?  Because
-/// a FIFO is exactly how one flooding stream starves its neighbors: at
-/// 10:1 skew the hot stream owns ~90% of every batch and the trickle
-/// streams' events age behind its backlog.  Here each stream queues
-/// into its own ring FIFO and the batch filler cycles streams, taking up
-/// to `quantum` requests per visit (deficit round-robin with equal
-/// weights — every resident stream gets the same share of every batch
-/// it has events for).  The round-robin cursor persists across
+/// Why not one FIFO per shard?  Because a FIFO is exactly how one
+/// flooding stream starves its neighbors: at 10:1 skew the hot stream
+/// owns ~90% of every batch and the trickle streams' events age behind
+/// its backlog.  Here each stream queues into its own ring FIFO and
+/// the batch filler cycles streams, taking up to `quantum` requests
+/// per visit (deficit round-robin with equal weights — every resident
+/// stream gets the same share of every batch it has events for).  The round-robin cursor persists across
 /// batches, so fairness holds across flushes, not just within one.
 ///
 /// Admission control (two caps, both shed-oldest *within a stream* so
@@ -27,15 +26,15 @@
 ///     one contributing most to the overload.
 /// Every shed is counted per stream and under `serve.stream.shed`.
 ///
-/// Conservation ledger: like EventQueue, pushed == popped + shed +
+/// Conservation ledger: pushed == popped + shed +
 /// resident is checked at teardown in checked builds, and stats() /
 /// stream_stats() expose the ledger for the stress suites.
 ///
 /// Thread-safety: any number of producers push; ONE consumer (the
 /// router worker that owns this shard) pops.  All state is guarded by
-/// the shard mutex — the innermost lock of the serve layer, same slot
-/// as the EventQueue mutex in DESIGN.md's ordering: nothing else is
-/// acquired while holding it and no callback ever runs under it.
+/// the shard mutex — the innermost lock of the serve layer (the leaf
+/// of DESIGN.md's ordering): nothing else is acquired while holding it
+/// and no callback ever runs under it.
 
 #include <chrono>
 #include <cstdint>
@@ -75,7 +74,7 @@ class ShardQueue {
 
   /// Consumer side: quantum round-robin batch fill.  Waits up to
   /// `max_wait` for the shard to become non-empty (zero = poll: flush
-  /// whatever is visible now, the EventQueue zero-deadline semantics);
+  /// whatever is visible now);
   /// then appends up to `max_items` requests to `out`, cycling the
   /// resident streams.  Returns the number of requests popped — 0 when
   /// the wait expired on an open-but-empty shard OR the shard is

@@ -1,13 +1,15 @@
 #pragma once
 
 /// \file stream_localizer.hpp
-/// Streaming localization riding the serve layer: a BatchObserver that
-/// feeds every flushed micro-batch into a loc::IncrementalLocalizer
-/// and fires an early alert the first time the credible radius shrinks
-/// below a configured threshold — "alert while the burst is still
-/// bright" instead of localize-at-end.
+/// Streaming localization riding the serve layer: the StreamRouter
+/// (`RouterConfig::localize`) gives every stream one of these and
+/// feeds it that stream's slice of each served micro-batch; it folds
+/// the rings into a loc::IncrementalLocalizer and fires an early alert
+/// the first time the credible radius shrinks below a configured
+/// threshold — "alert while the burst is still bright" instead of
+/// localize-at-end.
 ///
-/// Per observed batch, on the server's worker thread:
+/// Per observed batch, on the router's worker thread:
 ///   - results flagged `is_background` are skipped (unless
 ///     `feed_background`); the NN veto is exactly the filter the batch
 ///     localizer applies offline,
@@ -26,7 +28,7 @@
 /// thread), so it may query this StreamLocalizer, but it stalls
 /// inference while it runs — keep it cheap.
 ///
-/// Thread-safety: observe() runs on the server worker; status() and
+/// Thread-safety: observe() runs on the router worker; status() and
 /// the query helpers are safe from any thread.  The
 /// fire-the-callback-outside-the-lock rule is not a comment: observe()
 /// and every query helper are ADAPT_EXCLUDES(mutex_), the guarded fold
@@ -43,7 +45,7 @@
 #include "core/sync.hpp"
 #include "core/vec3.hpp"
 #include "loc/incremental.hpp"
-#include "serve/inference_server.hpp"
+#include "serve/request.hpp"
 
 namespace adapt::serve {
 
@@ -60,7 +62,7 @@ struct StreamLocalizerConfig {
   std::size_t check_every = 64;
   /// Minimum accepted rings before the first radius check.
   std::size_t min_rings = 8;
-  /// Also feed rings the server classified as background.
+  /// Also feed rings the router classified as background.
   bool feed_background = false;
   /// Override each ring's cone width with the served d_eta (the
   /// NN-refined width) before folding it into the accumulator.  Turn
@@ -83,20 +85,12 @@ class StreamLocalizer {
   explicit StreamLocalizer(StreamLocalizerConfig config,
                            AlertCallback on_alert = {});
 
-  /// BatchObserver entry (results[i] answers requests[i]).  Wire with
-  /// `server.set_batch_observer(stream_localizer.observer())` or the
-  /// Supervisor equivalent.  EXCLUDES(mutex_): the fold runs under the
-  /// lock, but the alert callback fires strictly after it is released,
-  /// so observe() must never be entered holding it.
+  /// Fold one served batch (results[i] answers requests[i]).
+  /// EXCLUDES(mutex_): the fold runs under the lock, but the alert
+  /// callback fires strictly after it is released, so observe() must
+  /// never be entered holding it.
   void observe(std::span<const ServeRequest> requests,
                std::span<const ServeResult> results) ADAPT_EXCLUDES(mutex_);
-
-  BatchObserver observer() {
-    return [this](std::span<const ServeRequest> requests,
-                  std::span<const ServeResult> results) {
-      observe(requests, results);
-    };
-  }
 
   struct Status {
     std::uint64_t rings_accepted = 0;

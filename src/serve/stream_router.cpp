@@ -132,15 +132,14 @@ void StreamRouter::worker_loop(std::size_t worker_index) {
        s += config_.num_workers)
     my_shards.push_back(s);
 
-  // Same degrade rule as the single-stream server, per shard: key on
-  // the owning shard's post-pop depth.
+  // Degrade keys on the owning shard's post-pop depth: the backlog the
+  // next flush already faces.
   const auto watermark = static_cast<std::size_t>(
       config_.degrade_watermark * static_cast<double>(config_.shard_capacity));
 
   // Idle wait when a full polling cycle found every owned shard empty.
   // Blocking on one shard while another fills costs at most this much
-  // staleness, which is the same bound the flush deadline already puts
-  // on a quiet single-stream server.
+  // staleness.
   const auto idle_wait = config_.flush_deadline.count() > 0
                              ? config_.flush_deadline
                              : std::chrono::microseconds(100);
@@ -173,14 +172,16 @@ void StreamRouter::worker_loop(std::size_t worker_index) {
       if (all_drained) break;
       continue;
     }
+    in_flight_.fetch_add(1, std::memory_order_relaxed);
 
     const std::size_t depth_after = shards_[shard]->depth();
     depth_metric.record(static_cast<double>(depth_after));
     const bool degraded = config_.degrade_when_saturated &&
                           depth_after >= std::max<std::size_t>(watermark, 1);
     results.clear();
-    // Same failure containment as the single-stream worker: a forward
-    // that throws fails the batch over to the analytic emergency path.
+    // A forward that throws (corrupt weights tripping a contract, an
+    // injected transient, an engine bug) must not take the worker down
+    // with it: the batch fails over to the analytic emergency path.
     try {
       process_batch(batch, degraded, results);
     } catch (const std::exception&) {
@@ -194,10 +195,10 @@ void StreamRouter::worker_loop(std::size_t worker_index) {
     batches_.fetch_add(1, std::memory_order_relaxed);
     events_metric.add(n);
     batches_metric.add();
-    // Per-stream accounting and localizer feed precede the sink, the
-    // same observer-before-sink order the single-stream server keeps.
+    // Per-stream accounting and the localizer feed precede the sink.
     account_batch(batch, results);
     sink_(results);
+    in_flight_.fetch_sub(1, std::memory_order_relaxed);
   }
 }
 
@@ -209,9 +210,11 @@ void StreamRouter::process_batch(std::span<const ServeRequest> batch,
   static tm::Counter& degraded_metric =
       tm::counter("serve.stream.degraded_events");
 
-  // Identical staging + forward to InferenceServer::process_batch —
-  // the K=1 equality suite depends on this path producing bit-equal
-  // outputs for bit-equal inputs.
+  // Structure-of-arrays staging: the AoS request batch splits into a
+  // contiguous ring array + per-ring polar guesses, and the fused
+  // Models::infer_batch assembles ONE feature panel per flush from
+  // them.  The equality suite depends on this path producing outputs
+  // bit-equal to a direct infer_batch over the same rings.
   thread_local std::vector<recon::ComptonRing> rings;
   thread_local std::vector<double> polar;
   rings.clear();
@@ -227,6 +230,8 @@ void StreamRouter::process_batch(std::span<const ServeRequest> batch,
     if (engine_) {
       out = engine_(rings, polar, degraded);
     } else {
+      // Degraded mode = the null-deta analytic passthrough, by
+      // construction the same clamp the Models fallback applies.
       auto fused = models_.infer_batch(rings, polar, config_.d_eta_floor,
                                        config_.d_eta_cap,
                                        /*allow_deta=*/!degraded);
@@ -278,7 +283,8 @@ void StreamRouter::emergency_results(std::span<const ServeRequest> batch,
     ServeResult res;
     res.sequence = r.sequence;
     res.stream_id = r.stream_id;
-    res.is_background = 0;  // No veto on the emergency path.
+    res.is_background = 0;  // No veto: background leaks are flagged, not
+                            // silently dropped science.
     const double analytic =
         std::isfinite(r.ring.d_eta) ? r.ring.d_eta : config_.d_eta_floor;
     res.d_eta = std::clamp(analytic, config_.d_eta_floor, config_.d_eta_cap);

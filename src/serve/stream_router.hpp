@@ -1,41 +1,52 @@
 #pragma once
 
 /// \file stream_router.hpp
-/// Fleet-scale multi-stream serving: N logical event streams (many
-/// telescopes / many replayed bursts) multiplexed over S ShardQueues
-/// and drained by W shared model workers.
+/// The serving engine: N logical event streams (many telescopes /
+/// many replayed bursts) multiplexed over S ShardQueues and drained by
+/// W shared model workers.  A single-stream deployment is the same
+/// engine at one stream, one shard, and one worker; serve::Supervisor
+/// wraps one router of that shape.
 ///
 /// Topology.  A stream lives on exactly one shard (`stream_id %
 /// num_shards`) and a shard is owned by exactly one worker (`shard %
 /// num_workers`), so per-stream FIFO order is preserved end to end
 /// and two workers never contend on a shard.  Each worker cycles its
-/// shards round-robin, popping micro-batches with the zero-deadline
-/// "flush what is visible now" semantics; inside a shard the batch is
-/// filled by quantum round-robin across the resident streams (see
-/// shard_queue.hpp), so one flooding stream cannot starve its
-/// neighbors at either level.  A batch may therefore mix streams —
+/// shards round-robin, popping micro-batches with the zero-wait
+/// "flush what is visible now" semantics and blocking for at most
+/// `flush_deadline` once a full cycle found nothing; inside a shard
+/// the batch is filled by quantum round-robin across the resident
+/// streams (see shard_queue.hpp), so one flooding stream cannot starve
+/// its neighbors at either level.  A batch may therefore mix streams —
 /// results carry `stream_id` and per-stream runs stay contiguous and
 /// in stream order.
 ///
 /// Fairness + admission control: per-stream depth caps with
 /// shed-oldest-within-the-stream (the flooding stream absorbs all of
-/// its own shedding), shard capacity as the backstop, and the same
-/// degrade-to-analytic-dEta watermark as the single-stream server,
-/// evaluated per shard.
+/// its own shedding), shard capacity as the backstop.  Overload
+/// degrade: when the owning shard's post-pop depth is at or above
+/// `degrade_watermark * shard_capacity`, the batch skips the dEta
+/// network and serves the analytic (propagated) d_eta, flagged
+/// `degraded`.  Background classification is never skipped: dropping
+/// the veto would leak background into the science stream, while an
+/// analytic d_eta merely widens a weight.
 ///
-/// Equivalence contract: with one stream, one shard, and one worker
-/// the router is bit-identical to the single-stream InferenceServer on
-/// the same submit sequence — same `Models::infer_batch` call, same
-/// d_eta clamp, same degrade rule (proved by
-/// tests/serve/stream_router_test.cpp's exact-equality suite).  The
-/// single-stream API is untouched; the router is a parallel entry
-/// point, not a replacement.
+/// Equivalence contract: served outputs are bit-identical to one
+/// direct `Models::infer_batch` over the same rings with the same
+/// d_eta clamp, whatever the batch split (the batch-equivalence
+/// guarantee of the fused forward; tests/serve/stream_router_test.cpp
+/// checks it at one stream, one shard, one worker).
+///
+/// Failure containment: a forward (or installed engine) that throws
+/// fails its batch over to an analytic emergency path — no veto,
+/// clamped analytic d_eta, every result flagged `fallback`, counted in
+/// `batch_errors` — and the worker keeps serving.
 ///
 /// Localization: when `localize` is set, every stream gets its OWN
 /// StreamLocalizer (independent sky accumulator, independent one-shot
 /// early alert) fed from the worker thread with that stream's slice of
-/// each batch; alerts arrive on `StreamAlertCallback` tagged with the
-/// stream id, fired with no router lock held.
+/// each batch, before the sink runs; alerts arrive on
+/// `StreamAlertCallback` tagged with the stream id, fired with no
+/// router lock held.
 ///
 /// Sink contract: ONE sink shared by all workers.  Calls for the same
 /// stream are serialized and in order (stream -> shard -> worker is
@@ -43,10 +54,17 @@
 /// that aggregates across streams must lock or partition by
 /// `ServeResult::stream_id`.
 ///
+/// Liveness: `stats().batches` advances once per delivered batch and
+/// `in_flight()` is true from a batch's pop until its sink returns; a
+/// watchdog that sees in_flight with a frozen batch count for longer
+/// than its stall budget has found a wedged forward
+/// (serve::Supervisor).
+///
 /// Telemetry (`serve.stream.*`): submitted / events / batches /
 /// mixed_batches / shed / degraded_events / fallback_events /
-/// batch_errors counters, plus latency_ms, batch_streams (distinct
-/// streams per batch), and shard_depth histograms.
+/// batch_exceptions counters, plus latency_ms, infer_ms,
+/// batch_streams (distinct streams per batch), and shard_depth
+/// histograms.
 ///
 /// Thread-safety: shard mutexes are the innermost serve locks (leaf);
 /// the router's own `streams_mutex_` guards only the stream registry
@@ -68,7 +86,7 @@
 
 #include "core/sync.hpp"
 #include "pipeline/models.hpp"
-#include "serve/inference_server.hpp"
+#include "serve/request.hpp"
 #include "serve/shard_queue.hpp"
 #include "serve/stream_localizer.hpp"
 
@@ -86,11 +104,12 @@ struct RouterConfig {
   /// batch (shard_queue.hpp).
   std::size_t quantum = 16;
   std::size_t max_batch = 64;
-  /// Worker idle wait when all its shards are empty; also the upper
-  /// bound on how stale a worker's view of a quiet shard can be.
+  /// Worker idle wait when all its shards are empty (0 = 100 us); also
+  /// the upper bound on how stale a worker's view of a quiet shard can
+  /// be.  A batch never waits to fill: it ships what is visible.
   std::chrono::microseconds flush_deadline{200};
-  /// Same overload semantics as ServeConfig, keyed on the owning
-  /// shard's post-pop depth.
+  /// Overload degrade (file comment), keyed on the owning shard's
+  /// post-pop depth.
   double degrade_watermark = 0.75;
   bool degrade_when_saturated = true;
   double d_eta_floor = 1e-4;
@@ -176,6 +195,12 @@ class StreamRouter {
   std::optional<StreamLocalizer::Status> localizer_status(
       std::uint32_t stream_id) const;
 
+  /// True while any worker holds a popped batch whose sink has not
+  /// returned yet (see Liveness in the file comment).
+  bool in_flight() const {
+    return in_flight_.load(std::memory_order_relaxed) > 0;
+  }
+
   std::size_t queue_depth() const;  ///< Sum over shards.
   const RouterConfig& config() const { return config_; }
   std::size_t shard_of(std::uint32_t stream_id) const {
@@ -233,6 +258,7 @@ class StreamRouter {
   std::atomic<std::uint64_t> background_{0};
   std::atomic<std::uint64_t> fallback_{0};
   std::atomic<std::uint64_t> batch_errors_{0};
+  std::atomic<std::size_t> in_flight_{0};  ///< Popped, not yet delivered.
 };
 
 }  // namespace adapt::serve

@@ -28,73 +28,41 @@ Supervisor::Supervisor(pipeline::Models models, SupervisorConfig config,
     : config_(config), user_sink_(std::move(sink)), models_(models) {
   ADAPT_REQUIRE(static_cast<bool>(user_sink_), "supervisor needs a sink");
   ADAPT_REQUIRE(config.retry_backoff.count() >= 0, "negative retry backoff");
+  // filtered_ is worker-confined scratch: a second worker would race it.
+  ADAPT_REQUIRE(config.router.num_workers == 1,
+                "supervised router must run exactly one worker");
+  // Router localizers fold a batch before deliver() can suppress its
+  // injected duplicates.
+  ADAPT_REQUIRE(!config.router.localize,
+                "supervised router cannot run per-stream localizers");
   if (models_.background)
     background_ref_ = models_.background->weight_checksum();
   if (models_.deta) deta_ref_ = models_.deta->weight_checksum();
-  server_ = make_server();
+  router_ = make_router();
 }
 
 Supervisor::~Supervisor() { stop(); }
 
-std::unique_ptr<InferenceServer> Supervisor::make_server() {
-  // The inner server carries *no* models: every forward goes through
+std::unique_ptr<StreamRouter> Supervisor::make_router() {
+  // The inner router carries *no* models: every forward goes through
   // engine(), which applies the supervisor's quarantine flags to the
   // attached models under state_mutex_.
-  auto server = std::make_unique<InferenceServer>(
-      pipeline::Models{}, config_.serve,
+  auto router = std::make_unique<StreamRouter>(
+      pipeline::Models{}, config_.router,
       [this](std::span<const ServeResult> results) { deliver(results); });
-  server->set_engine([this](std::span<const recon::ComptonRing> rings,
+  router->set_engine([this](std::span<const recon::ComptonRing> rings,
                             std::span<const double> polar,
                             bool degrade_requested) {
     return engine(rings, polar, degrade_requested);
   });
-  // Installed unconditionally (not only when batch_observer_ is set):
-  // make_server() also runs from the constructor, before
-  // set_batch_observer() can have been called.
-  server->set_batch_observer([this](std::span<const ServeRequest> requests,
-                                    std::span<const ServeResult> results) {
-    observe_batch(requests, results);
-  });
-  return server;
-}
-
-void Supervisor::set_batch_observer(BatchObserver observer) {
-  ADAPT_REQUIRE(!started_.load(), "install observers before start()");
-  batch_observer_ = std::move(observer);
-}
-
-void Supervisor::observe_batch(std::span<const ServeRequest> requests,
-                               std::span<const ServeResult> results) {
-  if (!batch_observer_) return;
-  observed_requests_.clear();
-  observed_results_.clear();
-  {
-    core::LockGuard lock(sink_mutex_);
-    // Filter injected duplicates WITHOUT erasing them: the worker
-    // calls the observer before the sink, and deliver() still needs
-    // the entries to suppress (and count) the duplicate results
-    // themselves.
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      if (!expected_duplicates_.empty() &&
-          expected_duplicates_.count(results[i].sequence) > 0)
-        continue;
-      observed_requests_.push_back(requests[i]);
-      observed_results_.push_back(results[i]);
-    }
-  }
-  // sink_mutex_ released: an observer that re-enters the supervisor
-  // (e.g. submit(), which takes server_mutex_ -> sink_mutex_ on the
-  // duplicate path) must not deadlock against the lock that filtered
-  // its batch (regression-tested in tests/serve/supervisor_test.cpp).
-  if (!observed_results_.empty())
-    batch_observer_(observed_requests_, observed_results_);
+  return router;
 }
 
 void Supervisor::start() {
   ADAPT_REQUIRE(!started_.exchange(true), "supervisor already started");
   {
-    core::LockGuard lock(server_mutex_);
-    server_->start();
+    core::LockGuard lock(router_mutex_);
+    router_->start();
   }
   if (config_.watchdog_interval.count() > 0)
     watchdog_ = std::thread([this] { watchdog_loop(); });
@@ -104,8 +72,8 @@ void Supervisor::stop() {
   if (!started_.load() || stopped_.exchange(true)) return;
   watchdog_stop_.store(true);
   if (watchdog_.joinable()) watchdog_.join();
-  core::LockGuard lock(server_mutex_);
-  if (server_) server_->stop();
+  core::LockGuard lock(router_mutex_);
+  if (router_) router_->stop();
 }
 
 void Supervisor::set_queue_fault_hook(QueueFaultHook hook) {
@@ -155,20 +123,20 @@ std::uint64_t Supervisor::submit(const recon::ComptonRing& ring,
     return 0;
   }
 
-  core::LockGuard lock(server_mutex_);
-  if (!server_) return 0;
-  const std::uint64_t seq = server_->submit(ring, polar_deg_guess, stream_id);
+  core::LockGuard lock(router_mutex_);
+  if (!router_) return 0;
+  const std::uint64_t seq = router_->submit(stream_id, ring, polar_deg_guess);
   if (seq == 0) return 0;
   submitted_.fetch_add(1, std::memory_order_relaxed);
   if (fault == QueueFault::kDuplicate) {
     // Register the duplicate before the worker can deliver it:
     // deliver() serializes on sink_mutex_, so holding it across the
     // second submit closes the publish/consume race.  This is the one
-    // place two supervisor locks nest: server_mutex_ -> sink_mutex_
+    // place two supervisor locks nest: router_mutex_ -> sink_mutex_
     // (DESIGN.md lock ordering).
     core::LockGuard sink_lock(sink_mutex_);
     const std::uint64_t dup =
-        server_->submit(ring, polar_deg_guess, stream_id);
+        router_->submit(stream_id, ring, polar_deg_guess);
     if (dup != 0) expected_duplicates_.insert(dup);
   }
   return seq;
@@ -183,9 +151,9 @@ BatchOutputs Supervisor::analytic_outputs(
   for (std::size_t i = 0; i < rings.size(); ++i) {
     const double analytic = std::isfinite(rings[i].d_eta)
                                 ? rings[i].d_eta
-                                : config_.serve.d_eta_floor;
-    out.d_eta[i] = std::clamp(analytic, config_.serve.d_eta_floor,
-                              config_.serve.d_eta_cap);
+                                : config_.router.d_eta_floor;
+    out.d_eta[i] = std::clamp(analytic, config_.router.d_eta_floor,
+                              config_.router.d_eta_cap);
   }
   return out;
 }
@@ -216,7 +184,7 @@ BatchOutputs Supervisor::engine(std::span<const recon::ComptonRing> rings,
       pipeline::Models deta_source = effective;
       if (degrade_requested) deta_source.deta = nullptr;
       out.d_eta = deta_source.predict_deta_batch(
-          rings, polar, config_.serve.d_eta_floor, config_.serve.d_eta_cap);
+          rings, polar, config_.router.d_eta_floor, config_.router.d_eta_cap);
       out.degraded = degrade_requested && effective.deta != nullptr;
       out.fallback = model_fallback;
       ADAPT_ENSURE(out.is_background.size() == rings.size() &&
@@ -281,9 +249,11 @@ void Supervisor::deliver(std::span<const ServeResult> results) {
       filtered_.push_back(r);
     }
   }
-  // The user sink runs with sink_mutex_ released (same contract as the
-  // batch observer): suppression bookkeeping is already done, and a
-  // sink that re-enters the supervisor must not deadlock.
+  // The user sink runs with sink_mutex_ released: suppression
+  // bookkeeping is already done, and a sink that re-enters the
+  // supervisor (submit() takes router_mutex_ -> sink_mutex_ on the
+  // duplicate path) must not deadlock (regression-tested in
+  // tests/serve/supervisor_test.cpp).
   if (!filtered_.empty()) user_sink_(filtered_);
 }
 
@@ -394,6 +364,7 @@ void Supervisor::watchdog_loop() {
   static tm::Counter& restarts_metric =
       tm::counter("serve.supervisor.watchdog_restarts");
 
+  // Heartbeat = the router's completed-batch count.
   std::uint64_t last_heartbeat = 0;
   bool stall_candidate = false;
   auto stall_since = std::chrono::steady_clock::now();
@@ -405,10 +376,10 @@ void Supervisor::watchdog_loop() {
     std::uint64_t heartbeat = 0;
     bool in_flight = false;
     {
-      core::LockGuard lock(server_mutex_);
-      if (!server_) continue;
-      heartbeat = server_->heartbeat();
-      in_flight = server_->in_flight();
+      core::LockGuard lock(router_mutex_);
+      if (!router_) continue;
+      heartbeat = router_->stats().batches;
+      in_flight = router_->in_flight();
     }
     const auto now = std::chrono::steady_clock::now();
     if (heartbeat != last_heartbeat || !in_flight) {
@@ -418,7 +389,7 @@ void Supervisor::watchdog_loop() {
       stall_candidate = true;
       stall_since = now;
     } else if (now - stall_since >= config_.stall_timeout) {
-      restart_server();
+      restart_router();
       restarts_metric.add();
       stall_candidate = false;
       last_heartbeat = 0;
@@ -433,15 +404,15 @@ void Supervisor::watchdog_loop() {
   }
 }
 
-void Supervisor::restart_server() {
-  core::LockGuard lock(server_mutex_);
-  if (!server_) return;
-  // stop() closes the queue and joins the worker once the stalled
+void Supervisor::restart_router() {
+  core::LockGuard lock(router_mutex_);
+  if (!router_) return;
+  // stop() closes the shard and joins the worker once the stalled
   // forward returns; every admitted request is delivered or counted
   // shed before the replacement starts, so the restart loses nothing.
-  server_->stop();
-  server_ = make_server();
-  server_->start();
+  router_->stop();
+  router_ = make_router();
+  router_->start();
   watchdog_restarts_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -471,12 +442,6 @@ SupervisorStats Supervisor::stats() const {
 HealthState Supervisor::state() const {
   core::LockGuard lock(state_mutex_);
   return state_;
-}
-
-InferenceServer::Stats Supervisor::server_stats() const {
-  core::LockGuard lock(server_mutex_);
-  if (!server_) return {};
-  return server_->stats();
 }
 
 }  // namespace adapt::serve

@@ -1,15 +1,16 @@
 #pragma once
 
 /// \file supervisor.hpp
-/// Supervised recovery around the streaming inference server.
+/// Supervised recovery around the serving engine (serve::StreamRouter).
 ///
-/// The plain InferenceServer assumes its models are sound and its
-/// worker never wedges.  On a balloon (and eventually in orbit) that
+/// A plain StreamRouter assumes its models are sound and its worker
+/// never wedges.  On a balloon (and eventually in orbit) that
 /// assumption fails in specific, enumerable ways: SEUs flip weight
 /// bits, a serialized model arrives truncated, a forward call throws
 /// or stalls, events vanish or duplicate in the handoff.  The
-/// Supervisor owns one InferenceServer and layers the recovery
-/// policies the fault-injection campaign (src/fault) exercises:
+/// Supervisor owns one router — one shard, one worker, no per-stream
+/// localizers — and layers the recovery policies the fault-injection
+/// campaign (src/fault) exercises:
 ///
 ///   - **Checksum gating.**  Reference digests of the attached models
 ///     are captured at attach (`BackgroundNet::weight_checksum`) and
@@ -29,11 +30,12 @@
 ///     back to kHealthy.  After a restore, no subsequently processed
 ///     batch may be flagged fallback — the recovery-ordering invariant
 ///     tests/fault pins down.
-///   - **Watchdog.**  A background thread samples the server's
-///     heartbeat/in_flight liveness signals; a worker that sits
-///     in-flight with a frozen heartbeat past `stall_timeout` is
-///     declared wedged and the server is restarted (stop() drains the
-///     queue, so admitted events survive the restart).
+///   - **Watchdog.**  A background thread samples the router's two
+///     liveness signals — the completed-batch count (`stats().batches`)
+///     and `in_flight()`; a worker that sits in flight with a frozen
+///     batch count past `stall_timeout` is declared wedged and the
+///     router is stopped, rebuilt, and started (stop() drains the
+///     shard, so admitted events survive the restart).
 ///   - **Ingress hygiene.**  `submit()` validates ring fields (NaN /
 ///     inf / out-of-range energies and cosines never reach a forward)
 ///     and absorbs injected queue faults: drops are counted, injected
@@ -50,20 +52,27 @@
 /// `serve.supervisor.*` telemetry and mirrored in SupervisorStats so a
 /// seeded campaign can assert exact, bit-identical ledgers.
 ///
+/// Router contract, enforced at construction: `router.num_workers ==
+/// 1`, because the sink's scratch buffer is confined to the one worker
+/// thread; and `!router.localize`, because the router's per-stream
+/// localizers fold each batch before the sink runs — before deliver()
+/// could suppress an injected duplicate — so a supervised stream would
+/// double-count duplicated rings into the sky accumulator.
+///
 /// Thread-safety: submit() from any producer thread; the engine runs
-/// on the server's worker thread; the watchdog is its own thread.
+/// on the router's worker thread; the watchdog is its own thread.
 /// Model state (pointers, ok flags, health state) lives behind
 /// `state_mutex_`, which the engine holds for the whole forward — a
 /// health tick therefore observes either pre- or post-batch state,
 /// never a torn middle.  All three mutexes are core::sync capabilities
 /// with every guarded field annotated; the Clang thread-safety gate
-/// checks the discipline.  Lock ordering (DESIGN.md): server_mutex_ ->
+/// checks the discipline.  Lock ordering (DESIGN.md): router_mutex_ ->
 /// sink_mutex_ (submit's duplicate registration); state_mutex_ never
-/// nests with either.  User callbacks (sink, batch observer) run with
-/// NO supervisor lock held — the one deliberate exception is the
-/// campaign-only forward hook, which stands in for the forward itself
-/// and therefore runs under state_mutex_ like the forward it
-/// simulates (it must never call back into the Supervisor).
+/// nests with either.  The user sink runs with NO supervisor lock
+/// held — the one deliberate exception is the campaign-only forward
+/// hook, which stands in for the forward itself and therefore runs
+/// under state_mutex_ like the forward it simulates (it must never
+/// call back into the Supervisor).
 
 #include <atomic>
 #include <chrono>
@@ -75,7 +84,7 @@
 #include <vector>
 
 #include "core/sync.hpp"
-#include "serve/inference_server.hpp"
+#include "serve/stream_router.hpp"
 
 namespace adapt::serve {
 
@@ -97,7 +106,16 @@ using QueueFaultHook = std::function<QueueFault()>;
 using ForwardHook = std::function<void(std::size_t batch_size)>;
 
 struct SupervisorConfig {
-  ServeConfig serve;
+  /// The wrapped router, one shard and one worker by default (see the
+  /// router contract in the file comment).  Supervised submits all go
+  /// to stream 0 unless a caller tags them, so the per-stream cap is
+  /// the effective queue depth.
+  RouterConfig router = [] {
+    RouterConfig rc;
+    rc.num_shards = 1;
+    rc.num_workers = 1;
+    return rc;
+  }();
 
   /// Retries per batch after the first failed attempt.
   std::size_t max_retries = 2;
@@ -120,7 +138,7 @@ struct SupervisorConfig {
 /// Exact mirror of the `serve.supervisor.*` counters, readable without
 /// telemetry enabled; a seeded campaign asserts these bit-identically.
 struct SupervisorStats {
-  std::uint64_t submitted = 0;          ///< Admitted to the server.
+  std::uint64_t submitted = 0;          ///< Admitted to the router.
   std::uint64_t input_rejected = 0;     ///< Failed ring validation.
   std::uint64_t queue_drops = 0;        ///< Injected drops absorbed.
   std::uint64_t duplicates_suppressed = 0;  ///< Injected dups filtered.
@@ -142,7 +160,9 @@ struct SupervisorStats {
 class Supervisor {
  public:
   /// Captures reference checksums of the attached models (either may
-  /// be null) and builds — but does not start — the wrapped server.
+  /// be null) and builds — but does not start — the wrapped router.
+  /// Rejects a router config that breaks the contract in the file
+  /// comment (more than one worker, or `localize`).
   Supervisor(pipeline::Models models, SupervisorConfig config,
              ResultSink sink);
   ~Supervisor();
@@ -150,7 +170,7 @@ class Supervisor {
   Supervisor(const Supervisor&) = delete;
   Supervisor& operator=(const Supervisor&) = delete;
 
-  /// Launch the server worker and (if configured) the watchdog.
+  /// Launch the router worker and (if configured) the watchdog.
   void start();
 
   /// Drain and join everything.  Idempotent.
@@ -158,8 +178,8 @@ class Supervisor {
 
   /// Validated, fault-absorbing ingress.  Returns the assigned
   /// sequence number, or 0 when the ring was rejected, dropped, or the
-  /// server is stopped.  `stream_id` is carried through to the result
-  /// (see InferenceServer::submit).
+  /// router is stopped.  `stream_id` is carried through to the result
+  /// (see StreamRouter::submit).
   std::uint64_t submit(const recon::ComptonRing& ring,
                        double polar_deg_guess, std::uint32_t stream_id = 0);
 
@@ -188,26 +208,15 @@ class Supervisor {
   void set_queue_fault_hook(QueueFaultHook hook);
   void set_forward_hook(ForwardHook hook);
 
-  /// Install a batch observer (install before start()).  It sees the
-  /// same at-most-once stream the sink does: injected duplicates are
-  /// filtered out of the observed batch (without consuming the
-  /// suppression bookkeeping deliver() owns), and the observer is
-  /// re-installed onto the replacement server after a watchdog
-  /// restart.
-  void set_batch_observer(BatchObserver observer);
-
   /// Run `fn` with exclusive access to the attached models.  The
   /// engine holds the same mutex for the whole forward, so mutating
   /// weights inside `fn` (the campaign's SEU injection) is race-free
-  /// even while the server is live — the flip lands strictly between
+  /// even while the router is live — the flip lands strictly between
   /// batches.
   void with_models_quiesced(const std::function<void(pipeline::Models&)>& fn);
 
   SupervisorStats stats() const;
   HealthState state() const;
-
-  /// Underlying server stats (heartbeats, shed counts, batches).
-  InferenceServer::Stats server_stats() const;
 
   const SupervisorConfig& config() const { return config_; }
 
@@ -218,7 +227,7 @@ class Supervisor {
                               double polar_deg_guess);
 
  private:
-  std::unique_ptr<InferenceServer> make_server();
+  std::unique_ptr<StreamRouter> make_router();
   BatchOutputs engine(std::span<const recon::ComptonRing> rings,
                       std::span<const double> polar, bool degrade_requested)
       ADAPT_EXCLUDES(state_mutex_);
@@ -226,11 +235,8 @@ class Supervisor {
       const;
   void deliver(std::span<const ServeResult> results)
       ADAPT_EXCLUDES(sink_mutex_);
-  void observe_batch(std::span<const ServeRequest> requests,
-                     std::span<const ServeResult> results)
-      ADAPT_EXCLUDES(sink_mutex_);
   void watchdog_loop();
-  void restart_server() ADAPT_EXCLUDES(server_mutex_);
+  void restart_router() ADAPT_EXCLUDES(router_mutex_);
   /// Digest revalidation + state advance.  Caller holds state_mutex_
   /// (health_tick takes it; try_health_tick try-takes it).
   void health_tick_locked() ADAPT_REQUIRES(state_mutex_);
@@ -251,26 +257,23 @@ class Supervisor {
   HealthState state_ ADAPT_GUARDED_BY(state_mutex_) =
       HealthState::kHealthy;
 
-  // --- server lifecycle (server_mutex_) ---
-  mutable core::Mutex server_mutex_;
-  std::unique_ptr<InferenceServer> server_ ADAPT_GUARDED_BY(server_mutex_);
+  // --- router lifecycle (router_mutex_) ---
+  core::Mutex router_mutex_;
+  std::unique_ptr<StreamRouter> router_ ADAPT_GUARDED_BY(router_mutex_);
 
   // --- sink-side bookkeeping (sink_mutex_) ---
   core::Mutex sink_mutex_;
   std::unordered_set<std::uint64_t> expected_duplicates_
       ADAPT_GUARDED_BY(sink_mutex_);
-  // Scratch buffers confined to the server worker thread (deliver and
-  // observe_batch only run there, and restart_server joins the old
-  // worker before the replacement starts).  They are filled under
-  // sink_mutex_ but handed to the user callback AFTER it is released —
-  // no supervisor lock is ever held across a callback.
+  // Scratch buffer confined to the router's one worker thread (deliver
+  // only runs there, and restart_router joins the old worker before the
+  // replacement starts).  Filled under sink_mutex_ but handed to the
+  // user sink AFTER it is released — no supervisor lock is ever held
+  // across a callback.
   std::vector<ServeResult> filtered_;
-  std::vector<ServeRequest> observed_requests_;
-  std::vector<ServeResult> observed_results_;
 
   QueueFaultHook queue_fault_hook_;
   ForwardHook forward_hook_;
-  BatchObserver batch_observer_;
 
   std::thread watchdog_;
   std::atomic<bool> watchdog_stop_{false};

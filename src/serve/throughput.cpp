@@ -1,15 +1,13 @@
 #include "serve/throughput.hpp"
 
 #include <algorithm>
-#include <memory>
-#include <thread>
 #include <vector>
 
 #include "core/require.hpp"
 #include "core/rng.hpp"
 #include "core/units.hpp"
-#include "serve/inference_server.hpp"
-#include "serve/stream_localizer.hpp"
+#include "serve/load_generator.hpp"
+#include "serve/stream_router.hpp"
 #include "serve/synthetic_models.hpp"
 
 namespace adapt::serve {
@@ -59,14 +57,6 @@ std::vector<Event> make_burst_stream(std::size_t n,
   return events;
 }
 
-double percentile(std::vector<double>& sorted_in_place, double p) {
-  if (sorted_in_place.empty()) return 0.0;
-  std::sort(sorted_in_place.begin(), sorted_in_place.end());
-  const auto idx = static_cast<std::size_t>(
-      p * static_cast<double>(sorted_in_place.size() - 1));
-  return sorted_in_place[idx];
-}
-
 }  // namespace
 
 ThroughputReport measure_serve_throughput(pipeline::Models models,
@@ -78,65 +68,53 @@ ThroughputReport measure_serve_throughput(pipeline::Models models,
       alert_mode ? make_burst_stream(config.events, config)
                  : make_stream(config.events, config.seed);
 
-  ServeConfig sc;
-  sc.queue_capacity = config.queue_capacity;
-  sc.max_batch = config.max_batch;
-  sc.flush_deadline = config.flush_deadline;
-  sc.degrade_watermark = config.degrade_watermark;
-  sc.degrade_when_saturated = config.degrade_when_saturated;
-
-  // The sink runs on the single worker thread, so plain vectors are
-  // safe; they are read only after stop() joins the worker.
-  std::vector<double> latencies;
-  latencies.reserve(config.events);
-  InferenceServer server(models, sc,
-                         [&](std::span<const ServeResult> results) {
-                           for (const ServeResult& r : results)
-                             latencies.push_back(r.latency_ms);
-                         });
-
-  // The alert clock starts with the server: alert_wall_ms is the
-  // end-to-end "how long until we could have alerted" number.
-  const auto t0 = std::chrono::steady_clock::now();
-  std::unique_ptr<StreamLocalizer> localizer;
-  double alert_wall_ms = 0.0;
+  // One stream on one shard: the per-stream cap is the queue depth.
+  RouterConfig rc;
+  rc.num_shards = 1;
+  rc.num_workers = 1;
+  rc.shard_capacity = config.queue_capacity;
+  rc.per_stream_cap = config.queue_capacity;
+  rc.max_batch = config.max_batch;
+  rc.flush_deadline = config.flush_deadline;
+  rc.degrade_watermark = config.degrade_watermark;
+  rc.degrade_when_saturated = config.degrade_when_saturated;
   if (alert_mode) {
-    StreamLocalizerConfig lc;
-    lc.localizer.resolution_deg = config.loc_resolution_deg;
-    lc.alert_radius_deg = config.alert_deg;
-    lc.alert_content = config.alert_content;
-    lc.check_every = config.alert_check_every;
+    rc.localize = true;
+    rc.localizer_template.localizer.resolution_deg = config.loc_resolution_deg;
+    rc.localizer_template.alert_radius_deg = config.alert_deg;
+    rc.localizer_template.alert_content = config.alert_content;
+    rc.localizer_template.check_every = config.alert_check_every;
     // Synthetic-model benches localize with the stream's own analytic
     // widths; the seeded-random NN d_eta would decalibrate the cones.
-    lc.use_served_d_eta = false;
-    localizer = std::make_unique<StreamLocalizer>(
-        lc, [&alert_wall_ms, t0](const AlertInfo&) {
-          alert_wall_ms = std::chrono::duration<double, std::milli>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count();
-        });
-    server.set_batch_observer(localizer->observer());
+    rc.localizer_template.use_served_d_eta = false;
   }
-  server.start();
-  {
-    std::vector<std::thread> producers;
-    const std::size_t per =
-        (events.size() + config.producers - 1) / config.producers;
-    for (std::size_t p = 0; p < config.producers; ++p) {
-      const std::size_t lo = p * per;
-      const std::size_t hi = std::min(events.size(), lo + per);
-      if (lo >= hi) break;
-      producers.emplace_back([&, lo, hi] {
-        for (std::size_t i = lo; i < hi; ++i)
-          server.submit(events[i].ring, events[i].polar_deg);
-      });
-    }
-    for (std::thread& t : producers) t.join();
-  }
-  server.stop();
+
+  // The sink runs on the single worker thread, so a plain vector is
+  // safe; it is read only after stop() joins the worker.
+  std::vector<double> latencies;
+  latencies.reserve(config.events);
+  StreamRouter router(models, rc, [&](std::span<const ServeResult> results) {
+    for (const ServeResult& r : results) latencies.push_back(r.latency_ms);
+  });
+
+  // The alert clock starts with the router: alert_wall_ms is the
+  // end-to-end "how long until we could have alerted" number.
+  const auto t0 = std::chrono::steady_clock::now();
+  double alert_wall_ms = 0.0;
+  router.set_alert_callback([&alert_wall_ms, t0](std::uint32_t,
+                                                 const AlertInfo&) {
+    alert_wall_ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+  });
+  router.start();
+  fan_out_producers(events.size(), config.producers, [&](std::size_t i) {
+    router.submit(0, events[i].ring, events[i].polar_deg);
+  });
+  router.stop();
   const auto t1 = std::chrono::steady_clock::now();
 
-  const auto stats = server.stats();
+  const StreamRouter::Stats stats = router.stats();
   ThroughputReport report;
   report.wall_ms =
       std::chrono::duration<double, std::milli>(t1 - t0).count();
@@ -150,18 +128,14 @@ ThroughputReport measure_serve_throughput(pipeline::Models models,
                             : 0.0;
   report.p50_latency_ms = percentile(latencies, 0.50);
   report.p99_latency_ms = percentile(latencies, 0.99);
-  if (localizer) {
-    const StreamLocalizer::Status status = localizer->status();
-    report.alert_fired = status.alert_fired;
-    report.alert_rings = status.alert_rings;
-    report.alert_radius_deg = status.alert_radius_deg;
+  if (const auto status = router.localizer_status(0)) {
+    report.alert_fired = status->alert_fired;
+    report.alert_rings = status->alert_rings;
+    report.alert_radius_deg = status->alert_radius_deg;
     report.alert_wall_ms = alert_wall_ms;
-    report.loc_rings = status.rings_accepted;
-    report.loc_skipped = status.rings_skipped_background;
-    report.final_radius_deg =
-        status.rings_accepted > 0
-            ? localizer->credible_radius_deg(config.alert_content)
-            : 0.0;
+    report.last_radius_deg = status->last_radius_deg;
+    report.loc_rings = status->rings_accepted;
+    report.loc_skipped = status->rings_skipped_background;
   }
   return report;
 }

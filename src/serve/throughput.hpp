@@ -5,8 +5,9 @@
 /// bench_serve_throughput and `adaptctl serve-bench`.
 ///
 /// Two measurement modes on the same pre-generated event stream:
-///   * serve mode — producers submit into a running InferenceServer;
-///     events/s and per-event latency quantiles come out of the sink.
+///   * serve mode — producers submit into a running StreamRouter with
+///     one stream, one shard, and one worker; events/s and per-event
+///     latency quantiles come out of the sink.
 ///   * per-ring baseline — the same forwards issued one ring at a time
 ///     with no queue or batching: the cost the serving layer exists to
 ///     amortize.
@@ -24,6 +25,7 @@ struct ThroughputConfig {
   std::size_t producers = 1;
   std::size_t queue_capacity = 32768;
   std::size_t max_batch = 64;
+  /// The router's idle wait (RouterConfig::flush_deadline).
   std::chrono::microseconds flush_deadline{200};
   double degrade_watermark = 0.75;
   bool degrade_when_saturated = true;
@@ -32,9 +34,8 @@ struct ThroughputConfig {
   /// --- streaming-localization alert mode (serve-bench --alert-deg) ---
   /// When > 0, the event stream becomes a synthetic burst (rings
   /// consistent with one source direction plus a background fraction),
-  /// a StreamLocalizer observes every flushed batch, and the report
-  /// carries the first crossing of the 68% credible radius below this
-  /// threshold [deg].
+  /// the router localizes the stream, and the report carries the first
+  /// crossing of the 68% credible radius below this threshold [deg].
   double alert_deg = 0.0;
   double alert_content = 0.68;
   std::size_t alert_check_every = 32;
@@ -59,13 +60,14 @@ struct ThroughputReport {
   bool alert_fired = false;
   std::uint64_t alert_rings = 0;      ///< Accepted rings at the crossing.
   double alert_radius_deg = 0.0;      ///< Radius at the crossing.
-  double alert_wall_ms = 0.0;         ///< Server start -> alert callback.
-  double final_radius_deg = 0.0;      ///< Last trajectory point.
+  double alert_wall_ms = 0.0;         ///< Router start -> alert callback.
+  double last_radius_deg = 0.0;       ///< Last checked radius
+                                      ///< (StreamLocalizer::Status).
   std::uint64_t loc_rings = 0;        ///< Rings fed to the localizer.
   std::uint64_t loc_skipped = 0;      ///< Background-vetoed, not fed.
 };
 
-/// Run the full queue -> batcher -> batched-forward path.
+/// Run the full submit -> shard -> batched-forward path.
 ThroughputReport measure_serve_throughput(pipeline::Models models,
                                           const ThroughputConfig& config);
 

@@ -24,7 +24,7 @@ CampaignSpec small_spec(std::uint64_t seed, const std::string& scratch) {
   spec.events_per_degraded_window = 3;
   spec.model_bytes_rounds = 3;
   spec.scratch_dir = scratch;
-  spec.supervisor.serve.max_batch = 8;
+  spec.supervisor.router.max_batch = 8;
   spec.supervisor.watchdog_interval = std::chrono::milliseconds(5);
   spec.supervisor.stall_timeout = std::chrono::milliseconds(80);
   return spec;

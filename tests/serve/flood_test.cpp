@@ -169,8 +169,8 @@ TEST(ServeBenchCli, ParsesValidFlags) {
 }
 
 TEST(ServeBenchCli, RejectsOutOfRangeFlags) {
-  // Formerly an ADAPT_REQUIRE abort (exit 1) inside InferenceServer;
-  // now a CliError (exit 2) before any serving machinery spins up.
+  // A CliError (exit 2) before any serving machinery spins up, not an
+  // ADAPT_REQUIRE abort (exit 1) inside the router.
   EXPECT_THROW(
       throughput_config_from_args(make({"--batch", "100", "--queue", "50"})),
       core::CliError);

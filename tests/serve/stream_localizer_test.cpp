@@ -10,6 +10,7 @@
 
 #include "core/rng.hpp"
 #include "core/units.hpp"
+#include "serve/stream_router.hpp"
 #include "serve/supervisor.hpp"
 #include "serve/synthetic_models.hpp"
 
@@ -176,26 +177,32 @@ TEST(StreamLocalizer, ConfigValidated) {
   EXPECT_THROW(StreamLocalizer{bad}, std::invalid_argument);
 }
 
-TEST(StreamLocalizer, EndToEndThroughInferenceServer) {
-  // Full path: producer -> queue -> micro-batch -> observer -> alert,
-  // with real (synthetic-weight) models serving the batches.
+TEST(StreamLocalizer, EndToEndThroughStreamRouter) {
+  // Full path: producer -> shard -> micro-batch -> per-stream localizer
+  // -> alert, with real (synthetic-weight) models serving the batches.
   pipeline::BackgroundNet background = synthetic_background_net_int8(1);
   pipeline::DEtaNet deta = synthetic_deta_net(2);
   pipeline::Models models;
   models.background = &background;
   models.deta = &deta;
 
-  StreamLocalizerConfig cfg = analytic_config();
-  cfg.alert_radius_deg = 5.0;
+  RouterConfig rc;
+  rc.num_shards = 1;
+  rc.num_workers = 1;
+  rc.shard_capacity = 4096;
+  rc.per_stream_cap = 4096;
+  rc.max_batch = 32;
+  rc.localize = true;
+  rc.localizer_template = analytic_config();
+  rc.localizer_template.alert_radius_deg = 5.0;
   std::atomic<int> fired{0};
-  StreamLocalizer loc(cfg, [&](const AlertInfo&) { ++fired; });
-
-  ServeConfig sc;
-  sc.queue_capacity = 4096;
-  sc.max_batch = 32;
-  InferenceServer server(models, sc, [](std::span<const ServeResult>) {});
-  server.set_batch_observer(loc.observer());
-  server.start();
+  AlertInfo alert;  // Written on the worker, read after stop() joins it.
+  StreamRouter router(models, rc, [](std::span<const ServeResult>) {});
+  router.set_alert_callback([&](std::uint32_t, const AlertInfo& info) {
+    ++fired;
+    alert = info;
+  });
+  router.start();
 
   core::Rng rng(27);
   const core::Vec3 s = core::from_spherical(core::deg_to_rad(30.0), 1.0);
@@ -205,57 +212,62 @@ TEST(StreamLocalizer, EndToEndThroughInferenceServer) {
     ring.eta = std::clamp(ring.axis.dot(s) + rng.normal(0.0, 0.05),
                           -1.0, 1.0);
     ring.d_eta = 0.05;
-    server.submit(ring, 30.0);
+    router.submit(0, ring, 30.0);
   }
-  server.stop();
+  router.stop();
 
-  const StreamLocalizer::Status status = loc.status();
-  const InferenceServer::Stats stats = server.stats();
-  // Every processed event reached the observer exactly once.
-  EXPECT_EQ(status.rings_accepted + status.rings_skipped_background +
-                status.rings_rejected,
-            stats.processed);
+  const auto status = router.localizer_status(0);
+  ASSERT_TRUE(status.has_value());
+  // Every processed event reached the localizer exactly once.
+  EXPECT_EQ(status->rings_accepted + status->rings_skipped_background +
+                status->rings_rejected,
+            router.stats().processed);
   EXPECT_EQ(fired.load(), 1);
-  EXPECT_TRUE(status.alert_fired);
-  EXPECT_LT(core::rad_to_deg(core::angle_between(loc.peak(), s)), 3.0);
+  EXPECT_TRUE(status->alert_fired);
+  EXPECT_LT(core::rad_to_deg(core::angle_between(alert.direction, s)), 3.0);
 }
 
 TEST(StreamLocalizer, SupervisorFiltersInjectedDuplicates) {
   // An injected queue duplicate is served twice by the worker but must
-  // reach the observer (and thus the sky accumulator) exactly once —
-  // a double-counted ring would skew the posterior.
+  // reach the supervisor's sink — and thus a localizer fed from it —
+  // exactly once: a double-counted ring would skew the posterior.
   pipeline::Models models;  // null models: analytic path, no veto
   SupervisorConfig cfg;
-  cfg.serve.queue_capacity = 256;
-  cfg.serve.max_batch = 8;
+  cfg.router.max_batch = 8;
   cfg.watchdog_interval = std::chrono::milliseconds(0);
-
-  std::atomic<std::uint64_t> delivered{0};
-  Supervisor supervisor(models, cfg,
-                        [&](std::span<const ServeResult> results) {
-                          delivered += results.size();
-                        });
-  StreamLocalizer loc(analytic_config());
-  supervisor.set_batch_observer(loc.observer());
-  supervisor.set_queue_fault_hook([] { return QueueFault::kDuplicate; });
-  supervisor.start();
 
   core::Rng rng(28);
   const core::Vec3 s = core::from_spherical(0.6, 0.3);
   const std::uint64_t n = 40;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    recon::ComptonRing ring = synthetic_ring(rng);
-    ring.axis = rng.isotropic_direction();
-    ring.eta = std::clamp(ring.axis.dot(s) + rng.normal(0.0, 0.05),
-                          -1.0, 1.0);
-    ring.d_eta = 0.05;
-    EXPECT_NE(supervisor.submit(ring, 30.0), 0u);
+  std::vector<ServeRequest> requests(n);
+  for (ServeRequest& q : requests) {
+    q.ring = synthetic_ring(rng);
+    q.ring.axis = rng.isotropic_direction();
+    q.ring.eta = std::clamp(q.ring.axis.dot(s) + rng.normal(0.0, 0.05),
+                            -1.0, 1.0);
+    q.ring.d_eta = 0.05;
   }
+
+  // The stream id carries each ring's index through the router, so the
+  // sink can pair every delivered result with its ring.
+  StreamLocalizer loc(analytic_config());
+  std::vector<ServeRequest> fed;
+  Supervisor supervisor(models, cfg,
+                        [&](std::span<const ServeResult> results) {
+                          fed.clear();
+                          for (const ServeResult& r : results)
+                            fed.push_back(requests[r.stream_id]);
+                          loc.observe(fed, results);
+                        });
+  supervisor.set_queue_fault_hook([] { return QueueFault::kDuplicate; });
+  supervisor.start();
+  for (std::uint32_t i = 0; i < n; ++i)
+    EXPECT_NE(supervisor.submit(requests[i].ring, 30.0, i), 0u);
   supervisor.stop();
 
   const SupervisorStats stats = supervisor.stats();
   EXPECT_EQ(stats.duplicates_suppressed, n);
-  EXPECT_EQ(delivered.load(), n);
+  EXPECT_EQ(stats.delivered, n);
   // At-most-once into the localizer as well.
   EXPECT_EQ(loc.status().rings_accepted, n);
 }

@@ -8,13 +8,13 @@
 #include <future>
 #include <map>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "core/contract.hpp"
 #include "core/rng.hpp"
 #include "core/units.hpp"
-#include "serve/inference_server.hpp"
 #include "serve/synthetic_models.hpp"
 
 namespace adapt::serve {
@@ -42,76 +42,237 @@ struct Outputs {
   bool fallback = false;
 };
 
-// The acceptance criterion of the multi-stream layer: with one
-// stream, one shard, and one worker, the router must be BIT-IDENTICAL
-// to the single-stream InferenceServer on the same submit sequence.
-// Batch splits may differ between the two runs (timing), but
-// Models::infer_batch is bit-identical across splits (the PR4/PR6
-// batch-equivalence guarantee), so per-sequence outputs must match
-// exactly.  Degrade is off and the queues are deep enough to never
-// shed, so no timing-dependent policy can fork the outputs.
-TEST(StreamRouter, SingleStreamBitIdenticalToInferenceServer) {
+// The equivalence contract (stream_router.hpp): with one stream, one
+// shard, and one worker, the router's served outputs are BIT-IDENTICAL
+// to one direct Models::infer_batch over the same rings.  The router's
+// batch splits follow timing, but infer_batch is bit-identical across
+// splits (the batch-equivalence guarantee), so per-sequence outputs
+// must match exactly.  Degrade is off and the shard is deep enough to
+// never shed, so no timing-dependent policy can fork the outputs.
+TEST(StreamRouter, SingleStreamBitIdenticalToDirectInferBatch) {
   constexpr std::size_t kEvents = 3000;
   auto background = synthetic_background_net_int8(0xB6);
   auto deta = synthetic_deta_net(0xDE);
   const pipeline::Models models{&background, &deta};
   const std::vector<Event> events = make_events(kEvents, 99);
 
-  std::map<std::uint64_t, Outputs> server_out;
-  {
-    ServeConfig sc;
-    sc.queue_capacity = 32768;
-    sc.max_batch = 64;
-    sc.flush_deadline = std::chrono::microseconds(200);
-    sc.degrade_when_saturated = false;
-    InferenceServer server(models, sc,
-                           [&](std::span<const ServeResult> results) {
-                             for (const ServeResult& r : results)
-                               server_out[r.sequence] = {r.is_background,
-                                                         r.d_eta, r.degraded,
-                                                         r.fallback};
-                           });
-    server.start();
-    for (const Event& e : events) server.submit(e.ring, e.polar_deg);
-    server.stop();
-    EXPECT_EQ(server.stats().shed, 0u);
+  std::vector<recon::ComptonRing> rings;
+  std::vector<double> polar;
+  for (const Event& e : events) {
+    rings.push_back(e.ring);
+    polar.push_back(e.polar_deg);
   }
+  const pipeline::Models::BatchInference direct =
+      models.infer_batch(rings, polar, 1e-4, 2.0);
+  ASSERT_TRUE(direct.used_deta_net);
 
   std::map<std::uint64_t, Outputs> router_out;
-  {
-    RouterConfig rc;
-    rc.num_shards = 1;
-    rc.num_workers = 1;
-    rc.shard_capacity = 32768;
-    rc.per_stream_cap = 32768;
-    rc.max_batch = 64;
-    rc.flush_deadline = std::chrono::microseconds(200);
-    rc.degrade_when_saturated = false;
-    StreamRouter router(models, rc,
-                        [&](std::span<const ServeResult> results) {
-                          for (const ServeResult& r : results)
-                            router_out[r.sequence] = {r.is_background,
-                                                      r.d_eta, r.degraded,
-                                                      r.fallback};
-                        });
-    router.start();
-    for (const Event& e : events) router.submit(0, e.ring, e.polar_deg);
-    router.stop();
-    const auto stats = router.stats();
-    EXPECT_EQ(stats.shed, 0u);
-    EXPECT_EQ(stats.mixed_batches, 0u);
-    EXPECT_EQ(stats.streams, 1u);
-  }
+  RouterConfig rc;
+  rc.num_shards = 1;
+  rc.num_workers = 1;
+  rc.shard_capacity = 32768;
+  rc.per_stream_cap = 32768;
+  rc.max_batch = 64;
+  rc.degrade_when_saturated = false;
+  StreamRouter router(models, rc, [&](std::span<const ServeResult> results) {
+    for (const ServeResult& r : results)
+      router_out[r.sequence] = {r.is_background, r.d_eta, r.degraded,
+                                r.fallback};
+  });
+  router.start();
+  for (const Event& e : events) router.submit(0, e.ring, e.polar_deg);
+  router.stop();
+  const auto stats = router.stats();
+  EXPECT_EQ(stats.shed, 0u);
+  EXPECT_EQ(stats.mixed_batches, 0u);
+  EXPECT_EQ(stats.streams, 1u);
+  EXPECT_EQ(stats.processed, kEvents);
 
-  ASSERT_EQ(server_out.size(), kEvents);
+  // Sequences start at 1 in submit order.
   ASSERT_EQ(router_out.size(), kEvents);
-  for (std::uint64_t seq = 1; seq <= kEvents; ++seq) {
-    const Outputs& s = server_out[seq];
-    const Outputs& r = router_out[seq];
-    EXPECT_EQ(s.is_background, r.is_background) << "sequence " << seq;
-    EXPECT_EQ(s.d_eta, r.d_eta) << "sequence " << seq;  // Bit-exact.
-    EXPECT_EQ(s.degraded, r.degraded) << "sequence " << seq;
-    EXPECT_EQ(s.fallback, r.fallback) << "sequence " << seq;
+  for (std::size_t i = 0; i < kEvents; ++i) {
+    const Outputs& r = router_out[i + 1];
+    EXPECT_EQ(r.is_background, direct.is_background[i]) << "ring " << i;
+    EXPECT_EQ(r.d_eta, direct.d_eta[i]) << "ring " << i;  // Bit-exact.
+    EXPECT_FALSE(r.degraded) << "ring " << i;
+    EXPECT_FALSE(r.fallback) << "ring " << i;
+  }
+}
+
+// One stream, one shard, one worker, everything collected on the
+// worker thread.
+struct Collected {
+  std::vector<ServeResult> results;
+
+  ResultSink sink() {
+    return [this](std::span<const ServeResult> batch) {
+      results.insert(results.end(), batch.begin(), batch.end());
+    };
+  }
+  void sort_by_sequence() {
+    std::sort(results.begin(), results.end(),
+              [](const ServeResult& a, const ServeResult& b) {
+                return a.sequence < b.sequence;
+              });
+  }
+};
+
+RouterConfig single_stream_config(std::size_t capacity,
+                                  std::size_t max_batch) {
+  RouterConfig rc;
+  rc.num_shards = 1;
+  rc.num_workers = 1;
+  rc.shard_capacity = capacity;
+  rc.per_stream_cap = capacity;
+  rc.max_batch = max_batch;
+  return rc;
+}
+
+TEST(StreamRouter, NullModelsServeAnalyticPassthrough) {
+  RouterConfig rc = single_stream_config(4096, 64);
+  rc.d_eta_floor = 0.01;
+  rc.d_eta_cap = 0.5;
+  Collected collected;
+  StreamRouter router(pipeline::Models{}, rc, collected.sink());
+  router.start();
+
+  core::Rng rng(7);
+  std::vector<recon::ComptonRing> rings;
+  for (int i = 0; i < 20; ++i) rings.push_back(synthetic_ring(rng));
+  for (const auto& ring : rings) router.submit(0, ring, 45.0);
+  router.stop();
+
+  ASSERT_EQ(collected.results.size(), rings.size());
+  collected.sort_by_sequence();
+  for (std::size_t i = 0; i < rings.size(); ++i) {
+    EXPECT_EQ(collected.results[i].is_background, 0);
+    EXPECT_EQ(collected.results[i].d_eta,
+              std::clamp(rings[i].d_eta, rc.d_eta_floor, rc.d_eta_cap));
+    EXPECT_FALSE(collected.results[i].degraded);
+    EXPECT_FALSE(collected.results[i].fallback);
+  }
+}
+
+TEST(StreamRouter, DegradesToAnalyticDEtaUnderBacklog) {
+  auto background = synthetic_background_net(21);
+  auto deta = synthetic_deta_net(22);
+  const pipeline::Models models{&background, &deta};
+
+  // Watermark so low that any leftover backlog after a pop degrades
+  // the next batch; the backlog is guaranteed by submitting everything
+  // before start().
+  RouterConfig rc = single_stream_config(256, 8);
+  rc.degrade_watermark = 0.01;
+
+  Collected collected;
+  StreamRouter router(models, rc, collected.sink());
+  core::Rng rng(9);
+  std::vector<recon::ComptonRing> rings;
+  for (std::size_t i = 0; i < 64; ++i) {
+    rings.push_back(synthetic_ring(rng));
+    router.submit(0, rings.back(), 30.0);
+  }
+  router.start();
+  router.stop();
+
+  const auto stats = router.stats();
+  EXPECT_EQ(stats.processed, 64u);
+  EXPECT_GT(stats.degraded, 0u);
+
+  // Degraded results carry exactly the analytic clamp, not a network
+  // output.
+  collected.sort_by_sequence();
+  ASSERT_EQ(collected.results.size(), rings.size());
+  std::size_t degraded_seen = 0;
+  for (std::size_t i = 0; i < rings.size(); ++i) {
+    if (!collected.results[i].degraded) continue;
+    ++degraded_seen;
+    EXPECT_EQ(collected.results[i].d_eta,
+              std::clamp(rings[i].d_eta, rc.d_eta_floor, rc.d_eta_cap));
+  }
+  EXPECT_EQ(degraded_seen, stats.degraded);
+}
+
+TEST(StreamRouter, DegradeCanBeDisabled) {
+  auto background = synthetic_background_net(21);
+  auto deta = synthetic_deta_net(22);
+  RouterConfig rc = single_stream_config(256, 8);
+  rc.degrade_watermark = 0.01;
+  rc.degrade_when_saturated = false;
+
+  Collected collected;
+  StreamRouter router(pipeline::Models{&background, &deta}, rc,
+                      collected.sink());
+  core::Rng rng(9);
+  for (std::size_t i = 0; i < 64; ++i)
+    router.submit(0, synthetic_ring(rng), 30.0);
+  router.start();
+  router.stop();
+  EXPECT_EQ(router.stats().processed, 64u);
+  EXPECT_EQ(router.stats().degraded, 0u);
+  for (const ServeResult& r : collected.results) EXPECT_FALSE(r.degraded);
+}
+
+TEST(StreamRouter, StreamPastItsCapShedsOldest) {
+  // One stream past its cap, everything enqueued before the worker
+  // starts: all but the newest `per_stream_cap` requests must be shed,
+  // none lost silently.  The shard itself has room to spare, so the
+  // per-stream cap is what sheds.
+  RouterConfig rc = single_stream_config(64, 8);
+  rc.per_stream_cap = 8;
+  rc.degrade_watermark = 1.0;
+
+  Collected collected;
+  StreamRouter router(pipeline::Models{}, rc, collected.sink());
+  core::Rng rng(13);
+  constexpr std::uint64_t kEvents = 40;
+  for (std::uint64_t i = 0; i < kEvents; ++i)
+    router.submit(0, synthetic_ring(rng), 10.0);
+  router.start();
+  router.stop();
+
+  const auto stats = router.stats();
+  EXPECT_EQ(stats.shed, kEvents - rc.per_stream_cap);
+  EXPECT_EQ(stats.processed, rc.per_stream_cap);
+  // The survivors are the NEWEST sequences.
+  ASSERT_EQ(collected.results.size(), rc.per_stream_cap);
+  for (const ServeResult& r : collected.results)
+    EXPECT_GT(r.sequence, kEvents - rc.per_stream_cap);
+}
+
+TEST(StreamRouter, ThrowingEngineFallsBackFlagged) {
+  RouterConfig rc = single_stream_config(256, 8);
+  rc.d_eta_floor = 0.01;
+  rc.d_eta_cap = 0.5;
+  Collected collected;
+  StreamRouter router(pipeline::Models{}, rc, collected.sink());
+  router.set_engine([](std::span<const recon::ComptonRing>,
+                       std::span<const double>, bool) -> BatchOutputs {
+    throw std::runtime_error("injected forward failure");
+  });
+  core::Rng rng(17);
+  std::vector<recon::ComptonRing> rings;
+  for (std::size_t i = 0; i < 20; ++i) {
+    rings.push_back(synthetic_ring(rng));
+    router.submit(0, rings.back(), 30.0);
+  }
+  router.start();
+  router.stop();
+
+  // Every batch failed over to the analytic emergency path: no veto,
+  // clamped analytic d_eta, every result flagged, every batch counted.
+  const auto stats = router.stats();
+  EXPECT_EQ(stats.processed, rings.size());
+  EXPECT_EQ(stats.fallback, rings.size());
+  EXPECT_GT(stats.batches, 0u);
+  EXPECT_EQ(stats.batch_errors, stats.batches);
+  collected.sort_by_sequence();
+  ASSERT_EQ(collected.results.size(), rings.size());
+  for (std::size_t i = 0; i < rings.size(); ++i) {
+    EXPECT_TRUE(collected.results[i].fallback);
+    EXPECT_EQ(collected.results[i].is_background, 0);
+    EXPECT_EQ(collected.results[i].d_eta,
+              std::clamp(rings[i].d_eta, rc.d_eta_floor, rc.d_eta_cap));
   }
 }
 

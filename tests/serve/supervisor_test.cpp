@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/contract.hpp"
 #include "core/rng.hpp"
 #include "fault/injector.hpp"
 #include "serve/synthetic_models.hpp"
@@ -19,7 +20,7 @@ namespace {
 
 using namespace std::chrono_literals;
 
-// Owns the model pair, the supervised server, and an ordered capture
+// Owns the model pair, the supervised router, and an ordered capture
 // of everything the sink delivers.
 class SupervisorTest : public ::testing::Test {
  protected:
@@ -29,9 +30,10 @@ class SupervisorTest : public ::testing::Test {
 
   SupervisorConfig fast_config() {
     SupervisorConfig cfg;
-    cfg.serve.queue_capacity = 256;
-    cfg.serve.max_batch = 8;
-    cfg.serve.degrade_when_saturated = false;
+    cfg.router.shard_capacity = 256;
+    cfg.router.per_stream_cap = 256;
+    cfg.router.max_batch = 8;
+    cfg.router.degrade_when_saturated = false;
     cfg.max_retries = 2;
     cfg.retry_backoff = std::chrono::microseconds(50);
     cfg.watchdog_interval = 5ms;
@@ -60,8 +62,8 @@ class SupervisorTest : public ::testing::Test {
     return results_;
   }
 
-  // Poll until `n` results reached the sink; the queue is small and
-  // the flush deadline short, so 5 s only trips on a real hang.
+  // Poll until `n` results reached the sink; the shard is small and
+  // the idle wait short, so 5 s only trips on a real hang.
   ::testing::AssertionResult wait_delivered(std::size_t n) {
     const auto deadline = std::chrono::steady_clock::now() + 5s;
     while (std::chrono::steady_clock::now() < deadline) {
@@ -331,40 +333,13 @@ TEST_F(SupervisorTest, TryHealthTickDoesNotBlockWhileForwardHoldsStateMutex) {
   EXPECT_EQ(supervisor_->stats().state, HealthState::kHealthy);
 }
 
-// Regression for the second annotation-surfaced bug: observe_batch and
-// deliver used to invoke the user callback while holding sink_mutex_.
-// A callback that reenters submit() during an injected-duplicate round
-// takes server_mutex_ -> sink_mutex_ (the duplicate registration), and
-// sink_mutex_ is not recursive — the worker thread self-deadlocked.
-// Both paths now release sink_mutex_ before the callback runs, so a
-// reentrant observer must complete.
-TEST_F(SupervisorTest, ReentrantObserverSubmittingDuplicateDoesNotDeadlock) {
-  std::atomic<bool> reentered{false};
-  make_supervisor(fast_config());
-  supervisor_->set_queue_fault_hook([] { return QueueFault::kDuplicate; });
-  supervisor_->set_batch_observer(
-      [&](std::span<const ServeRequest>, std::span<const ServeResult>) {
-        if (!reentered.exchange(true)) {
-          core::Rng rng(101);
-          EXPECT_NE(supervisor_->submit(synthetic_ring(rng), 30.0), 0u);
-        }
-      });
-
-  supervisor_->start();
-  EXPECT_NE(submit_one(), 0u);
-  // Both the original event and the observer's reentrant one deliver
-  // exactly once (their injected duplicates are suppressed).
-  ASSERT_TRUE(wait_delivered(2));
-  supervisor_->stop();
-
-  EXPECT_TRUE(reentered.load());
-  const SupervisorStats stats = supervisor_->stats();
-  EXPECT_EQ(stats.delivered, 2u);
-  EXPECT_EQ(stats.duplicates_suppressed, 2u);
-}
-
-// Same deadlock shape through deliver(): a sink that reenters submit()
-// while duplicates are being injected.
+// Regression for an annotation-surfaced bug: deliver() used to invoke
+// the user sink while holding sink_mutex_.  A sink that reenters
+// submit() during an injected-duplicate round takes router_mutex_ ->
+// sink_mutex_ (the duplicate registration), and sink_mutex_ is not
+// recursive — the worker thread self-deadlocked.  deliver() now
+// releases sink_mutex_ before the sink runs, so a reentrant sink must
+// complete.
 TEST_F(SupervisorTest, ReentrantSinkSubmittingDuplicateDoesNotDeadlock) {
   std::atomic<bool> reentered{false};
   pipeline::Models models;
@@ -390,6 +365,23 @@ TEST_F(SupervisorTest, ReentrantSinkSubmittingDuplicateDoesNotDeadlock) {
 
   EXPECT_TRUE(reentered.load());
   EXPECT_EQ(supervisor_->stats().delivered, 2u);
+}
+
+// The router contract (supervisor.hpp): the sink's scratch buffer is
+// confined to one worker thread, so a multi-worker router is refused.
+TEST_F(SupervisorTest, RejectsRouterWithMoreThanOneWorker) {
+  SupervisorConfig cfg = fast_config();
+  cfg.router.num_shards = 2;
+  cfg.router.num_workers = 2;
+  EXPECT_THROW(make_supervisor(cfg), core::ContractViolation);
+}
+
+// ...and router-side localizers would fold injected duplicates before
+// the sink can suppress them, so `localize` is refused too.
+TEST_F(SupervisorTest, RejectsRouterWithPerStreamLocalizers) {
+  SupervisorConfig cfg = fast_config();
+  cfg.router.localize = true;
+  EXPECT_THROW(make_supervisor(cfg), core::ContractViolation);
 }
 
 }  // namespace

@@ -323,10 +323,10 @@ int cmd_serve_bench(const CliArgs& args) {
               cfg.producers, cfg.queue_capacity);
   if (cfg.alert_deg > 0.0) {
     std::printf("streaming localization: %llu rings fed, %llu "
-                "background-vetoed, final %.0f%% radius %.2f deg\n",
+                "background-vetoed, last checked %.0f%% radius %.2f deg\n",
                 static_cast<unsigned long long>(batched.loc_rings),
                 static_cast<unsigned long long>(batched.loc_skipped),
-                cfg.alert_content * 100.0, batched.final_radius_deg);
+                cfg.alert_content * 100.0, batched.last_radius_deg);
     if (batched.alert_fired) {
       std::printf("early alert: radius %.2f deg <= %.2f deg after %llu "
                   "rings, %.1f ms after start\n",
@@ -334,9 +334,9 @@ int cmd_serve_bench(const CliArgs& args) {
                   static_cast<unsigned long long>(batched.alert_rings),
                   batched.alert_wall_ms);
     } else {
-      std::printf("early alert: NOT fired (threshold %.2f deg; final "
-                  "radius %.2f deg)\n",
-                  cfg.alert_deg, batched.final_radius_deg);
+      std::printf("early alert: NOT fired (threshold %.2f deg; last "
+                  "checked radius %.2f deg)\n",
+                  cfg.alert_deg, batched.last_radius_deg);
     }
   }
   return 0;

@@ -12,7 +12,7 @@
 #   5. TSan ctest       (full suite under ThreadSanitizer, std::thread
 #                        backend — see core/parallel.hpp for why the
 #                        TSan build swaps out libgomp)
-#   6. TSan serve+fault focus (queue/server/supervisor/chaos tests
+#   6. TSan serve+fault focus (shard/router/supervisor/chaos tests
 #                        repeated for more interleavings)
 #   7. thread-safety     (Clang Thread Safety Analysis over src/ with
 #                        -Werror=thread-safety{,-beta}; the configure
@@ -160,10 +160,10 @@ fi
 # The full ctest pass above runs each of these tests once; here they
 # are repeated to give TSan more interleavings to object to.
 if want tsan-serve; then
-  stage "TSan serve+fault focus (queue + server + supervisor + chaos, repeated)"
+  stage "TSan serve+fault focus (shards + router + supervisor + chaos, repeated)"
   build_tsan_tree
   "${build_root}/tsan/tests/adapt_serve_tests" \
-    --gtest_filter='EventQueue.*:InferenceServer.*:ConcurrentInference.*:SupervisorTest.*:ShardQueue.*:StreamRouter.*' \
+    --gtest_filter='ShardQueue.*:StreamRouter.*:SupervisorTest.*:ConcurrentInference.*' \
     --gtest_repeat=3 --gtest_brief=1 \
     || fail "serve tests failed under TSan"
   "${build_root}/tsan/tests/adapt_fault_tests" \
