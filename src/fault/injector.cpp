@@ -67,7 +67,7 @@ bool Ledger::balanced() const {
 }
 
 std::string Ledger::format() const {
-  // Fixed order and fixed-width columns: the chaos determinism test
+  // Fixed order and fixed-width columns: the matrix determinism test
   // compares this string byte-for-byte across two seeded runs.
   std::string out =
       "fault ledger (invariant: injected == detected + tolerated)\n";
@@ -95,8 +95,7 @@ std::string Ledger::format() const {
   return out;
 }
 
-Injector::Injector(std::uint64_t seed, bool enabled)
-    : rng_(seed), enabled_(enabled) {}
+Injector::Injector(std::uint64_t seed) : rng_(seed) {}
 
 void Injector::count_injected(FaultClass c) {
   ledger_.injected[static_cast<std::size_t>(c)] += 1;
@@ -116,7 +115,7 @@ void Injector::count_tolerated(FaultClass c, std::uint64_t n) {
 }
 
 bool Injector::maybe_corrupt_ring(recon::ComptonRing& ring, double rate) {
-  if (!enabled_ || rate <= 0.0) return false;
+  if (rate <= 0.0) return false;
   if (rng_.uniform() >= rate) return false;
   constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
   constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -155,7 +154,6 @@ bool Injector::maybe_corrupt_ring(recon::ComptonRing& ring, double rate) {
 
 serve::QueueFault Injector::next_queue_fault(double drop_rate,
                                              double duplicate_rate) {
-  if (!enabled_) return serve::QueueFault::kNone;
   // One draw decides both: [0, drop) -> drop, [drop, drop+dup) ->
   // duplicate, rest clean.  A single draw keeps the stream consumption
   // rate identical whatever the rates are.
@@ -172,19 +170,19 @@ serve::QueueFault Injector::next_queue_fault(double drop_rate,
 }
 
 void Injector::arm_transient(std::size_t attempts) {
-  if (!enabled_ || attempts == 0) return;
+  if (attempts == 0) return;
   count_injected(FaultClass::kForwardTransient);
   armed_failures_.fetch_add(attempts, std::memory_order_release);
 }
 
 void Injector::arm_persistent(std::size_t attempts) {
-  if (!enabled_ || attempts == 0) return;
+  if (attempts == 0) return;
   count_injected(FaultClass::kForwardPersistent);
   armed_failures_.fetch_add(attempts, std::memory_order_release);
 }
 
 void Injector::arm_stall(std::chrono::milliseconds duration) {
-  if (!enabled_ || duration.count() <= 0) return;
+  if (duration.count() <= 0) return;
   count_injected(FaultClass::kForwardStall);
   armed_stall_ms_.store(duration.count(), std::memory_order_release);
 }
@@ -203,7 +201,6 @@ void Injector::on_forward_attempt(std::size_t /*batch_size*/) {
 }
 
 Injector::BitFlip Injector::flip_int8_weight_bit(quant::QuantizedMlp& model) {
-  ADAPT_REQUIRE(enabled_, "flip_int8_weight_bit on a disabled injector");
   ADAPT_REQUIRE(!model.layers().empty(), "model has no layers");
   BitFlip flip;
   flip.layer = rng_.uniform_index(model.layers().size());
@@ -219,7 +216,6 @@ void Injector::flip_back(quant::QuantizedMlp& model, const BitFlip& flip) {
 }
 
 void Injector::corrupt_fp32_weight(nn::Sequential& model) {
-  ADAPT_REQUIRE(enabled_, "corrupt_fp32_weight on a disabled injector");
   auto params = model.params();
   ADAPT_REQUIRE(!params.empty(), "model has no parameters");
   auto& values = params[rng_.uniform_index(params.size())]->value.vec();
@@ -227,7 +223,7 @@ void Injector::corrupt_fp32_weight(nn::Sequential& model) {
   float& v = values[rng_.uniform_index(values.size())];
   // Flip one mantissa bit of the stored float: the value stays finite
   // (an exponent/sign upset could also happen in flight, but a finite
-  // perturbation keeps the campaign independent of NaN propagation —
+  // perturbation keeps the fault run independent of NaN propagation —
   // detection is the checksum's job either way).
   std::uint32_t bits = 0;
   std::memcpy(&bits, &v, sizeof(bits));
@@ -237,7 +233,6 @@ void Injector::corrupt_fp32_weight(nn::Sequential& model) {
 }
 
 std::string Injector::garble_bytes(std::string bytes) {
-  if (!enabled_) return bytes;
   const std::string original = bytes;
   if (!bytes.empty()) {
     switch (rng_.uniform_index(4)) {

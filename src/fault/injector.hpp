@@ -23,21 +23,17 @@
 ///
 /// Accounting contract: every injected fault is counted at the moment
 /// it is *committed* (a ring corrupted, a hook armed, a bit flipped),
-/// always on the campaign thread, so the Ledger is bit-identical for
-/// identical seeds regardless of worker scheduling.  The campaign
-/// credits each class back as `detected` (the pipeline observed and
-/// handled it) or `tolerated` (recovered invisibly, e.g. a transient
-/// absorbed by retry); `Ledger::balanced()` is the invariant
+/// always on the driver thread, so the Ledger is bit-identical for
+/// identical seeds regardless of worker scheduling.  The driver
+/// (fault::run_matrix, one Injector per fault cell) credits each class
+/// back as `detected` (the pipeline observed and handled it) or
+/// `tolerated` (recovered invisibly, e.g. a transient absorbed by
+/// retry); `Ledger::balanced()` is the invariant
 ///   injected == detected + tolerated   (per class)
-/// that the chaos tests and `adaptctl chaos` enforce.
-///
-/// A disabled Injector (`enabled = false`) commits nothing: every
-/// decision returns "no fault", arming is a no-op, and `garble_bytes`
-/// returns its input unchanged — the zero-cost off switch the
-/// acceptance criteria require.
+/// that every matrix cell and `adaptctl campaign` enforce.
 ///
 /// Thread model: decision/corruption/arming methods run on the
-/// campaign (producer) thread only.  `on_forward_attempt` is the one
+/// driver (producer) thread only.  `on_forward_attempt` is the one
 /// member invoked from the router worker thread (via the Supervisor's
 /// ForwardHook); it touches only the atomic armed counters.
 
@@ -78,7 +74,7 @@ class InjectedFault : public std::runtime_error {
 };
 
 /// Per-class fault accounting.  All counts are committed on the
-/// campaign thread; two runs with the same seed and spec produce
+/// driver thread; two runs with the same seed and spec produce
 /// equal Ledgers bit-for-bit.
 struct Ledger {
   std::array<std::uint64_t, kFaultClassCount> injected{};
@@ -94,8 +90,9 @@ struct Ledger {
   bool balanced() const;
 
   /// Deterministic fixed-order text table (one line per class plus a
-  /// total line) — the artifact `adaptctl chaos` prints and the
-  /// two-run determinism test compares byte-for-byte.
+  /// total line) — the artifact every fault cell report of
+  /// `adaptctl campaign` ends with, compared byte-for-byte across two
+  /// seeded runs.
   std::string format() const;
 
   bool operator==(const Ledger&) const = default;
@@ -103,11 +100,9 @@ struct Ledger {
 
 class Injector {
  public:
-  explicit Injector(std::uint64_t seed, bool enabled = true);
+  explicit Injector(std::uint64_t seed);
 
-  bool enabled() const { return enabled_; }
-
-  // --- event-stream faults (campaign thread) ---
+  // --- event-stream faults (driver thread) ---
 
   /// With probability `rate`, corrupt one field of `ring` (the kind is
   /// drawn uniformly from the ring-field corruption menu) and count
@@ -142,10 +137,10 @@ class Injector {
   /// an armed failure (throws InjectedFault).  Touches only atomics.
   void on_forward_attempt(std::size_t batch_size);
 
-  // --- state corruption (campaign thread, under
+  // --- state corruption (driver thread, under
   //     Supervisor::with_models_quiesced) ---
 
-  /// Coordinates of one SEU so the campaign can flip the same bit
+  /// Coordinates of one SEU so the driver can flip the same bit
   /// back to restore the pristine weights.
   struct BitFlip {
     std::size_t layer = 0;
@@ -164,16 +159,15 @@ class Injector {
   /// from a snapshot taken beforehand.
   void corrupt_fp32_weight(nn::Sequential& model);
 
-  // --- serialized-model faults (campaign thread) ---
+  // --- serialized-model faults (driver thread) ---
 
   /// Garble serialized model bytes: truncate, flip a bit, zero a span,
   /// or corrupt the checksum footer (mode drawn from the seed; counts
   /// kModelBytes).  Guaranteed to differ from the input, so a
-  /// checksummed loader must reject the result.  Disabled injectors
-  /// return the input unchanged and count nothing.
+  /// checksummed loader must reject the result.
   std::string garble_bytes(std::string bytes);
 
-  // --- accounting (campaign thread) ---
+  // --- accounting (driver thread) ---
 
   void count_detected(FaultClass c, std::uint64_t n = 1);
   void count_tolerated(FaultClass c, std::uint64_t n = 1);
@@ -183,7 +177,6 @@ class Injector {
   void count_injected(FaultClass c);
 
   core::Rng rng_;
-  bool enabled_;
   Ledger ledger_;
 
   // Armed forward faults; the only state the worker thread touches.

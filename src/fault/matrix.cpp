@@ -18,6 +18,7 @@
 #include "loc/incremental.hpp"
 #include "nn/serialize.hpp"
 #include "serve/stream_router.hpp"
+#include "serve/supervisor.hpp"
 #include "serve/synthetic_models.hpp"
 
 namespace adapt::fault {
@@ -33,6 +34,9 @@ constexpr double kPi = 3.14159265358979323846;
 constexpr double kRingFaultRate = 0.05;
 constexpr double kQueueDropRate = 0.03;
 constexpr double kQueueDuplicateRate = 0.03;
+
+/// Per-phase drain budget before a fault cell declares a hang.
+constexpr std::chrono::milliseconds kDrainTimeout{10000};
 
 /// Fixed-precision float formatting: snprintf is deterministic for a
 /// given binary, which is all the two-run byte-diff gate requires.
@@ -229,24 +233,20 @@ std::string run_clean_row(const scenario::ScenarioData& data,
 
 // ---------------------------------------------------------------------------
 // Fault rows: the scenario ring stream through a Supervisor with the
-// row's fault class injected (campaign Run idiom, per cell).
+// row's fault class injected.  One CellRun per cell owns the cell's
+// Injector and the count of admitted rings the drains wait for.
 // ---------------------------------------------------------------------------
 
 struct CellRun {
   Injector injector;
   serve::Supervisor& sup;
   core::Rng probe_rng;
-  std::chrono::milliseconds drain_timeout;
   std::atomic<bool> queue_faults_active{false};
   std::uint64_t admitted = 0;
   std::string errors;
 
-  CellRun(std::uint64_t seed, serve::Supervisor& supervisor,
-          std::chrono::milliseconds timeout)
-      : injector(seed, true),
-        sup(supervisor),
-        probe_rng(seed ^ 0x5eedBULL),
-        drain_timeout(timeout) {}
+  CellRun(std::uint64_t seed, serve::Supervisor& supervisor)
+      : injector(seed), sup(supervisor), probe_rng(seed ^ 0x5eedBULL) {}
 
   void note(const std::string& msg) {
     if (!errors.empty()) errors += "; ";
@@ -257,7 +257,7 @@ struct CellRun {
     const std::uint64_t dups =
         injector.ledger()
             .injected[static_cast<std::size_t>(FaultClass::kQueueDuplicate)];
-    const auto deadline = Clock::now() + drain_timeout;
+    const auto deadline = Clock::now() + kDrainTimeout;
     for (;;) {
       const auto s = sup.stats();
       if (s.delivered >= admitted && s.duplicates_suppressed >= dups)
@@ -371,7 +371,7 @@ void run_forward_row(CellRun& run, const scenario::ScenarioData& data,
   const std::uint64_t restarts_before = run.sup.stats().watchdog_restarts;
   run.injector.arm_stall(std::chrono::milliseconds(450));
   run.probe();
-  const auto deadline = Clock::now() + run.drain_timeout;
+  const auto deadline = Clock::now() + kDrainTimeout;
   while (run.sup.stats().watchdog_restarts <= restarts_before) {
     if (Clock::now() >= deadline) {
       run.note("watchdog missed an injected stall");
@@ -492,7 +492,7 @@ void run_model_bytes_row(CellRun& run, const scenario::ScenarioData& data,
 
 std::string run_fault_row(const scenario::ScenarioData& data,
                           const ScenarioSummary& summary, MatrixRow row,
-                          std::uint64_t seed, const MatrixSpec& spec,
+                          std::uint64_t seed, const std::string& scratch_dir,
                           Ledger& ledger, std::string& errors) {
   pipeline::BackgroundNet background =
       serve::synthetic_background_net_int8(seed ^ 0xB16B00B5ULL);
@@ -501,21 +501,21 @@ std::string run_fault_row(const scenario::ScenarioData& data,
 
   const std::vector<StreamItem> stream = flatten_stream(data, summary);
 
-  serve::SupervisorConfig cfg = spec.supervisor;
+  serve::SupervisorConfig cfg;
   // One stream on one shard: both caps must hold the whole stream.
   cfg.router.shard_capacity =
       std::max<std::size_t>(cfg.router.shard_capacity, stream.size() + 256);
   cfg.router.per_stream_cap = cfg.router.shard_capacity;
   cfg.router.max_batch = 1;  // Every ring its own batch (see matrix.hpp).
   cfg.router.degrade_when_saturated = false;
-  cfg.checksum_every_n_ticks = 0;  // Campaign ticks manually.
+  cfg.checksum_every_n_ticks = 0;  // The cell ticks manually.
 
   serve::Supervisor sup(models, cfg,
                         [](std::span<const serve::ServeResult>) {});
   std::string out;
   serve::SupervisorStats stats;
   {
-    CellRun run(seed, sup, spec.drain_timeout);
+    CellRun run(seed, sup);
     sup.set_queue_fault_hook([&run] {
       if (!run.queue_faults_active.load(std::memory_order_acquire))
         return serve::QueueFault::kNone;
@@ -537,7 +537,7 @@ std::string run_fault_row(const scenario::ScenarioData& data,
         run_seu_row(run, data, stream, background);
         break;
       case MatrixRow::kModelBytes:
-        run_model_bytes_row(run, data, stream, deta, spec.scratch_dir, seed);
+        run_model_bytes_row(run, data, stream, deta, scratch_dir, seed);
         break;
       case MatrixRow::kNone:
         break;  // Handled by run_clean_row.
@@ -626,7 +626,7 @@ MatrixResult run_matrix(const MatrixSpec& spec) {
         // No injector in the clean row: the ledger stays all-zero,
         // which is balanced by definition.
       } else {
-        body = run_fault_row(data, summary, row, cell.seed, spec,
+        body = run_fault_row(data, summary, row, cell.seed, spec.scratch_dir,
                              cell.ledger, cell.errors);
       }
 

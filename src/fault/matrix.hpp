@@ -34,7 +34,6 @@
 
 #include "fault/injector.hpp"
 #include "scenario/engine.hpp"
-#include "serve/supervisor.hpp"
 
 namespace adapt::fault {
 
@@ -55,11 +54,6 @@ struct MatrixSpec {
   std::vector<scenario::ScenarioConfig> scenarios;
   /// Restrict to one row (by name) — empty runs all five.
   std::string only_row;
-  /// Base recovery knobs; per-cell capacity/batch overrides are
-  /// applied on top (see file comment).
-  serve::SupervisorConfig supervisor;
-  /// Per-phase drain budget before a cell declares a hang.
-  std::chrono::milliseconds drain_timeout{10000};
   /// Scratch directory for model-byte fault files; empty = temp dir.
   std::string scratch_dir;
 };

@@ -9,8 +9,8 @@
 /// bits, a serialized model arrives truncated, a forward call throws
 /// or stalls, events vanish or duplicate in the handoff.  The
 /// Supervisor owns one router — one shard, one worker, no per-stream
-/// localizers — and layers the recovery policies the fault-injection
-/// campaign (src/fault) exercises:
+/// localizers — and layers the recovery policies the fault x scenario
+/// matrix (fault::run_matrix) exercises:
 ///
 ///   - **Checksum gating.**  Reference digests of the attached models
 ///     are captured at attach (`BackgroundNet::weight_checksum`) and
@@ -50,7 +50,7 @@
 ///
 /// Every transition and recovery action is counted under
 /// `serve.supervisor.*` telemetry and mirrored in SupervisorStats so a
-/// seeded campaign can assert exact, bit-identical ledgers.
+/// seeded fault cell can assert exact, bit-identical ledgers.
 ///
 /// Router contract, enforced at construction: `router.num_workers ==
 /// 1`, because the sink's scratch buffer is confined to the one worker
@@ -69,7 +69,7 @@
 /// checks the discipline.  Lock ordering (DESIGN.md): router_mutex_ ->
 /// sink_mutex_ (submit's duplicate registration); state_mutex_ never
 /// nests with either.  The user sink runs with NO supervisor lock
-/// held — the one deliberate exception is the campaign-only forward
+/// held — the one deliberate exception is the fault-injection forward
 /// hook, which stands in for the forward itself and therefore runs
 /// under state_mutex_ like the forward it simulates (it must never
 /// call back into the Supervisor).
@@ -95,14 +95,14 @@ enum class HealthState { kHealthy, kDegraded, kRecovering };
 const char* to_string(HealthState state);
 
 /// Injected queue-slot fault, decided per submit by the installed
-/// hook (fault::Injector in campaigns; absent in production).
+/// hook (fault::Injector in the fault matrix; absent in production).
 enum class QueueFault { kNone, kDrop, kDuplicate };
 
 using QueueFaultHook = std::function<QueueFault()>;
 
 /// Called once per forward *attempt* with the batch size.  A hook that
 /// throws simulates a failed forward (retry path); a hook that sleeps
-/// simulates a stalled forward (watchdog path).  Campaign-only.
+/// simulates a stalled forward (watchdog path).  Fault injection only.
 using ForwardHook = std::function<void(std::size_t batch_size)>;
 
 struct SupervisorConfig {
@@ -127,7 +127,7 @@ struct SupervisorConfig {
   /// In-flight with a frozen heartbeat for longer than this = wedged.
   std::chrono::milliseconds stall_timeout{250};
   /// Run a checksum health_tick() every N watchdog samples (0 = only
-  /// when called explicitly — campaigns tick manually so the ledger
+  /// when called explicitly — fault cells tick manually so the ledger
   /// does not depend on wall-clock alignment).
   std::size_t checksum_every_n_ticks = 0;
 
@@ -136,7 +136,7 @@ struct SupervisorConfig {
 };
 
 /// Exact mirror of the `serve.supervisor.*` counters, readable without
-/// telemetry enabled; a seeded campaign asserts these bit-identically.
+/// telemetry enabled; a seeded fault cell asserts these bit-identically.
 struct SupervisorStats {
   std::uint64_t submitted = 0;          ///< Admitted to the router.
   std::uint64_t input_rejected = 0;     ///< Failed ring validation.
@@ -185,7 +185,7 @@ class Supervisor {
 
   /// Revalidate model digests against their attach-time references and
   /// advance the state machine.  Cheap enough for a periodic tick;
-  /// campaigns call it manually after each injection round.
+  /// fault cells call it manually after each injection round.
   void health_tick() ADAPT_EXCLUDES(state_mutex_);
 
   /// health_tick() via try-lock: returns false (skipping the tick)
@@ -204,13 +204,13 @@ class Supervisor {
   void restore_background(pipeline::BackgroundNet* net);
   void restore_deta(pipeline::DEtaNet* net);
 
-  /// Campaign hooks (install before start()).
+  /// Fault-injection hooks (install before start()).
   void set_queue_fault_hook(QueueFaultHook hook);
   void set_forward_hook(ForwardHook hook);
 
   /// Run `fn` with exclusive access to the attached models.  The
   /// engine holds the same mutex for the whole forward, so mutating
-  /// weights inside `fn` (the campaign's SEU injection) is race-free
+  /// weights inside `fn` (the matrix's SEU injection) is race-free
   /// even while the router is live — the flip lands strictly between
   /// batches.
   void with_models_quiesced(const std::function<void(pipeline::Models&)>& fn);

@@ -10,7 +10,11 @@
 #include <vector>
 
 #include "core/rng.hpp"
+#include "nn/mlp.hpp"
 #include "nn/serialize.hpp"
+#include "quant/fuse.hpp"
+#include "quant/qat_io.hpp"
+#include "quant/quantized_mlp.hpp"
 #include "serve/supervisor.hpp"
 #include "serve/synthetic_models.hpp"
 
@@ -38,32 +42,6 @@ TEST(Injector, SameSeedSameDecisionStreamAndLedger) {
   EXPECT_GT(a.ledger().total_injected(), 0u);
 }
 
-TEST(Injector, DisabledInjectorCommitsNothing) {
-  Injector inj(42, /*enabled=*/false);
-  core::Rng rng(7);
-  const recon::ComptonRing original = make_ring(rng);
-  recon::ComptonRing ring = original;
-
-  EXPECT_FALSE(inj.maybe_corrupt_ring(ring, 1.0));
-  EXPECT_DOUBLE_EQ(ring.eta, original.eta);
-  EXPECT_DOUBLE_EQ(ring.e_total, original.e_total);
-  EXPECT_DOUBLE_EQ(ring.hit1.energy, original.hit1.energy);
-  EXPECT_DOUBLE_EQ(ring.axis.x, original.axis.x);
-
-  EXPECT_EQ(inj.next_queue_fault(1.0, 0.0), serve::QueueFault::kNone);
-  EXPECT_EQ(inj.next_queue_fault(0.0, 1.0), serve::QueueFault::kNone);
-
-  const std::string bytes = "serialized model bytes";
-  EXPECT_EQ(inj.garble_bytes(bytes), bytes);
-
-  inj.arm_transient(3);
-  inj.arm_stall(std::chrono::milliseconds(1000));
-  EXPECT_NO_THROW(inj.on_forward_attempt(8));
-
-  EXPECT_EQ(inj.ledger().total_injected(), 0u);
-  EXPECT_TRUE(inj.ledger().balanced());
-}
-
 TEST(Injector, CorruptedRingIsNeverAdmissible) {
   // Every corruption kind must violate ingress validation, otherwise a
   // ring-field injection could slip through undetected and unbalance
@@ -81,31 +59,68 @@ TEST(Injector, CorruptedRingIsNeverAdmissible) {
             200u);
 }
 
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+/// A calibrated QAT stack at the background-net architecture, built the
+/// way the export pipeline builds one (build_mlp -> fuse_bn ->
+/// build_qat_model -> calibration forwards), so the ADQT file under
+/// test is structurally real.
+nn::Sequential calibrated_qat_model(std::uint64_t seed) {
+  const auto batch = [](std::uint64_t s) {
+    core::Rng rng(s);
+    nn::Tensor x(64, 13);
+    for (auto& v : x.vec()) v = static_cast<float>(rng.uniform(-2.0, 2.0));
+    return x;
+  };
+  core::Rng rng(seed);
+  nn::Sequential fp32 = nn::build_mlp(nn::background_net_spec(13, true), rng);
+  for (std::uint64_t pass = 0; pass < 4; ++pass)
+    (void)fp32.forward(batch(seed + 1 + pass), true);
+  core::Rng qrng(seed + 99);
+  nn::Sequential qat = quant::build_qat_model(quant::fuse_bn(fp32), qrng);
+  for (std::uint64_t pass = 0; pass < 4; ++pass)
+    (void)qat.forward(batch(seed + 50 + pass), true);
+  return qat;
+}
+
 TEST(Injector, GarbledModelBytesAlwaysRejectedByLoader) {
-  const std::string path = "/tmp/adaptml_injector_garble_test.adnn";
+  // Both checksummed model formats: the FP32 ADNN stack (nn::serialize)
+  // and a calibrated ADQT QAT stack (quant::qat_io).
+  const std::string adnn_path = "/tmp/adaptml_injector_garble_test.adnn";
+  const std::string adqt_path = "/tmp/adaptml_injector_garble_test.adqt";
   pipeline::DEtaNet net = serve::synthetic_deta_net(5);
-  ASSERT_TRUE(net.save(path));
-  std::string pristine;
-  {
-    std::ifstream in(path, std::ios::binary);
-    pristine.assign(std::istreambuf_iterator<char>(in),
-                    std::istreambuf_iterator<char>());
-  }
-  ASSERT_TRUE(nn::load_model(path).has_value());
+  ASSERT_TRUE(net.save(adnn_path));
+  ASSERT_TRUE(nn::load_model(adnn_path).has_value());
+  nn::Sequential qat = calibrated_qat_model(6);
+  ASSERT_TRUE(quant::save_qat_model(qat, nn::Standardizer{},
+                                    {{"fixture", 1.0}}, adqt_path));
+  ASSERT_TRUE(quant::load_qat_model(adqt_path).has_value());
 
   Injector inj(17);
-  for (int i = 0; i < 8; ++i) {
-    const std::string garbled = inj.garble_bytes(pristine);
-    ASSERT_NE(garbled, pristine) << "i=" << i;
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(garbled.data(), static_cast<std::streamsize>(garbled.size()));
-    out.close();
-    EXPECT_FALSE(nn::load_model(path).has_value()) << "i=" << i;
+  for (const bool adqt : {false, true}) {
+    const std::string& path = adqt ? adqt_path : adnn_path;
+    const std::string pristine = read_file(path);
+    ASSERT_FALSE(pristine.empty()) << path;
+    for (int i = 0; i < 8; ++i) {
+      const std::string garbled = inj.garble_bytes(pristine);
+      ASSERT_NE(garbled, pristine) << path << " i=" << i;
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(garbled.data(), static_cast<std::streamsize>(garbled.size()));
+      out.close();
+      const bool loaded = adqt ? quant::load_qat_model(path).has_value()
+                               : nn::load_model(path).has_value();
+      EXPECT_FALSE(loaded) << path << " i=" << i;
+    }
   }
   EXPECT_EQ(inj.ledger().injected[static_cast<std::size_t>(
                 FaultClass::kModelBytes)],
-            8u);
-  std::remove(path.c_str());
+            16u);
+  std::remove(adnn_path.c_str());
+  std::remove(adqt_path.c_str());
 }
 
 TEST(Injector, Int8BitFlipChangesChecksumAndFlipBackRestoresIt) {

@@ -58,6 +58,43 @@ TEST(FaultMatrix, AllCellsPassWithBalancedLedgers) {
   }
 }
 
+TEST(FaultMatrix, TinyScenarioInjectsEveryFaultClassWithExactCounts) {
+  // The matrix is the only fault driver, so across its five cells it
+  // must reach every FaultClass.  The counts are exact for the seed:
+  // the events row draws per ring of the 747-ring burst stream, the
+  // other rows inject on a fixed schedule.
+  MatrixSpec spec;
+  spec.seed = 2026;
+  spec.scenarios.push_back(tiny_scenario());
+
+  const MatrixResult result = run_matrix(spec);
+  ASSERT_TRUE(result.ok) << result.report;
+  ASSERT_EQ(result.cells.size(), kMatrixRowCount);
+  const std::string& report = result.cells[0].report;
+  EXPECT_NE(report.find(" rings=747 loc_error_deg="), std::string::npos)
+      << report;
+
+  const auto injected = [&](MatrixRow row, FaultClass c) {
+    return result.cells[static_cast<std::size_t>(row)]
+        .ledger.injected[static_cast<std::size_t>(c)];
+  };
+  for (std::size_t c = 0; c < kFaultClassCount; ++c) {
+    std::uint64_t total = 0;
+    for (const CellResult& cell : result.cells)
+      total += cell.ledger.injected[c];
+    EXPECT_GT(total, 0u) << "class " << to_string(static_cast<FaultClass>(c))
+                         << " never injected";
+  }
+  EXPECT_EQ(injected(MatrixRow::kEvents, FaultClass::kRingField), 34u);
+  EXPECT_EQ(injected(MatrixRow::kEvents, FaultClass::kQueueDrop), 22u);
+  EXPECT_EQ(injected(MatrixRow::kEvents, FaultClass::kQueueDuplicate), 21u);
+  EXPECT_EQ(injected(MatrixRow::kForward, FaultClass::kForwardTransient), 11u);
+  EXPECT_EQ(injected(MatrixRow::kForward, FaultClass::kForwardPersistent), 2u);
+  EXPECT_EQ(injected(MatrixRow::kForward, FaultClass::kForwardStall), 1u);
+  EXPECT_EQ(injected(MatrixRow::kSeu, FaultClass::kWeightBit), 1u);
+  EXPECT_EQ(injected(MatrixRow::kModelBytes, FaultClass::kModelBytes), 4u);
+}
+
 TEST(FaultMatrix, ReportIsByteIdenticalAcrossRuns) {
   MatrixSpec spec;
   spec.seed = 7;

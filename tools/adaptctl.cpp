@@ -11,7 +11,7 @@
 ///   adaptctl fpga       [--bits B]
 ///   adaptctl trigger    [--fluence F] [--polar P] [--seed S]
 ///   adaptctl skymap     [--fluence F] [--polar P] [--seed S] [--out map.csv]
-///   adaptctl chaos      [--seed S] [--events N] [--disable] ...
+///   adaptctl campaign   --matrix [--seed S] [--report-dir DIR] [--row R]
 ///
 /// Every command additionally accepts `--metrics json|csv`: pipeline
 /// telemetry (per-stage counters and timing histograms) is collected
@@ -24,10 +24,11 @@
 /// 0 — a dataset that was 100% garbage is a failure, not a quiet
 /// no-op (see eval/reject_gate.hpp).
 ///
-/// `chaos` runs the seeded fault-injection campaign (src/fault)
-/// against a live supervised serve pipeline and prints the fault
-/// ledger; it exits nonzero unless every injected fault was detected
-/// or tolerated and the pipeline ended healthy.
+/// `campaign` runs the seeded fault x scenario matrix (src/fault):
+/// every scenario ring stream through a live supervised serve pipeline
+/// under each fault row.  It prints the per-cell reports and fault
+/// ledgers, and exits nonzero unless every injected fault was detected
+/// or tolerated and every cell ended healthy.
 ///
 /// Flag values are parsed strictly (core::CliArgs): `--fluence banana`
 /// or `--fluence -1` is a usage error, never a silent 0.0.  Negative
@@ -53,7 +54,6 @@
 #include "core/telemetry.hpp"
 #include "nn/kernels/kernels.hpp"
 #include "eval/reject_gate.hpp"
-#include "fault/campaign.hpp"
 #include "fault/matrix.hpp"
 #include "scenario/config.hpp"
 #include "loc/grid_search.hpp"
@@ -468,39 +468,6 @@ int cmd_cpu_features(const CliArgs&) {
   return 0;
 }
 
-int cmd_chaos(const CliArgs& args) {
-  fault::CampaignSpec spec;
-  spec.seed = seed_from(args, 2026);
-  spec.enabled = !args.has("disable");
-  spec.events =
-      static_cast<std::size_t>(args.count("events", spec.events));
-  spec.transient_rounds = static_cast<std::size_t>(
-      args.count("transients", spec.transient_rounds));
-  spec.persistent_rounds = static_cast<std::size_t>(
-      args.count("persistents", spec.persistent_rounds));
-  spec.stall_rounds =
-      static_cast<std::size_t>(args.count("stalls", spec.stall_rounds));
-  spec.weight_bit_rounds = static_cast<std::size_t>(
-      args.count("weight-flips", spec.weight_bit_rounds));
-  spec.model_bytes_rounds = static_cast<std::size_t>(
-      args.count("model-garbles", spec.model_bytes_rounds));
-  spec.scratch_dir = args.text("scratch", "");
-
-  const fault::CampaignResult result = fault::run_campaign(spec);
-  std::fputs(result.report.c_str(), stdout);
-  if (!result.ok) {
-    std::fprintf(stderr, "chaos campaign FAILED: %s\n",
-                 result.errors.empty() ? "ledger imbalance"
-                                       : result.errors.c_str());
-    return 1;
-  }
-  std::printf("chaos campaign passed: %llu faults injected, all "
-              "accounted for, pipeline healthy\n",
-              static_cast<unsigned long long>(
-                  result.ledger.total_injected()));
-  return 0;
-}
-
 int cmd_campaign(const CliArgs& args) {
   namespace fs = std::filesystem;
 
@@ -601,10 +568,6 @@ void usage() {
       "              the sharded StreamRouter; reports per-stream p50/p99,"
       " shed rate, and\n"
       "              the Jain fairness index)\n"
-      "  chaos       --seed S --events N [--disable] [--transients N]"
-      " [--persistents N]\n"
-      "              [--stalls N] [--weight-flips N] [--model-garbles N]"
-      " [--scratch DIR]\n"
       "  campaign    --matrix [--seed S] [--config-dir DIR]"
       " [--report-dir DIR] [--row R]\n"
       "              | --config FILE [--seed S] [--row R]\n"
@@ -669,7 +632,6 @@ int main(int argc, char** argv) {
     else if (cmd == "skymap") rc = cmd_skymap(args);
     else if (cmd == "serve-bench") rc = cmd_serve_bench(args);
     else if (cmd == "flood") rc = cmd_flood(args);
-    else if (cmd == "chaos") rc = cmd_chaos(args);
     else if (cmd == "campaign") rc = cmd_campaign(args);
     else if (cmd == "cpu-features" || cmd == "--cpu-features")
       rc = cmd_cpu_features(args);

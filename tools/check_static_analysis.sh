@@ -12,7 +12,7 @@
 #   5. TSan ctest       (full suite under ThreadSanitizer, std::thread
 #                        backend — see core/parallel.hpp for why the
 #                        TSan build swaps out libgomp)
-#   6. TSan serve+fault focus (shard/router/supervisor/chaos tests
+#   6. TSan serve+fault focus (shard/router/supervisor/fault-matrix tests
 #                        repeated for more interleavings)
 #   7. thread-safety     (Clang Thread Safety Analysis over src/ with
 #                        -Werror=thread-safety{,-beta}; the configure
@@ -155,12 +155,12 @@ fi
 # --- 6. serving-layer + fault-injection TSan focus --------------------
 # The serve subsystem is the one place where producer threads, the
 # consumer worker, the supervisor watchdog, and shared model state all
-# race by design, and the fault campaign deliberately provokes every
+# race by design, and the fault matrix deliberately provokes every
 # recovery path (retries, checksum quarantine, watchdog restarts).
 # The full ctest pass above runs each of these tests once; here they
 # are repeated to give TSan more interleavings to object to.
 if want tsan-serve; then
-  stage "TSan serve+fault focus (shards + router + supervisor + chaos, repeated)"
+  stage "TSan serve+fault focus (shards + router + supervisor + fault matrix, repeated)"
   build_tsan_tree
   "${build_root}/tsan/tests/adapt_serve_tests" \
     --gtest_filter='ShardQueue.*:StreamRouter.*:SupervisorTest.*:ConcurrentInference.*' \
