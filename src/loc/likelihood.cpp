@@ -1,9 +1,14 @@
 #include "loc/likelihood.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/require.hpp"
 #include "core/telemetry.hpp"
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 namespace adapt::loc {
 
@@ -54,16 +59,107 @@ double neg_log_likelihood(std::span<const recon::ComptonRing> rings,
   return nll;
 }
 
+namespace {
+
+/// Candidates per walk over the rings.
+constexpr std::size_t kLanes = 8;
+
+/// Truncated NLL of `W` candidate directions in one walk over the
+/// rings.  Lane k is exactly the one-candidate sum: ring_residual's
+/// (c.s - eta) / d_eta, squared, capped, halved and added in ring
+/// order.  Each ring is loaded once per block, and the lanes' sums are
+/// independent, so their divides and adds overlap instead of queueing
+/// behind one loop-carried add.
+template <std::size_t W>
+void truncated_nll_lanes(std::span<const recon::ComptonRing> rings,
+                         const core::Vec3* dirs, double cap2, double* out) {
+#if defined(__SSE2__)
+  if constexpr (W % 2 == 0) {
+    // Baseline x86-64 pairs the lanes into SSE2 packed ops: the same
+    // IEEE operations lane by lane (mul, add, sub, div, and minpd,
+    // which is exactly `a < b ? a : b`), two candidates per divide.
+    constexpr std::size_t P = W / 2;
+    __m128d x[P], y[P], z[P], nll[P];
+    for (std::size_t p = 0; p < P; ++p) {
+      x[p] = _mm_set_pd(dirs[2 * p + 1].x, dirs[2 * p].x);
+      y[p] = _mm_set_pd(dirs[2 * p + 1].y, dirs[2 * p].y);
+      z[p] = _mm_set_pd(dirs[2 * p + 1].z, dirs[2 * p].z);
+      nll[p] = _mm_setzero_pd();
+    }
+    const __m128d cap = _mm_set1_pd(cap2);
+    const __m128d half = _mm_set1_pd(0.5);
+    for (const auto& ring : rings) {
+      ADAPT_REQUIRE(ring.d_eta > 0.0, "ring has non-positive d_eta");
+      const __m128d cx = _mm_set1_pd(ring.axis.x);
+      const __m128d cy = _mm_set1_pd(ring.axis.y);
+      const __m128d cz = _mm_set1_pd(ring.axis.z);
+      const __m128d eta = _mm_set1_pd(ring.eta);
+      const __m128d d_eta = _mm_set1_pd(ring.d_eta);
+      for (std::size_t p = 0; p < P; ++p) {
+        const __m128d dot =
+            _mm_add_pd(_mm_add_pd(_mm_mul_pd(cx, x[p]), _mm_mul_pd(cy, y[p])),
+                       _mm_mul_pd(cz, z[p]));
+        const __m128d r = _mm_div_pd(_mm_sub_pd(dot, eta), d_eta);
+        const __m128d r2 = _mm_mul_pd(r, r);
+        nll[p] = _mm_add_pd(nll[p], _mm_mul_pd(half, _mm_min_pd(r2, cap)));
+      }
+    }
+    for (std::size_t p = 0; p < P; ++p) _mm_storeu_pd(out + 2 * p, nll[p]);
+    return;
+  }
+#endif
+  double x[W], y[W], z[W], nll[W];
+  for (std::size_t k = 0; k < W; ++k) {
+    x[k] = dirs[k].x;
+    y[k] = dirs[k].y;
+    z[k] = dirs[k].z;
+    nll[k] = 0.0;
+  }
+  for (const auto& ring : rings) {
+    ADAPT_REQUIRE(ring.d_eta > 0.0, "ring has non-positive d_eta");
+    const core::Vec3 c = ring.axis;
+    for (std::size_t k = 0; k < W; ++k) {
+      const double r =
+          (c.x * x[k] + c.y * y[k] + c.z * z[k] - ring.eta) / ring.d_eta;
+      const double r2 = r * r;
+      nll[k] += 0.5 * (r2 < cap2 ? r2 : cap2);
+    }
+  }
+  for (std::size_t k = 0; k < W; ++k) out[k] = nll[k];
+}
+
+}  // namespace
+
+void truncated_neg_log_likelihood(std::span<const recon::ComptonRing> rings,
+                                  std::span<const core::Vec3> dirs,
+                                  double cap_sigma, std::span<double> out) {
+  ADAPT_REQUIRE(cap_sigma > 0.0, "cap must be positive");
+  ADAPT_REQUIRE(out.size() == dirs.size(), "one output per candidate");
+  const double cap2 = cap_sigma * cap_sigma;
+  const std::size_t n = dirs.size();
+  std::size_t k = 0;
+  for (; k + kLanes <= n; k += kLanes)
+    truncated_nll_lanes<kLanes>(rings, &dirs[k], cap2, &out[k]);
+  const std::size_t tail = n - k;
+  if (tail == 1) {
+    truncated_nll_lanes<1>(rings, &dirs[k], cap2, &out[k]);
+  } else if (tail > 1) {
+    // A short last block fills its spare lanes with its last candidate;
+    // the lanes are independent, so the padding only costs time.
+    core::Vec3 block[kLanes];
+    double block_out[kLanes];
+    for (std::size_t i = 0; i < kLanes; ++i)
+      block[i] = dirs[k + std::min(i, tail - 1)];
+    truncated_nll_lanes<kLanes>(rings, block, cap2, block_out);
+    for (std::size_t i = 0; i < tail; ++i) out[k + i] = block_out[i];
+  }
+}
+
 double truncated_neg_log_likelihood(std::span<const recon::ComptonRing> rings,
                                     const core::Vec3& s, double cap_sigma) {
-  ADAPT_REQUIRE(cap_sigma > 0.0, "cap must be positive");
-  const double cap2 = cap_sigma * cap_sigma;
   double nll = 0.0;
-  for (const auto& ring : rings) {
-    const double r = ring_residual(ring, s);
-    const double r2 = r * r;
-    nll += 0.5 * (r2 < cap2 ? r2 : cap2);
-  }
+  truncated_neg_log_likelihood(rings, std::span<const core::Vec3>(&s, 1),
+                               cap_sigma, std::span<double>(&nll, 1));
   return nll;
 }
 

@@ -55,6 +55,16 @@ double truncated_neg_log_likelihood(std::span<const recon::ComptonRing> rings,
                                     const core::Vec3& s,
                                     double cap_sigma = 3.0);
 
+/// Many-candidate form: out[k] is the truncated NLL of dirs[k], equal
+/// bit for bit to the one-direction call.  Rings are walked once per
+/// block of candidates; each candidate still sums its rings in ring
+/// order with ring_residual's expression, so blocking changes the
+/// speed, not the bits.  The one-direction form is this loop with a
+/// single candidate.  out.size() must equal dirs.size().
+void truncated_neg_log_likelihood(std::span<const recon::ComptonRing> rings,
+                                  std::span<const core::Vec3> dirs,
+                                  double cap_sigma, std::span<double> out);
+
 /// Per-ring Gaussian weight w = 1 / d_eta^2 used by the least-squares
 /// normal equations.
 double ring_weight(const recon::ComptonRing& ring);

@@ -60,12 +60,8 @@ std::vector<Vec3> Localizer::approximate_candidates(
       cfg.score_against_all ? rings
                             : std::span<const recon::ComptonRing>(sample);
 
-  struct Scored {
-    double nll;
-    Vec3 dir;
-  };
-  std::vector<Scored> scored;
-  scored.reserve(m * static_cast<std::size_t>(cfg.candidates_per_ring));
+  std::vector<Vec3> candidates;
+  candidates.reserve(m * static_cast<std::size_t>(cfg.candidates_per_ring));
   for (const auto& ring : sample) {
     const double eta = std::clamp(ring.eta, -1.0, 1.0);
     const double theta = std::acos(eta);
@@ -75,12 +71,20 @@ std::vector<Vec3> Localizer::approximate_candidates(
           static_cast<double>(cfg.candidates_per_ring);
       const Vec3 candidate = core::rotate_about_axis(ring.axis, theta, phi);
       if (cfg.restrict_to_upper_sky && candidate.z < 0.0) continue;
-      scored.push_back(Scored{
-          truncated_neg_log_likelihood(scoring_set, candidate,
-                                       cfg.truncation_sigma),
-          candidate});
+      candidates.push_back(candidate);
     }
   }
+  std::vector<double> nll(candidates.size());
+  truncated_neg_log_likelihood(scoring_set, candidates, cfg.truncation_sigma,
+                               nll);
+
+  struct Scored {
+    double nll;
+    Vec3 dir;
+  };
+  std::vector<Scored> scored(candidates.size());
+  for (std::size_t i = 0; i < scored.size(); ++i)
+    scored[i] = Scored{nll[i], candidates[i]};
   static tm::Counter& candidates_scored = tm::counter("loc.candidates_scored");
   candidates_scored.add(scored.size());
   std::sort(scored.begin(), scored.end(),
@@ -193,17 +197,23 @@ LocalizationResult Localizer::localize(
 
   // Multi-start: refine each seed, keep the direction whose truncated
   // joint likelihood over *all* rings is best.
-  LocalizationResult best;
-  best.rings_total = input.size();
-  double best_nll = std::numeric_limits<double>::infinity();
+  std::vector<LocalizationResult> refined;
+  std::vector<Vec3> directions;
   for (const Vec3& seed : seeds) {
     const LocalizationResult candidate = refine(rings, seed);
     if (!candidate.valid) continue;
-    const double nll = truncated_neg_log_likelihood(
-        rings, candidate.direction, config_.approximation.truncation_sigma);
-    if (nll < best_nll) {
-      best_nll = nll;
-      best = candidate;
+    directions.push_back(candidate.direction);
+    refined.push_back(candidate);
+  }
+  std::vector<double> nll(directions.size());
+  truncated_neg_log_likelihood(rings, directions,
+                               config_.approximation.truncation_sigma, nll);
+  LocalizationResult best;
+  double best_nll = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < refined.size(); ++i) {
+    if (nll[i] < best_nll) {
+      best_nll = nll[i];
+      best = refined[i];
     }
   }
   if (!best.valid) {

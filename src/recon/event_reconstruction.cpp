@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "core/contract.hpp"
 #include "core/parallel.hpp"
@@ -33,77 +32,14 @@ double mean_sigma(const MeasuredHit& h) {
   return (h.sigma_position.x + h.sigma_position.y + h.sigma_position.z) / 3.0;
 }
 
-/// Uncertainty of the geometric cosine at the vertex joining segments
-/// a->b and b->c, from the endpoint position uncertainties.
-double geometric_cos_sigma(const MeasuredHit& a, const MeasuredHit& b,
-                           const MeasuredHit& c) {
-  const double l1 = (b.position - a.position).norm();
-  const double l2 = (c.position - b.position).norm();
-  if (l1 <= 0.0 || l2 <= 0.0) return 1.0;
-  const double t1 = std::sqrt(mean_sigma(a) * mean_sigma(a) +
-                              mean_sigma(b) * mean_sigma(b)) / l1;
-  const double t2 = std::sqrt(mean_sigma(b) * mean_sigma(b) +
-                              mean_sigma(c) * mean_sigma(c)) / l2;
-  return std::sqrt(t1 * t1 + t2 * t2);
-}
-
-}  // namespace
-
-std::optional<double> EventReconstructor::ordering_score(
-    const std::vector<const MeasuredHit*>& order, double e_total) const {
-  const std::size_t n = order.size();
-  ADAPT_REQUIRE(n >= 2, "ordering needs at least two hits");
-
-  // Walk the trajectory, tracking the photon energy entering each hit.
-  // Validity: energy must remain positive, and each non-final hit must
-  // be a kinematically possible Compton scatter (within noise slack).
-  const double slack = config_.eta_slack + 0.25;  // Looser than the final
-                                                  // eta cut: noise on the
-                                                  // interior energies is
-                                                  // larger.
-  double e_in = e_total;
-  double chi2 = 0.0;
-  int n_vertices = 0;
-
-  for (std::size_t j = 0; j + 1 < n; ++j) {
-    const double deposit = order[j]->energy;
-    const double e_out = e_in - deposit;
-    if (e_out <= 0.0) return std::nullopt;
-
-    const double cos_kin = physics::compton_cos_theta(e_in, e_out);
-    if (cos_kin < -1.0 - slack || cos_kin > 1.0 + slack) return std::nullopt;
-
-    if (j >= 1) {
-      // Interior vertex: the geometric bend must match the kinematic
-      // angle.  Segments (j-1 -> j) and (j -> j+1).
-      const Vec3 seg_in =
-          (order[j]->position - order[j - 1]->position).normalized();
-      const Vec3 seg_out =
-          (order[j + 1]->position - order[j]->position).normalized();
-      const double cos_geo = seg_in.dot(seg_out);
-
-      const double s_energy_in = kElectronMassMeV / (e_in * e_in) *
-                                 std::max(order[j - 1]->sigma_energy, 1e-4);
-      const double s_energy_out = kElectronMassMeV / (e_out * e_out) *
-                                  std::max(order[j]->sigma_energy, 1e-4);
-      const double s_geo =
-          geometric_cos_sigma(*order[j - 1], *order[j], *order[j + 1]);
-      const double sigma2 = s_energy_in * s_energy_in +
-                            s_energy_out * s_energy_out + s_geo * s_geo;
-      const double d = cos_geo - std::clamp(cos_kin, -1.0, 1.0);
-      chi2 += d * d / std::max(sigma2, 1e-6);
-      ++n_vertices;
-    }
-    e_in = e_out;
-  }
-
-  if (n_vertices > 0) return chi2;
-
-  // Two-hit event: no interior vertex to test.  Rank the two possible
-  // orderings by physical plausibility: the Klein-Nishina weight of
-  // the implied first-scatter angle, times the attenuation probability
-  // density of the observed lever arm at the post-scatter energy.
-  const double e1 = order[0]->energy;
+/// Plausibility score of a two-hit ordering (first, second): the
+/// Klein-Nishina weight of the implied first-scatter angle, times the
+/// attenuation probability density of the observed lever arm at the
+/// post-scatter energy, as a negative log; lower is better.
+double two_hit_score(const detector::Material& material,
+                     const MeasuredHit& first, const MeasuredHit& second,
+                     double e_total) {
+  const double e1 = first.energy;
   const double e_prime = e_total - e1;
   const double cos_theta =
       std::clamp(physics::ring_cosine(e_total, e1), -1.0, 1.0);
@@ -113,14 +49,180 @@ std::optional<double> EventReconstructor::ordering_score(
                    e_total;
   const double kn = r * r * (r + 1.0 / r - (1.0 - cos_theta * cos_theta));
 
-  const double lever =
-      (order[1]->position - order[0]->position).norm();
-  const double mu = physics::attenuation(material_, e_prime).total();
+  const double lever = (second.position - first.position).norm();
+  const double mu = physics::attenuation(material, e_prime).total();
   const double travel = mu * std::exp(-mu * lever);
 
   const double likelihood = std::max(kn * travel, 1e-300);
   return -std::log(likelihood);
 }
+
+/// Per-thread buffers of the ordering search, grown to the largest
+/// event seen and then reused, so an event costs no heap allocation.
+struct SearchScratch {
+  std::vector<const MeasuredHit*> candidates;
+  std::vector<std::size_t> order;
+  std::vector<std::uint8_t> used;
+  std::vector<double> e_in;     ///< Energy entering position j.
+  std::vector<double> cos_kin;  ///< Kinematic cosine of step j.
+  std::vector<double> sigma_e;  ///< max(sigma_energy, 1e-4) per hit.
+  // Per ordered pair (a, b), row-major a * n + b:
+  std::vector<Vec3> unit;          ///< (b - a).normalized().
+  std::vector<double> length;      ///< (b - a).norm().
+  std::vector<double> transverse;  ///< sqrt(ms(a)^2 + ms(b)^2) / length.
+};
+
+/// Depth-first search over the orderings of the candidate hits,
+/// choosing unused candidates in ascending index order, so complete
+/// orderings arrive in std::next_permutation's lexicographic order.
+///
+/// Each complete ordering's score is the same expression, summed in the
+/// same left-to-right order, as scoring it from scratch:
+///   - the kinematic test of step j runs when hit j is placed; a
+///     failure drops every ordering with that prefix;
+///   - the chi^2 term of interior vertex j is added when hit j + 1 is
+///     placed;
+///   - with >= 3 hits, a prefix whose chi^2 is already >= the
+///     second-best score is dropped: terms are >= 0, and both
+///     best/second updates need a strict <, so no completion could
+///     change either.  A NaN prefix never compares >=, so it is never
+///     dropped.  (Two-hit scores are not chi^2 sums and can be < 0.)
+/// Best and second scores, and the best ordering, are therefore the
+/// ones the exhaustive enumeration finds.
+class OrderingSearch {
+ public:
+  OrderingSearch(const detector::Material& material, SearchScratch& scratch,
+                 std::size_t n, double e_total, double slack)
+      : material_(material), s_(scratch), n_(n), e_total_(e_total),
+        slack_(slack) {
+    s_.order.resize(n);
+    s_.used.assign(n, 0);
+    s_.e_in.resize(n);
+    s_.cos_kin.resize(n);
+    if (n < 3) return;  // No interior vertex: the caches go unused.
+    s_.sigma_e.resize(n);
+    s_.unit.resize(n * n);
+    s_.length.resize(n * n);
+    s_.transverse.resize(n * n);
+    for (std::size_t a = 0; a < n; ++a) {
+      const MeasuredHit& ha = *s_.candidates[a];
+      s_.sigma_e[a] = std::max(ha.sigma_energy, 1e-4);
+      for (std::size_t b = 0; b < n; ++b) {
+        if (a == b) continue;
+        const MeasuredHit& hb = *s_.candidates[b];
+        const Vec3 seg = hb.position - ha.position;
+        const double l = seg.norm();
+        s_.unit[a * n + b] = seg.normalized();
+        s_.length[a * n + b] = l;
+        s_.transverse[a * n + b] =
+            std::sqrt(mean_sigma(ha) * mean_sigma(ha) +
+                      mean_sigma(hb) * mean_sigma(hb)) / l;
+      }
+    }
+  }
+
+  void run() { extend(0, e_total_, 0.0); }
+
+  std::optional<double> best;
+  std::optional<double> second;
+  std::size_t best_first = 0;   ///< Candidate index of the first hit.
+  std::size_t best_second = 0;  ///< ... and of the second.
+  std::uint64_t orderings_scored = 0;
+  std::uint64_t prefixes_pruned = 0;
+
+ private:
+  /// Positions 0..j-1 are placed; `e_in` enters position j and `chi2`
+  /// sums the vertices 1..j-2.
+  void extend(std::size_t j, double e_in, double chi2) {
+    for (std::size_t c = 0; c < n_; ++c) {
+      if (s_.used[c]) continue;
+      s_.order[j] = c;
+      double sum = chi2;
+      if (j >= 2) sum += vertex_term(j - 1, e_in);
+      if (j + 1 == n_) {
+        score(sum);
+        continue;
+      }
+      if (n_ >= 3 && second && sum >= *second) {
+        ++prefixes_pruned;
+        continue;
+      }
+      const double e_out = e_in - s_.candidates[c]->energy;
+      if (e_out <= 0.0) {
+        ++prefixes_pruned;
+        continue;
+      }
+      const double cos_kin = physics::compton_cos_theta(e_in, e_out);
+      if (cos_kin < -1.0 - slack_ || cos_kin > 1.0 + slack_) {
+        ++prefixes_pruned;
+        continue;
+      }
+      s_.e_in[j] = e_in;
+      s_.cos_kin[j] = cos_kin;
+      s_.used[c] = 1;
+      extend(j + 1, e_out, sum);
+      s_.used[c] = 0;
+    }
+  }
+
+  /// Interior vertex j: the geometric bend between segments
+  /// (j-1 -> j) and (j -> j+1) against the kinematic angle of step j,
+  /// whose outgoing energy is `e_out`.
+  double vertex_term(std::size_t j, double e_out) const {
+    const std::size_t a = s_.order[j - 1];
+    const std::size_t b = s_.order[j];
+    const std::size_t c = s_.order[j + 1];
+    const std::size_t ab = a * n_ + b;
+    const std::size_t bc = b * n_ + c;
+    const double e_in = s_.e_in[j];
+    const double cos_geo = s_.unit[ab].dot(s_.unit[bc]);
+
+    const double s_energy_in =
+        kElectronMassMeV / (e_in * e_in) * s_.sigma_e[a];
+    const double s_energy_out =
+        kElectronMassMeV / (e_out * e_out) * s_.sigma_e[b];
+    // Uncertainty of the geometric cosine from the endpoint position
+    // uncertainties; a zero-length segment leaves the bend undefined.
+    double s_geo = 1.0;
+    if (!(s_.length[ab] <= 0.0 || s_.length[bc] <= 0.0)) {
+      const double t1 = s_.transverse[ab];
+      const double t2 = s_.transverse[bc];
+      s_geo = std::sqrt(t1 * t1 + t2 * t2);
+    }
+    const double sigma2 = s_energy_in * s_energy_in +
+                          s_energy_out * s_energy_out + s_geo * s_geo;
+    const double d = cos_geo - std::clamp(s_.cos_kin[j], -1.0, 1.0);
+    return d * d / std::max(sigma2, 1e-6);
+  }
+
+  /// A complete ordering: >= 3 hits score their chi^2; two hits score
+  /// their plausibility.
+  void score(double chi2) {
+    ++orderings_scored;
+    const std::size_t first = s_.order[0];
+    const std::size_t second_hit = s_.order[1];
+    const double value =
+        n_ >= 3 ? chi2
+                : two_hit_score(material_, *s_.candidates[first],
+                                *s_.candidates[second_hit], e_total_);
+    if (!best || value < *best) {
+      second = best;
+      best = value;
+      best_first = first;
+      best_second = second_hit;
+    } else if (!second || value < *second) {
+      second = value;
+    }
+  }
+
+  const detector::Material& material_;
+  SearchScratch& s_;
+  std::size_t n_;
+  double e_total_;
+  double slack_;
+};
+
+}  // namespace
 
 std::optional<ComptonRing> EventReconstructor::reconstruct(
     const detector::MeasuredEvent& event, ReconstructionStats* stats) const {
@@ -147,8 +249,9 @@ std::optional<ComptonRing> EventReconstructor::reconstruct(
 
   // Candidate hits for ordering: all of them, or the most energetic
   // max_hits_for_ordering when the event is larger.
-  std::vector<const MeasuredHit*> candidates;
-  candidates.reserve(event.hits.size());
+  thread_local SearchScratch scratch;
+  std::vector<const MeasuredHit*>& candidates = scratch.candidates;
+  candidates.clear();
   for (const MeasuredHit& h : event.hits) candidates.push_back(&h);
   if (static_cast<int>(candidates.size()) > config_.max_hits_for_ordering) {
     std::sort(candidates.begin(), candidates.end(),
@@ -157,45 +260,36 @@ std::optional<ComptonRing> EventReconstructor::reconstruct(
               });
     candidates.resize(static_cast<std::size_t>(config_.max_hits_for_ordering));
   }
+  const std::size_t n = candidates.size();
 
-  // Enumerate permutations; keep the best-scoring valid ordering.
-  std::vector<std::size_t> index(candidates.size());
-  std::iota(index.begin(), index.end(), 0u);
-  std::sort(index.begin(), index.end());
+  // Validity of a step: energy must remain positive, and each non-final
+  // hit must be a kinematically possible Compton scatter, within a
+  // slack looser than the final eta cut (noise on the interior
+  // energies is larger).
+  OrderingSearch search(material_, scratch, n, e_total,
+                        config_.eta_slack + 0.25);
+  search.run();
+  if (stats) {
+    stats->orderings_scored += search.orderings_scored;
+    stats->prefixes_pruned += search.prefixes_pruned;
+  }
 
-  std::optional<double> best_score;
-  std::optional<double> second_score;
-  std::vector<const MeasuredHit*> best_order;
-  std::vector<const MeasuredHit*> order(candidates.size());
-  do {
-    for (std::size_t i = 0; i < index.size(); ++i)
-      order[i] = candidates[index[i]];
-    const auto score = ordering_score(order, e_total);
-    if (!score) continue;
-    if (!best_score || *score < *best_score) {
-      second_score = best_score;
-      best_score = score;
-      best_order = order;
-    } else if (!second_score || *score < *second_score) {
-      second_score = score;
-    }
-  } while (std::next_permutation(index.begin(), index.end()));
-
-  if (!best_score) {
+  if (!search.best) {
     count(&ReconstructionStats::eta_invalid);
     return std::nullopt;
   }
+  const double best_score = *search.best;
 
   // Two-hit events carry no interior-vertex cross-check, so demand the
   // chosen ordering be decisively more likely than its reverse.
-  if (best_order.size() == 2 && second_score &&
-      *second_score - *best_score < config_.two_hit_margin) {
+  if (n == 2 && search.second &&
+      *search.second - best_score < config_.two_hit_margin) {
     count(&ReconstructionStats::ambiguous_order);
     return std::nullopt;
   }
 
-  const MeasuredHit& first = *best_order[0];
-  const MeasuredHit& second = *best_order[1];
+  const MeasuredHit& first = *candidates[search.best_first];
+  const MeasuredHit& second = *candidates[search.best_second];
 
   const double lever = (first.position - second.position).norm();
   if (lever < config_.min_lever_arm) {
@@ -215,8 +309,8 @@ std::optional<ComptonRing> EventReconstructor::reconstruct(
   }
   eta = std::clamp(eta, -1.0, 1.0);
 
-  const bool multi_hit = best_order.size() >= 3;
-  if (multi_hit && *best_score > config_.max_order_chi2) {
+  const bool multi_hit = n >= 3;
+  if (multi_hit && best_score > config_.max_order_chi2) {
     count(&ReconstructionStats::chi2_cut);
     return std::nullopt;
   }
@@ -231,7 +325,7 @@ std::optional<ComptonRing> EventReconstructor::reconstruct(
   ring.hit2 = RingHit{second.position, second.energy, second.sigma_position,
                       second.sigma_energy};
   ring.n_hits = static_cast<int>(event.hits.size());
-  ring.order_chi2 = multi_hit ? *best_score : 0.0;
+  ring.order_chi2 = multi_hit ? best_score : 0.0;
   ring.origin = event.origin;
   ring.true_direction = event.true_direction;
   ring.d_eta = propagate_d_eta(ring.hit1, ring.hit2, e_total,
@@ -252,48 +346,33 @@ std::optional<ComptonRing> EventReconstructor::reconstruct(
 std::vector<ComptonRing> EventReconstructor::reconstruct_all(
     const std::vector<detector::MeasuredEvent>& events,
     ReconstructionStats* stats) const {
-  // Chunked through core::parallel_for: each chunk owns results[i] for
-  // its indices plus its own stats slot, so iterations share nothing
-  // and the totals are bit-identical for any thread count (stats merge
-  // in chunk-index order, not thread order).
+  // Chunked through core::parallel_for: each chunk fills its own ring
+  // vector and stats slot, so iterations share nothing.  Rings are
+  // concatenated and stats merged in chunk-index order, not thread
+  // order, so the output is bit-identical for any thread count.  Most
+  // events yield no ring, so this keeps ~1 in 20 events' worth of
+  // rings instead of an optional slot per event.
   constexpr std::size_t kChunk = 16;
   const std::size_t n = events.size();
   const std::size_t n_chunks = (n + kChunk - 1) / kChunk;
-  std::vector<std::optional<ComptonRing>> results(n);
+  std::vector<std::vector<ComptonRing>> chunk_rings(n_chunks);
   std::vector<ReconstructionStats> local_stats(n_chunks);
 
   core::parallel_for(n_chunks, [&](std::size_t chunk) {
     const std::size_t begin = chunk * kChunk;
     const std::size_t end = std::min(begin + kChunk, n);
-    for (std::size_t i = begin; i < end; ++i)
-      results[i] = reconstruct(events[i], &local_stats[chunk]);
+    for (std::size_t i = begin; i < end; ++i) {
+      if (auto ring = reconstruct(events[i], &local_stats[chunk]))
+        chunk_rings[chunk].push_back(std::move(*ring));
+    }
   });
 
-  std::vector<ComptonRing> rings;
-  rings.reserve(events.size());
-  for (auto& r : results) {
-    if (r) rings.push_back(std::move(*r));
-  }
-
   ReconstructionStats merged;
-  for (const auto& s : local_stats) {
-    merged.accepted += s.accepted;
-    merged.too_few_hits += s.too_few_hits;
-    merged.energy_cut += s.energy_cut;
-    merged.lever_arm_cut += s.lever_arm_cut;
-    merged.eta_invalid += s.eta_invalid;
-    merged.chi2_cut += s.chi2_cut;
-    merged.ambiguous_order += s.ambiguous_order;
-  }
-  if (stats) {
-    stats->accepted += merged.accepted;
-    stats->too_few_hits += merged.too_few_hits;
-    stats->energy_cut += merged.energy_cut;
-    stats->lever_arm_cut += merged.lever_arm_cut;
-    stats->eta_invalid += merged.eta_invalid;
-    stats->chi2_cut += merged.chi2_cut;
-    stats->ambiguous_order += merged.ambiguous_order;
-  }
+  for (const auto& s : local_stats) merged += s;
+  std::vector<ComptonRing> rings;
+  rings.reserve(merged.accepted);
+  for (const auto& c : chunk_rings) rings.insert(rings.end(), c.begin(), c.end());
+  if (stats) *stats += merged;
 
   // One add per field per window keeps the telemetry cost off the
   // per-event path; the counters mirror ReconstructionStats exactly.
@@ -308,6 +387,8 @@ std::vector<ComptonRing> EventReconstructor::reconstruct_all(
     static tm::Counter& chi2 = tm::counter("recon.rejected.chi2_cut");
     static tm::Counter& ambiguous =
         tm::counter("recon.rejected.ambiguous_order");
+    static tm::Counter& scored = tm::counter("recon.orderings_scored");
+    static tm::Counter& pruned = tm::counter("recon.prefixes_pruned");
     events_in.add(events.size());
     rings_built.add(merged.accepted);
     too_few.add(merged.too_few_hits);
@@ -316,6 +397,8 @@ std::vector<ComptonRing> EventReconstructor::reconstruct_all(
     eta.add(merged.eta_invalid);
     chi2.add(merged.chi2_cut);
     ambiguous.add(merged.ambiguous_order);
+    scored.add(merged.orderings_scored);
+    pruned.add(merged.prefixes_pruned);
   }
   return rings;
 }

@@ -47,7 +47,8 @@ struct ReconstructionConfig {
   double min_d_eta = 1e-3;           ///< Floor for propagated d_eta.
 };
 
-/// Outcome counters, useful for acceptance studies and tests.
+/// Outcome counters, useful for acceptance studies and tests, plus the
+/// ordering search's work counters.
 struct ReconstructionStats {
   std::uint64_t accepted = 0;
   std::uint64_t too_few_hits = 0;
@@ -57,9 +58,29 @@ struct ReconstructionStats {
   std::uint64_t chi2_cut = 0;
   std::uint64_t ambiguous_order = 0;
 
+  /// Complete hit orderings the search scored, and partial orderings
+  /// it dropped (kinematically impossible, or already no better than
+  /// the second-best score).  Work, not outcomes: not in total().
+  std::uint64_t orderings_scored = 0;
+  std::uint64_t prefixes_pruned = 0;
+
+  /// Events counted in the outcome buckets.
   std::uint64_t total() const {
     return accepted + too_few_hits + energy_cut + lever_arm_cut +
            eta_invalid + chi2_cut + ambiguous_order;
+  }
+
+  ReconstructionStats& operator+=(const ReconstructionStats& o) {
+    accepted += o.accepted;
+    too_few_hits += o.too_few_hits;
+    energy_cut += o.energy_cut;
+    lever_arm_cut += o.lever_arm_cut;
+    eta_invalid += o.eta_invalid;
+    chi2_cut += o.chi2_cut;
+    ambiguous_order += o.ambiguous_order;
+    orderings_scored += o.orderings_scored;
+    prefixes_pruned += o.prefixes_pruned;
+    return *this;
   }
 };
 
@@ -83,14 +104,6 @@ class EventReconstructor {
   const ReconstructionConfig& config() const { return config_; }
 
  private:
-  /// Score a candidate hit ordering.  Returns the Compton-consistency
-  /// chi^2 for >= 3 hits, or a negative-log-likelihood-style score for
-  /// 2-hit events; lower is better.  Returns nullopt for kinematically
-  /// impossible orderings.
-  std::optional<double> ordering_score(
-      const std::vector<const detector::MeasuredHit*>& order,
-      double e_total) const;
-
   detector::Material material_;
   ReconstructionConfig config_;
 };
