@@ -107,6 +107,24 @@ BinRanges band_bin_ranges(int bins, double m, double s, double phi0,
 
 }  // namespace
 
+/// Folds one ring into `n` consecutive pixels.  Same contribution rule
+/// as the batch likelihood: only residuals strictly inside the cap add
+/// excess.  max(0, 0.5 * (cap^2 - r^2)) is that rule without a branch:
+/// outside the cap it adds +0.0, which leaves the sum's bits alone
+/// (sums start at +0.0 and only grow), so the loop vectorizes and the
+/// sums stay those of `if (r^2 < cap^2) excess += ...`.
+void IncrementalLocalizer::fold_run(const RingBand& ring, double cap2,
+                                    const Vec3* centres, double* excess,
+                                    long n) {
+  const Vec3 axis = ring.axis;
+  const double eta = ring.eta;
+  const double d_eta = ring.d_eta;
+  for (long j = 0; j < n; ++j) {
+    const double r = (axis.dot(centres[j]) - eta) / d_eta;
+    excess[j] += std::max(0.0, 0.5 * (cap2 - r * r));
+  }
+}
+
 IncrementalLocalizer::IncrementalLocalizer(const IncrementalConfig& config)
     : config_(config) {
   ADAPT_REQUIRE(config.resolution_deg > 0.0, "resolution must be positive");
@@ -133,33 +151,25 @@ void IncrementalLocalizer::accumulate_band(
     std::size_t& touched) {
   const double w = config_.truncation_sigma * ring.d_eta;
   const int bins = grid.az_bins(row);
-  // On this row the ring dot product is m + s * cos(phi - phi0); the
-  // closed form lets each candidate pixel pay one cos() instead of a
-  // full spherical-to-Cartesian conversion plus dot product.  It agrees
-  // with the batch path's ring_residual to ~1 ulp, within the
-  // documented equivalence tolerance (see incremental.hpp).
-  const double m = ring.axis.z * grid.row_cos(row);
-  const double s = ring.axis_xy * grid.row_sin(row);
-  const double phi0 = ring.phi0;
-  const BinRanges ranges = band_bin_ranges(bins, m, s, phi0, ring.eta, w);
-  const double bin_w = core::kTwoPi / static_cast<double>(bins);
+  // The row's closed form m + s * cos(phi - phi0) only places the
+  // candidate arcs; each candidate's residual is ring_residual's
+  // (c.s - eta) / d_eta against the shared pixel-centre table, so it
+  // is bit-equal to the batch path's (see incremental.hpp).
+  const BinRanges ranges = band_bin_ranges(
+      bins, ring.axis.z * grid.row_cos(row), ring.axis_xy * grid.row_sin(row),
+      ring.phi0, ring.eta, w);
+  const Vec3* centres = grid.row_centers(row).data();
+  double* row_excess = excess.data() + base;
   const long lbins = bins;
-  const auto ubins = static_cast<std::size_t>(bins);
   for (int k = 0; k < ranges.n; ++k) {
     const auto [b0, b1] = ranges.r[static_cast<std::size_t>(k)];
-    auto az = static_cast<std::size_t>(((b0 % lbins) + lbins) % lbins);
-    const auto count = static_cast<std::size_t>(b1 - b0 + 1);
-    for (std::size_t j = 0; j < count; ++j) {
-      const double phi_c = (static_cast<double>(az) + 0.5) * bin_w;
-      // Same contribution rule as the batch likelihood: only residuals
-      // strictly inside the cap add excess.
-      const double r = (m + s * std::cos(phi_c - phi0) - ring.eta) /
-                       ring.d_eta;
-      const double r2 = r * r;
-      if (r2 < cap2) excess[base + az] += 0.5 * (cap2 - r2);
-      if (++az == ubins) az = 0;
-    }
-    touched += count;
+    const long first = ((b0 % lbins) + lbins) % lbins;
+    const long count = b1 - b0 + 1;
+    // An unwrapped range is at most two contiguous runs of the row.
+    const long head = std::min(count, lbins - first);
+    fold_run(ring, cap2, centres + first, row_excess + first, head);
+    fold_run(ring, cap2, centres, row_excess, count - head);
+    touched += static_cast<std::size_t>(count);
   }
 }
 

@@ -22,7 +22,10 @@
 /// pixel that passes the exact residual test is among them, so the
 /// sums equal a full-row scan's bit for bit.  A ring's azimuth-only
 /// invariants (hypot and atan2 of its axis) are computed once per ring,
-/// not once per row.
+/// not once per row; they place the arcs and nothing else.  Each
+/// tested pixel's residual is ring_residual's (c.s - eta) / d_eta
+/// against the grid's shared pixel-centre table (sky_grid.hpp), so no
+/// tested pixel calls into libm.
 ///
 /// Coarse-to-fine: a coarse grid (`coarse_factor` x the resolution) is
 /// always updated; full-resolution rows are materialized lazily — only
@@ -46,12 +49,12 @@
 ///     with SkyMap::compute on the same rings up to floating-point
 ///     noise only: per-pixel probabilities within 1e-9 relative,
 ///     identical peak pixel, credible areas within one pixel of
-///     greedy-cut tie-breaking.  Bit identity is NOT promised: the
+///     greedy-cut tie-breaking.  Each pixel's residual is bit-equal
+///     to the batch path's for the same ring and pixel (same
+///     expression, same pixel centre).  Bit identity of the sums is
+///     NOT promised, only because they associate differently: the
 ///     batch path sums 0.5*min(r^2,cap^2) per pixel across rings while
-///     the accumulator sums 0.5*(cap^2-r^2) per ring across pixels
-///     (different association order), and the accumulator evaluates
-///     the residual in the per-row closed form m + s*cos(phi - phi0),
-///     which agrees with the batch dot product to ~1 ulp.
+///     the accumulator sums 0.5*(cap^2-r^2) per ring across pixels.
 ///   - credible regions (here and in SkyMap) come from one greedy cut,
 ///     greedy_mass_cut(), taking entries by (value descending, index
 ///     ascending), so tied pixels are cut in a defined order.
@@ -159,10 +162,12 @@ class IncrementalLocalizer {
     core::Vec3 axis;
     double eta;
     double d_eta;
-    double axis_xy;  ///< hypot(axis.x, axis.y)
-    double phi0;     ///< atan2(axis.y, axis.x)
+    double axis_xy;  ///< hypot(axis.x, axis.y); places the arcs only
+    double phi0;     ///< atan2(axis.y, axis.x); places the arcs only
   };
 
+  static void fold_run(const RingBand& ring, double cap2,
+                       const core::Vec3* centres, double* excess, long n);
   void accumulate_band(const SkyGrid& grid, std::size_t row,
                        const RingBand& ring, double cap2,
                        std::vector<double>& excess, std::size_t base,

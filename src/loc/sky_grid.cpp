@@ -1,16 +1,57 @@
 #include "loc/sky_grid.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <map>
+#include <utility>
 
 #include "core/contract.hpp"
+#include "core/sync.hpp"
 #include "core/telemetry.hpp"
 #include "core/units.hpp"
 
 namespace adapt::loc {
 
 using core::Vec3;
+
+namespace {
+
+using CenterTable = std::shared_ptr<const std::vector<Vec3>>;
+
+/// Process-lifetime registry of pixel-centre tables, one per grid
+/// geometry.  Keys are the bit patterns of (resolution_deg,
+/// max_polar_deg): the geometry is a pure function of those two
+/// doubles, so equal bits mean equal tables.
+class CenterRegistry {
+ public:
+  template <typename Build>
+  CenterTable intern(double resolution_deg, double max_polar_deg,
+                     Build&& build) ADAPT_EXCLUDES(mutex_) {
+    const Key key{std::bit_cast<std::uint64_t>(resolution_deg),
+                  std::bit_cast<std::uint64_t>(max_polar_deg)};
+    core::LockGuard lock(mutex_);
+    CenterTable& table = tables_[key];
+    if (!table) table = build();
+    return table;
+  }
+
+ private:
+  using Key = std::pair<std::uint64_t, std::uint64_t>;
+  core::Mutex mutex_;
+  std::map<Key, CenterTable> tables_ ADAPT_GUARDED_BY(mutex_);
+};
+
+CenterRegistry& center_registry() {
+  // Never destroyed: grids held by other statics may outlive any
+  // destruction order this registry could be given.
+  static auto* registry = new CenterRegistry;
+  return *registry;
+}
+
+}  // namespace
 
 SkyGrid::SkyGrid(double resolution_deg, double max_polar_deg)
     : resolution_deg_(resolution_deg), max_polar_deg_(max_polar_deg) {
@@ -48,6 +89,23 @@ SkyGrid::SkyGrid(double resolution_deg, double max_polar_deg)
     row_cos_[r] = std::cos(polar_mid);
     row_sin_[r] = std::sin(polar_mid);
   }
+
+  centers_ = center_registry().intern(resolution_deg, max_polar_deg, [&] {
+    auto table = std::make_shared<std::vector<Vec3>>();
+    table->reserve(total_);
+    for (std::size_t row = 0; row < static_cast<std::size_t>(n_polar_);
+         ++row) {
+      const double polar = row_polar_rad(row);
+      const int bins = az_bins_[row];
+      for (int az = 0; az < bins; ++az) {
+        const double azimuth = core::kTwoPi *
+                               (static_cast<double>(az) + 0.5) /
+                               static_cast<double>(bins);
+        table->push_back(core::from_spherical(polar, azimuth));
+      }
+    }
+    return CenterTable(std::move(table));
+  });
 }
 
 std::size_t SkyGrid::row_of(std::size_t index) const {
@@ -59,18 +117,6 @@ std::size_t SkyGrid::row_of(std::size_t index) const {
 
 double SkyGrid::row_polar_rad(std::size_t row) const {
   return core::deg_to_rad((static_cast<double>(row) + 0.5) * resolution_deg_);
-}
-
-Vec3 SkyGrid::pixel_center(std::size_t index) const {
-  const std::size_t row = row_of(index);
-  return pixel_center(row, index - row_offset_[row]);
-}
-
-Vec3 SkyGrid::pixel_center(std::size_t row, std::size_t az) const {
-  const double polar = row_polar_rad(row);
-  const double azimuth = core::kTwoPi * (static_cast<double>(az) + 0.5) /
-                         static_cast<double>(az_bins_[row]);
-  return core::from_spherical(polar, azimuth);
 }
 
 std::optional<std::size_t> SkyGrid::pixel_of(const Vec3& direction) const {

@@ -11,6 +11,19 @@
 /// mapping live here so the two paths cannot disagree about which
 /// pixel a boundary direction belongs to.
 ///
+/// Pixel-centre table: every pixel centre is computed once, row-major,
+/// by from_spherical(row_polar_rad(row), 2*pi*(az + 0.5)/az_bins(row)),
+/// and every reader — pixel_center(), row_centers(), the batch map and
+/// the streaming band fold — reads those same bits.  The table is
+/// immutable and interned for the process lifetime in a registry keyed
+/// by (resolution_deg, max_polar_deg): every grid of one geometry,
+/// copies included, shares one table.  All per-stream localizers on
+/// one serve grid then hold one table between them (a 2 deg grid is
+/// 5,180 centres, 0.5 deg is 82,594), and a localizer built mid-run
+/// costs no trigonometry.  The registry is guarded by a
+/// core::Mutex taken only while a grid is constructed; reads of a
+/// built table take no lock.
+///
 /// Boundary contract of pixel_of():
 ///   - polar angle in [0, max_polar_deg] maps to a valid pixel; the
 ///     field-of-view edge itself (polar == max_polar_deg, e.g. a
@@ -30,6 +43,7 @@
 /// posterior instead of NaNs, and counts `loc.skymap.degenerate`.
 
 #include <cstddef>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -64,14 +78,24 @@ class SkyGrid {
   /// Polar angle [rad] of the row's pixel centers.
   double row_polar_rad(std::size_t row) const;
 
-  /// Cached cos/sin of the row's center polar angle (hot in the
-  /// incremental band updates, where every candidate pixel needs the
-  /// ring dot product).
+  /// Cached cos/sin of the row's center polar angle (the incremental
+  /// band fold derives each row's candidate azimuth arcs from them).
   double row_cos(std::size_t row) const { return row_cos_[row]; }
   double row_sin(std::size_t row) const { return row_sin_[row]; }
 
-  core::Vec3 pixel_center(std::size_t index) const;
-  core::Vec3 pixel_center(std::size_t row, std::size_t az) const;
+  /// Pixel centres, read from the shared table (see the file comment).
+  core::Vec3 pixel_center(std::size_t index) const {
+    return (*centers_)[index];
+  }
+  core::Vec3 pixel_center(std::size_t row, std::size_t az) const {
+    return (*centers_)[row_offset_[row] + az];
+  }
+  /// The row's pixel centres, azimuth bin 0 first.  Grids of one
+  /// geometry return views of the same table.
+  std::span<const core::Vec3> row_centers(std::size_t row) const {
+    return {centers_->data() + row_offset_[row],
+            static_cast<std::size_t>(az_bins_[row])};
+  }
 
   /// Solid angle [deg^2] of one pixel in `row` (all pixels of a row
   /// are congruent).
@@ -96,6 +120,7 @@ class SkyGrid {
   std::vector<double> row_sa_deg2_;
   std::vector<double> row_cos_;
   std::vector<double> row_sin_;
+  std::shared_ptr<const std::vector<core::Vec3>> centers_;
 };
 
 /// Normalize per-pixel log-posterior values into probability masses

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <thread>
 #include <vector>
 
 #include "core/units.hpp"
@@ -142,6 +147,96 @@ TEST(SkyGrid, InvalidConfigRejected) {
   EXPECT_THROW(SkyGrid(0.0, 90.0), std::invalid_argument);
   EXPECT_THROW(SkyGrid(1.0, 0.0), std::invalid_argument);
   EXPECT_THROW(SkyGrid(1.0, 200.0), std::invalid_argument);
+}
+
+TEST(SkyGrid, CachedCentersAreTheClosedFormBitForBit) {
+  for (const double res : {0.5, 1.0, 2.0, 8.0}) {
+    for (const double max_polar : {90.0, 100.0}) {
+      const SkyGrid grid(res, max_polar);
+      for (std::size_t row = 0;
+           row < static_cast<std::size_t>(grid.n_rows()); ++row) {
+        const auto bins = static_cast<std::size_t>(grid.az_bins(row));
+        ASSERT_EQ(grid.row_centers(row).size(), bins);
+        for (std::size_t az = 0; az < bins; ++az) {
+          const core::Vec3 want = core::from_spherical(
+              grid.row_polar_rad(row),
+              core::kTwoPi * (static_cast<double>(az) + 0.5) /
+                  static_cast<double>(bins));
+          const core::Vec3 got =
+              grid.pixel_center(grid.row_offset(row) + az);
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(got.x),
+                    std::bit_cast<std::uint64_t>(want.x));
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(got.y),
+                    std::bit_cast<std::uint64_t>(want.y));
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(got.z),
+                    std::bit_cast<std::uint64_t>(want.z));
+          const core::Vec3 by_row = grid.pixel_center(row, az);
+          const core::Vec3 in_span = grid.row_centers(row)[az];
+          ASSERT_TRUE(by_row.x == got.x && by_row.y == got.y &&
+                      by_row.z == got.z);
+          ASSERT_TRUE(in_span.x == got.x && in_span.y == got.y &&
+                      in_span.z == got.z);
+        }
+      }
+    }
+  }
+}
+
+/// Start of a grid's pixel-centre table (row 0 comes first).
+const core::Vec3* table_of(const SkyGrid& grid) {
+  return grid.row_centers(0).data();
+}
+
+TEST(SkyGrid, OneGeometrySharesOneCenterTable) {
+  const SkyGrid a(2.0, 90.0);
+  const SkyGrid b(2.0, 90.0);
+  const SkyGrid copy = a;
+  SkyGrid assigned;
+  assigned = b;
+  EXPECT_EQ(table_of(a), table_of(b));
+  EXPECT_EQ(table_of(a), table_of(copy));
+  EXPECT_EQ(table_of(a), table_of(assigned));
+  // Either parameter changes the geometry, and with it the table.
+  const SkyGrid finer(1.0, 90.0);
+  const SkyGrid wider(2.0, 100.0);
+  EXPECT_NE(table_of(a), table_of(finer));
+  EXPECT_NE(table_of(a), table_of(wider));
+  EXPECT_NE(table_of(finer), table_of(wider));
+}
+
+TEST(SkyGrid, ConcurrentConstructionSharesOneTable) {
+  // Four threads build grids of geometries no other test uses, so the
+  // first construction of each races the others through the registry.
+  // Run under TSan this is the table registry's data-race check.
+  constexpr int kThreads = 4;
+  constexpr std::array<double, 3> kRes = {1.7, 2.3, 3.1};
+  std::array<std::array<const core::Vec3*, kRes.size()>, kThreads> seen{};
+  std::array<double, kThreads> checksum{};
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }
+      for (std::size_t g = 0; g < kRes.size(); ++g) {
+        // Alternate the order so threads meet on different geometries.
+        const std::size_t k = (g + static_cast<std::size_t>(t)) % kRes.size();
+        const SkyGrid grid(kRes[k], 95.0);
+        seen[static_cast<std::size_t>(t)][k] = table_of(grid);
+        for (std::size_t i = 0; i < grid.n_pixels(); ++i)
+          checksum[static_cast<std::size_t>(t)] += grid.pixel_center(i).z;
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (std::size_t k = 0; k < kRes.size(); ++k) {
+    const SkyGrid grid(kRes[k], 95.0);
+    for (int t = 0; t < kThreads; ++t)
+      EXPECT_EQ(seen[static_cast<std::size_t>(t)][k], table_of(grid))
+          << "thread " << t << " res " << kRes[k];
+  }
+  for (const double sum : checksum) EXPECT_GT(sum, 0.0);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <limits>
 #include <numeric>
 
+#include "core/checksum.hpp"
 #include "core/rng.hpp"
 #include "core/units.hpp"
 
@@ -289,6 +290,36 @@ TEST(SkyMap, TiedAndUniformMapsCutLikeStableSort) {
                 stable_sort_cut_area(density, mass, area, content))
           << "content " << content;
   }
+}
+
+TEST(SkyMapDigest, SeededRingsAtOneAndTwoDegrees) {
+  // FNV-1a over every pixel probability, the peak and the 68%/90%
+  // credible radii of seeded batch maps.  Recorded before the pixel
+  // centres moved into a shared per-geometry table: the table must
+  // hand out the same centre bits the closed form did, so this value
+  // never moves with it.
+  core::Fnv1a64 digest;
+  const auto fold = [&digest](double v) { digest.update(&v, sizeof v); };
+  for (const std::uint64_t seed : {41u, 42u}) {
+    core::Rng rng(seed);
+    const core::Vec3 s = core::from_spherical(
+        core::deg_to_rad(seed == 41u ? 35.0 : 62.0), rng.uniform(-3.0, 3.0));
+    const auto rings = rings_for(s, 180, 0.05, rng, 60);
+    for (const double res : {1.0, 2.0}) {
+      SkyMapConfig config;
+      config.resolution_deg = res;
+      const SkyMap map = SkyMap::compute(rings, config);
+      for (std::size_t i = 0; i < map.n_pixels(); ++i)
+        fold(map.probability_at(map.grid().pixel_center(i)));
+      const core::Vec3 peak = map.peak();
+      fold(peak.x);
+      fold(peak.y);
+      fold(peak.z);
+      fold(map.credible_radius_deg(0.68));
+      fold(map.credible_radius_deg(0.9));
+    }
+  }
+  EXPECT_EQ(digest.digest(), 0x83750f1d93913909ull) << std::hex << digest.digest();
 }
 
 }  // namespace

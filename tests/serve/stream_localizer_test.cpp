@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <vector>
 
@@ -304,6 +305,110 @@ TEST(StreamLocalizer, AlertCallbackMayReenterQueryApi) {
     loc.observe(b.requests, b.results);
   }
   EXPECT_EQ(fired, 1);
+}
+
+/// One stream's alert outcome, as pinned by SeededAlertOutcomesArePinned.
+struct AlertPin {
+  bool fired;
+  std::uint64_t rings;  ///< Accepted rings at the crossing (0: none).
+  long alert_pixel;     ///< Fine pixel of the alert peak (-1: none).
+  long final_pixel;     ///< Fine pixel of the peak after the feed.
+  double radius_deg;    ///< Radius that crossed (0: none).
+};
+
+TEST(StreamLocalizer, SeededAlertOutcomesArePinned) {
+  // 32 seeded streams on the serve path's 2 deg grid, from sharp and
+  // clean to wide and background-heavy, so some alert early, some late
+  // and some never.  Recorded before the band fold switched to the
+  // table-driven residual: that change may move excess sums by ~1e-12
+  // but must not move any alert decision, alert ring count or peak
+  // pixel, nor an alert radius by more than 1e-9 deg.
+  constexpr int kStreams = 32;
+  constexpr int kBatches = 40;
+  constexpr std::size_t kBatchRings = 16;
+  const AlertPin want[kStreams] = {
+    {true, 64, 1456, 1456, 1.5941691282152688},
+    {true, 64, 226, 283, 2.51388303318747},
+    {true, 192, 373, 200, 2.7539583029318386},
+    {true, 448, 47, 45, 2.9703616018811716},
+    {true, 128, 945, 945, 2.7537495852247935},
+    {true, 192, 922, 726, 2.9731054997365383},
+    {true, 384, 1821, 1959, 2.982717328926062},
+    {false, 0, -1, 2466, 0},
+    {true, 64, 324, 325, 1.947202799518569},
+    {true, 64, 44, 44, 2.4995302815513396},
+    {true, 192, 403, 337, 2.5098217683627362},
+    {true, 384, 5168, 215, 2.256529187217339},
+    {true, 128, 91, 90, 2.9555537454341767},
+    {true, 192, 89, 88, 2.9555537454341767},
+    {true, 448, 2395, 2546, 2.9814397839053304},
+    {false, 0, -1, 291, 0},
+    {true, 64, 83, 53, 1.9326043590333852},
+    {true, 64, 1428, 1555, 2.5173064661568749},
+    {true, 192, 1623, 1371, 2.519718280468545},
+    {true, 320, 17, 6, 2.9466645165026004},
+    {true, 128, 2316, 2168, 2.760926709617022},
+    {true, 192, 1918, 2057, 2.9836097980459559},
+    {true, 320, 1359, 1486, 2.9779867370189006},
+    {false, 0, -1, 2028, 0},
+    {true, 64, 245, 302, 1.5901021335559413},
+    {true, 64, 1659, 1659, 2.519718280468545},
+    {true, 192, 32, 56, 2.9564856007232199},
+    {true, 192, 5148, 1000, 1.9542116005112671},
+    {true, 128, 153, 201, 2.7469060574247397},
+    {true, 192, 1151, 1039, 2.9753714697939726},
+    {true, 384, 1769, 1769, 2.981754323045029},
+    {false, 0, -1, 2029, 0},
+  };
+  std::vector<AlertPin> got_all;
+  bool all_match = true;
+  for (int k = 0; k < kStreams; ++k) {
+    core::Rng rng(5000 + static_cast<std::uint64_t>(k));
+    const core::Vec3 source = core::from_spherical(
+        core::deg_to_rad(rng.uniform(0.0, 60.0)), rng.uniform(-3.0, 3.0));
+    const double d_eta = 0.08 + 0.03 * static_cast<double>(k % 8);
+    const double background = 0.3 * static_cast<double>(k % 4);
+
+    StreamLocalizerConfig cfg = analytic_config();
+    cfg.localizer.resolution_deg = 2.0;
+    cfg.check_every = 64;
+    cfg.alert_radius_deg = 3.0;
+    AlertInfo seen;
+    StreamLocalizer loc(cfg, [&](const AlertInfo& info) { seen = info; });
+    std::uint64_t seq = 1;
+    for (int batch = 0; batch < kBatches; ++batch) {
+      Batch b = make_batch(rng, source, kBatchRings, d_eta, seq);
+      for (ServeRequest& q : b.requests)
+        if (rng.uniform() < background) q.ring.eta = rng.uniform(-1.0, 1.0);
+      loc.observe(b.requests, b.results);
+    }
+
+    const loc::SkyGrid grid(cfg.localizer.resolution_deg,
+                            cfg.localizer.max_polar_deg);
+    const auto pixel = [&grid](const core::Vec3& dir) {
+      const auto p = grid.pixel_of(dir);
+      return p ? static_cast<long>(*p) : -2L;  // -2: outside the grid
+    };
+    const StreamLocalizer::Status status = loc.status();
+    const AlertPin got{status.alert_fired, status.alert_rings,
+                       status.alert_fired ? pixel(seen.direction) : -1L,
+                       pixel(loc.peak()), status.alert_radius_deg};
+    const AlertPin& w = want[k];
+    const bool match = got.fired == w.fired && got.rings == w.rings &&
+                       got.alert_pixel == w.alert_pixel &&
+                       got.final_pixel == w.final_pixel &&
+                       std::abs(got.radius_deg - w.radius_deg) <= 1e-9;
+    EXPECT_TRUE(match) << "stream " << k;
+    all_match = all_match && match;
+    got_all.push_back(got);
+  }
+  if (all_match) return;
+  std::printf("Observed outcomes, one row per stream:\n");
+  for (const AlertPin& g : got_all)
+    std::printf("    {%s, %llu, %ld, %ld, %.17g},\n",
+                g.fired ? "true" : "false",
+                static_cast<unsigned long long>(g.rings), g.alert_pixel,
+                g.final_pixel, g.radius_deg);
 }
 
 }  // namespace

@@ -169,6 +169,11 @@ if want tsan-serve; then
   "${build_root}/tsan/tests/adapt_fault_tests" \
     --gtest_repeat=2 --gtest_brief=1 \
     || fail "fault-injection tests failed under TSan"
+  # Per-stream localizers are built on the router's workers, and every
+  # SkyGrid they build goes through the shared pixel-centre registry.
+  "${build_root}/tsan/tests/adapt_loc_tests" \
+    --gtest_filter='SkyGrid.*' --gtest_repeat=3 --gtest_brief=1 \
+    || fail "sky-grid table registry tests failed under TSan"
 fi
 
 # --- 7. Clang thread-safety analysis ----------------------------------
