@@ -6,13 +6,13 @@
 /// The flight environment exposes every byte of state to radiation
 /// single-event upsets: serialized model files can arrive garbled from
 /// the ground link, and weights resident in memory can flip bits while
-/// the detector runs.  The fault-tolerance layer (serve::Supervisor,
-/// src/fault) needs one cheap, deterministic fingerprint to answer
-/// "are these bytes still the bytes we loaded?" — FNV-1a 64 is that
-/// fingerprint.  It is not cryptographic (nothing here defends against
-/// an adversary, only against physics); any single flipped bit changes
-/// the digest, which is the property the checksum validation relies
-/// on.
+/// the detector runs.  The fault-tolerance layer (the checksum gating
+/// of serve::StreamRouter, src/fault) needs one cheap, deterministic
+/// fingerprint to answer "are these bytes still the bytes we loaded?"
+/// — FNV-1a 64 is that fingerprint.  It is not cryptographic (nothing
+/// here defends against an adversary, only against physics); any single
+/// flipped bit changes the digest, which is the property the checksum
+/// validation relies on.
 ///
 /// The streaming form lets callers fold multiple buffers (layer
 /// weights, biases, scales) into one digest without concatenating:

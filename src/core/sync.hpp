@@ -34,10 +34,9 @@
 ///   };
 ///
 /// Repo-wide lock-ordering rule (DESIGN.md "Lock ordering"): when two
-/// of these locks must nest, acquire them in pipeline order —
-/// queue -> batcher -> server -> supervisor — and NEVER invoke a
-/// user-supplied callback (sink, batch observer, alert callback,
-/// fault hook) while holding any of them.  The telemetry registry
+/// of these locks must nest, acquire them outermost first — router ->
+/// shard — and NEVER invoke a user-supplied callback (sink, batch
+/// observer, alert callback, fault hook) while holding any of them.  The telemetry registry
 /// mutex is a leaf: it guards only metric registration/snapshot and is
 /// likewise never held across a callback.
 ///

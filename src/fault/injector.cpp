@@ -119,7 +119,7 @@ bool Injector::maybe_corrupt_ring(recon::ComptonRing& ring, double rate) {
   if (rng_.uniform() >= rate) return false;
   constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  // Each kind violates Supervisor::ring_admissible by construction —
+  // Each kind violates serve::ring_admissible by construction —
   // an injected ring fault that ingress validation would *pass* is an
   // injector bug the ledger invariant exposes.
   switch (rng_.uniform_index(8)) {

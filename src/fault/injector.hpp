@@ -5,8 +5,8 @@
 ///
 /// Flight hardware fails in enumerable ways — radiation flips weight
 /// bits, uplinks truncate model files, a forward wedges, events vanish
-/// or duplicate in a queue handoff — and the recovery layer
-/// (serve::Supervisor) must be tested against *exactly* those faults,
+/// or duplicate in a queue handoff — and the recovery policies of
+/// serve::StreamRouter must be tested against *exactly* those faults,
 /// reproducibly.  The Injector turns a single seed into a
 /// deterministic fault stream across every class:
 ///
@@ -16,8 +16,8 @@
 ///   kQueueDuplicate    an event is enqueued twice
 ///   kForwardTransient  a forward attempt throws; retry succeeds
 ///   kForwardPersistent forward attempts throw until retries exhaust
-///   kForwardStall      a forward sleeps long enough to trip the
-///                      watchdog
+///   kForwardStall      a forward sleeps long enough for the router's
+///                      watchdog to count a stall
 ///   kWeightBit         an SEU bit flip in live weight memory
 ///   kModelBytes        serialized model bytes truncated or garbled
 ///
@@ -34,7 +34,7 @@
 ///
 /// Thread model: decision/corruption/arming methods run on the
 /// driver (producer) thread only.  `on_forward_attempt` is the one
-/// member invoked from the router worker thread (via the Supervisor's
+/// member invoked from the router worker thread (via the router's
 /// ForwardHook); it touches only the atomic armed counters.
 
 #include <array>
@@ -47,7 +47,7 @@
 #include "core/rng.hpp"
 #include "quant/quantized_mlp.hpp"
 #include "recon/ring.hpp"
-#include "serve/supervisor.hpp"
+#include "serve/stream_router.hpp"
 
 namespace adapt::fault {
 
@@ -66,7 +66,7 @@ inline constexpr std::size_t kFaultClassCount = 8;
 const char* to_string(FaultClass c);
 
 /// Thrown by an armed forward hook to simulate a failed inference
-/// attempt (the Supervisor's retry path catches it).
+/// attempt (the router's retry path catches it).
 class InjectedFault : public std::runtime_error {
  public:
   explicit InjectedFault(const std::string& what_arg)
@@ -107,7 +107,7 @@ class Injector {
   /// With probability `rate`, corrupt one field of `ring` (the kind is
   /// drawn uniformly from the ring-field corruption menu) and count
   /// one kRingField injection.  Returns true when corrupted.  Every
-  /// corruption kind violates Supervisor::ring_admissible, so ingress
+  /// corruption kind violates serve::ring_admissible, so ingress
   /// validation must reject the ring.
   bool maybe_corrupt_ring(recon::ComptonRing& ring, double rate);
 
@@ -128,17 +128,17 @@ class Injector {
   void arm_persistent(std::size_t attempts);
 
   /// Arm the next forward attempt to sleep for `duration` — long
-  /// enough, by the caller's choice, to trip the Supervisor watchdog.
+  /// enough, by the caller's choice, to trip the router's watchdog.
   /// Counted as one kForwardStall injection.
   void arm_stall(std::chrono::milliseconds duration);
 
-  /// The Supervisor ForwardHook body: called once per forward attempt
+  /// The router's ForwardHook body: called once per forward attempt
   /// on the *worker* thread.  Consumes an armed stall (sleeps), then
   /// an armed failure (throws InjectedFault).  Touches only atomics.
   void on_forward_attempt(std::size_t batch_size);
 
   // --- state corruption (driver thread, under
-  //     Supervisor::with_models_quiesced) ---
+  //     StreamRouter::with_models_quiesced) ---
 
   /// Coordinates of one SEU so the driver can flip the same bit
   /// back to restore the pristine weights.

@@ -18,7 +18,6 @@
 #include "loc/incremental.hpp"
 #include "nn/serialize.hpp"
 #include "serve/stream_router.hpp"
-#include "serve/supervisor.hpp"
 #include "serve/synthetic_models.hpp"
 
 namespace adapt::fault {
@@ -232,21 +231,21 @@ std::string run_clean_row(const scenario::ScenarioData& data,
 }
 
 // ---------------------------------------------------------------------------
-// Fault rows: the scenario ring stream through a Supervisor with the
+// Fault rows: the scenario ring stream through a StreamRouter with the
 // row's fault class injected.  One CellRun per cell owns the cell's
 // Injector and the count of admitted rings the drains wait for.
 // ---------------------------------------------------------------------------
 
 struct CellRun {
   Injector injector;
-  serve::Supervisor& sup;
+  serve::StreamRouter& router;
   core::Rng probe_rng;
   std::atomic<bool> queue_faults_active{false};
   std::uint64_t admitted = 0;
   std::string errors;
 
-  CellRun(std::uint64_t seed, serve::Supervisor& supervisor)
-      : injector(seed), sup(supervisor), probe_rng(seed ^ 0x5eedBULL) {}
+  CellRun(std::uint64_t seed, serve::StreamRouter& served)
+      : injector(seed), router(served), probe_rng(seed ^ 0x5eedBULL) {}
 
   void note(const std::string& msg) {
     if (!errors.empty()) errors += "; ";
@@ -259,11 +258,11 @@ struct CellRun {
             .injected[static_cast<std::size_t>(FaultClass::kQueueDuplicate)];
     const auto deadline = Clock::now() + kDrainTimeout;
     for (;;) {
-      const auto s = sup.stats();
-      if (s.delivered >= admitted && s.duplicates_suppressed >= dups)
+      const auto s = router.stats();
+      if (s.processed >= admitted && s.duplicates_suppressed >= dups)
         return true;
       if (Clock::now() >= deadline) {
-        note("drain timed out (delivered " + std::to_string(s.delivered) +
+        note("drain timed out (delivered " + std::to_string(s.processed) +
              " of " + std::to_string(admitted) + ")");
         return false;
       }
@@ -273,7 +272,7 @@ struct CellRun {
 
   /// Submit one scenario ring (clean) and count the admission.
   void feed(const recon::ComptonRing& ring, double polar_guess) {
-    if (sup.submit(ring, polar_guess) == 0) {
+    if (router.submit(0, ring, polar_guess) == 0) {
       note("clean scenario ring rejected");
       return;
     }
@@ -284,7 +283,7 @@ struct CellRun {
   bool probe() {
     recon::ComptonRing ring = serve::synthetic_ring(probe_rng);
     const double polar = probe_rng.uniform(5.0, 85.0);
-    if (sup.submit(ring, polar) == 0) {
+    if (router.submit(0, ring, polar) == 0) {
       note("probe ring rejected");
       return false;
     }
@@ -315,7 +314,7 @@ void run_events_row(CellRun& run, const scenario::ScenarioData& data,
     recon::ComptonRing ring = data.rings[item.ring_index];
     const bool corrupted =
         run.injector.maybe_corrupt_ring(ring, kRingFaultRate);
-    const std::uint64_t seq = run.sup.submit(ring, item.polar_guess);
+    const std::uint64_t seq = run.router.submit(0, ring, item.polar_guess);
     if (corrupted) {
       if (seq == 0) {
         run.injector.count_detected(FaultClass::kRingField);
@@ -327,16 +326,16 @@ void run_events_row(CellRun& run, const scenario::ScenarioData& data,
       ++run.admitted;
     }
     // seq == 0 on a clean ring is an injected queue drop, credited
-    // from the supervisor counter after the drain.
+    // from the router counter after the drain.
   }
   run.drain();
   run.queue_faults_active.store(false, std::memory_order_release);
 
-  const auto stats = run.sup.stats();
+  const auto stats = run.router.stats();
   run.injector.count_detected(FaultClass::kQueueDrop, stats.queue_drops);
   run.injector.count_detected(FaultClass::kQueueDuplicate,
                               stats.duplicates_suppressed);
-  run.sup.health_tick();
+  run.router.health_tick();
 }
 
 void run_forward_row(CellRun& run, const scenario::ScenarioData& data,
@@ -358,21 +357,20 @@ void run_forward_row(CellRun& run, const scenario::ScenarioData& data,
   }
   run.drain();
   run.injector.count_tolerated(FaultClass::kForwardTransient,
-                               run.sup.stats().transient_recovered);
+                               run.router.stats().transient_recovered);
 
-  const std::size_t retry_budget = run.sup.config().max_retries;
   for (std::size_t r = 0; r < 2; ++r) {
-    run.injector.arm_persistent(retry_budget + 1);
+    run.injector.arm_persistent(serve::kMaxRetries + 1);
     run.probe();
   }
   run.injector.count_detected(FaultClass::kForwardPersistent,
-                              run.sup.stats().fallback_batches);
+                              run.router.stats().fallback_batches);
 
-  const std::uint64_t restarts_before = run.sup.stats().watchdog_restarts;
+  const std::uint64_t stalls_before = run.router.stats().watchdog_stalls;
   run.injector.arm_stall(std::chrono::milliseconds(450));
   run.probe();
   const auto deadline = Clock::now() + kDrainTimeout;
-  while (run.sup.stats().watchdog_restarts <= restarts_before) {
+  while (run.router.stats().watchdog_stalls <= stalls_before) {
     if (Clock::now() >= deadline) {
       run.note("watchdog missed an injected stall");
       break;
@@ -381,7 +379,7 @@ void run_forward_row(CellRun& run, const scenario::ScenarioData& data,
   }
   run.injector.count_detected(
       FaultClass::kForwardStall,
-      run.sup.stats().watchdog_restarts - restarts_before);
+      run.router.stats().watchdog_stalls - stalls_before);
 }
 
 void run_seu_row(CellRun& run, const scenario::ScenarioData& data,
@@ -394,11 +392,11 @@ void run_seu_row(CellRun& run, const scenario::ScenarioData& data,
   run.drain();
 
   Injector::BitFlip flip;
-  run.sup.with_models_quiesced([&](pipeline::Models& models) {
+  run.router.with_models_quiesced([&](pipeline::Models& models) {
     flip = run.injector.flip_int8_weight_bit(*models.background->int8_model());
   });
-  run.sup.health_tick();
-  if (run.sup.state() != serve::HealthState::kDegraded)
+  run.router.health_tick();
+  if (run.router.stats().state != serve::HealthState::kDegraded)
     run.note("SEU not detected by health tick");
 
   // Flagged-but-served window while quarantined.
@@ -408,20 +406,20 @@ void run_seu_row(CellRun& run, const scenario::ScenarioData& data,
     run.feed(data.rings[stream[i].ring_index], stream[i].polar_guess);
   run.drain();
 
-  run.sup.with_models_quiesced([&](pipeline::Models& models) {
+  run.router.with_models_quiesced([&](pipeline::Models& models) {
     Injector::flip_back(*models.background->int8_model(), flip);
   });
-  run.sup.restore_background(&background);
+  run.router.restore_background(&background);
 
   for (std::size_t i = window_end; i < stream.size(); ++i)
     run.feed(data.rings[stream[i].ring_index], stream[i].polar_guess);
   if (stream.empty() || window_end == stream.size()) run.probe();
   run.drain();
-  run.sup.health_tick();
-  if (run.sup.state() != serve::HealthState::kHealthy)
+  run.router.health_tick();
+  if (run.router.stats().state != serve::HealthState::kHealthy)
     run.note("pipeline did not return to healthy after restore");
   run.injector.count_detected(FaultClass::kWeightBit,
-                              run.sup.stats().checksum_failures);
+                              run.router.stats().checksum_failures);
 }
 
 std::string read_file(const fs::path& path) {
@@ -501,30 +499,32 @@ std::string run_fault_row(const scenario::ScenarioData& data,
 
   const std::vector<StreamItem> stream = flatten_stream(data, summary);
 
-  serve::SupervisorConfig cfg;
-  // One stream on one shard: both caps must hold the whole stream.
-  cfg.router.shard_capacity =
-      std::max<std::size_t>(cfg.router.shard_capacity, stream.size() + 256);
-  cfg.router.per_stream_cap = cfg.router.shard_capacity;
-  cfg.router.max_batch = 1;  // Every ring its own batch (see matrix.hpp).
-  cfg.router.degrade_when_saturated = false;
-  cfg.checksum_every_n_ticks = 0;  // The cell ticks manually.
+  serve::RouterConfig cfg;
+  // One stream on one shard and one worker: both caps must hold the
+  // whole stream.
+  cfg.num_shards = 1;
+  cfg.num_workers = 1;
+  cfg.shard_capacity =
+      std::max<std::size_t>(cfg.shard_capacity, stream.size() + 256);
+  cfg.per_stream_cap = cfg.shard_capacity;
+  cfg.max_batch = 1;  // Every ring its own batch (see matrix.hpp).
+  cfg.degrade_when_saturated = false;
 
-  serve::Supervisor sup(models, cfg,
-                        [](std::span<const serve::ServeResult>) {});
+  serve::StreamRouter router(models, cfg,
+                             [](std::span<const serve::ServeResult>) {});
   std::string out;
-  serve::SupervisorStats stats;
+  serve::StreamRouter::Stats stats;
   {
-    CellRun run(seed, sup);
-    sup.set_queue_fault_hook([&run] {
+    CellRun run(seed, router);
+    router.set_queue_fault_hook([&run] {
       if (!run.queue_faults_active.load(std::memory_order_acquire))
         return serve::QueueFault::kNone;
       return run.injector.next_queue_fault(kQueueDropRate,
                                            kQueueDuplicateRate);
     });
-    sup.set_forward_hook(
+    router.set_forward_hook(
         [&run](std::size_t n) { run.injector.on_forward_attempt(n); });
-    sup.start();
+    router.start();
 
     switch (row) {
       case MatrixRow::kEvents:
@@ -544,11 +544,11 @@ std::string run_fault_row(const scenario::ScenarioData& data,
     }
 
     run.drain();
-    sup.health_tick();
-    sup.stop();
+    router.health_tick();
+    router.stop();
 
     ledger = run.injector.ledger();
-    stats = sup.stats();
+    stats = router.stats();
     if (stats.state != serve::HealthState::kHealthy)
       run.note("cell ended in state " +
                std::string(serve::to_string(stats.state)));
@@ -565,10 +565,10 @@ std::string run_fault_row(const scenario::ScenarioData& data,
   append_counter(out, "fallback_batches", stats.fallback_batches);
   append_counter(out, "checksum_failures", stats.checksum_failures);
   append_counter(out, "restores", stats.restores);
-  append_counter(out, "watchdog_restarts", stats.watchdog_restarts);
-  append_counter(out, "delivered", stats.delivered);
-  append_counter(out, "delivered_fallback", stats.delivered_fallback);
-  append_counter(out, "delivered_degraded", stats.delivered_degraded);
+  append_counter(out, "watchdog_stalls", stats.watchdog_stalls);
+  append_counter(out, "delivered", stats.processed);
+  append_counter(out, "delivered_fallback", stats.fallback);
+  append_counter(out, "delivered_degraded", stats.degraded);
   out += std::string("final state: ") + serve::to_string(stats.state) + "\n";
   return out;
 }

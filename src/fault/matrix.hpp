@@ -12,12 +12,19 @@
 ///                burst, per-stream streaming localization and early
 ///                alerts — the golden-report row CI gates on
 ///   events       per-ring field corruption + queue drop/duplicate
-///                faults on the scenario's own rings (Supervisor)
+///                faults on the scenario's own rings
 ///   forward      armed transient faults spread through the stream,
 ///                plus persistent-failover and watchdog-stall probes
+///                (the watchdog counts the stall; nothing restarts)
 ///   seu          a weight-bit flip mid-stream: detect via checksum
 ///                health tick, serve flagged, restore, finish clean
 ///   model_bytes  garbled serialized-model loads after the stream
+///
+/// Every fault row serves through the same StreamRouter as the clean
+/// row — its checksum quarantine, retry, ingress hygiene, duplicate
+/// suppression and stall watchdog — at one stream, one shard and one
+/// worker, with the row's faults injected through the router's
+/// queue-fault and forward hooks.
 ///
 /// Determinism contract: every cell derives its seed from (matrix
 /// seed, scenario index, row index); serving uses max_batch = 1 so

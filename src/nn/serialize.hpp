@@ -58,8 +58,8 @@ std::optional<SavedModel> load_model_from_bytes(std::string_view bytes);
 
 /// Digest of every parameter byte of the stack (Linear weights/biases,
 /// BatchNorm affine parameters and running statistics), in layer
-/// order.  The supervisor records this at model-attach time and
-/// recomputes it on health ticks: any in-memory bit flip (radiation
+/// order.  serve::StreamRouter records this as its reference digest
+/// and recomputes it on health ticks: any in-memory bit flip (radiation
 /// SEU) changes the digest.  Deterministic for identical weights.
 std::uint64_t weight_checksum(Sequential& model);
 

@@ -97,8 +97,8 @@ class BackgroundNet {
   const nn::Standardizer& standardizer() const { return standardizer_; }
 
   /// Digest over every deployed weight byte (FP32 stack or INT8
-  /// engine) plus the standardizer — the reference the supervisor
-  /// records at attach and revalidates on health ticks (SEU
+  /// engine) plus the standardizer — the reference serve::StreamRouter
+  /// records and revalidates on health ticks (SEU
   /// detection).  Deterministic for identical weights.
   std::uint64_t weight_checksum();
 

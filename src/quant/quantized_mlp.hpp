@@ -54,8 +54,8 @@ class QuantizedMlp {
   const std::vector<QuantizedLayer>& layers() const { return layers_; }
 
   /// FNV-1a digest of every weight/bias/scale byte, in layer order.
-  /// Recorded at deploy time and recomputed on supervisor health
-  /// ticks: any in-memory bit flip changes the digest.
+  /// Recorded at deploy time and recomputed on the serve router's
+  /// health ticks: any in-memory bit flip changes the digest.
   std::uint64_t weight_checksum() const;
 
   /// SEU-emulation hook for fault injection (src/fault): flips one bit

@@ -42,10 +42,10 @@ struct ServeResult {
                                    ///< propagated value when degraded.
   bool degraded = false;           ///< True when overload policy skipped
                                    ///< the dEta network for this event.
-  bool fallback = false;           ///< True when the supervised recovery
+  bool fallback = false;           ///< True when the router's recovery
                                    ///< path produced this result (analytic
                                    ///< d_eta, no NN veto) because a model
-                                   ///< was corrupt or inference failed.
+                                   ///< was quarantined or inference failed.
                                    ///< Fallback results are ALWAYS flagged,
                                    ///< never silently substituted.
   double latency_ms = 0.0;         ///< Enqueue -> result, wall clock.
@@ -61,17 +61,16 @@ struct BatchOutputs {
   std::vector<std::uint8_t> is_background;  ///< One entry per ring.
   std::vector<double> d_eta;                ///< One entry per ring.
   bool degraded = false;  ///< Overload policy skipped the dEta net.
-  bool fallback = false;  ///< Supervised recovery path served this batch.
+  bool fallback = false;  ///< The recovery path served this batch.
 };
 
 /// Computes the model outputs for one batch on a worker thread.  When
 /// installed (StreamRouter::set_engine), it replaces the built-in
-/// direct Models calls — the supervisor's fault-tolerant engine
-/// (checksum gating, retry-with-backoff, analytic fallback) plugs in
-/// here.  `degrade_requested` is the router's own overload signal for
-/// this batch.  Must return one is_background and one d_eta per input
-/// ring; an engine that throws fails the batch over to the router's
-/// analytic emergency path (results flagged `fallback`).
+/// direct Models calls.  `degrade_requested` is the router's own
+/// overload signal for this batch.  Must return one is_background and
+/// one d_eta per input ring; an engine that throws is retried, and a
+/// batch that still fails is served by the router's analytic path
+/// (results flagged `fallback`).
 using InferenceEngine = std::function<BatchOutputs(
     std::span<const recon::ComptonRing>, std::span<const double>,
     bool degrade_requested)>;

@@ -56,7 +56,7 @@ void ShardQueue::shed_from_deepest_locked() {
   --size_;
 }
 
-bool ShardQueue::push(ServeRequest request) {
+bool ShardQueue::push(ServeRequest request, bool duplicate) {
   static tm::Counter& shed_metric = tm::counter("serve.stream.shed");
   {
     core::LockGuard lock(mutex_);
@@ -65,24 +65,26 @@ bool ShardQueue::push(ServeRequest request) {
       return false;
     }
     Stream& s = stream_locked(request.stream_id);
-    if (s.fifo.size() >= config_.per_stream_cap) {
-      // Per-stream admission: the stream at its cap sheds ITS OWN
-      // oldest request.  The flood pays for the flood.
-      s.fifo.pop_front();
-      ++s.shed;
-      ++shed_;
-      --size_;
-      shed_metric.add();
-    } else if (size_ >= config_.capacity) {
-      // Whole-shard overload: the deepest stream (the one most
-      // responsible for the backlog) sheds its oldest.
-      shed_from_deepest_locked();
-      shed_metric.add();
+    for (int copies = duplicate ? 2 : 1; copies > 0; --copies) {
+      if (s.fifo.size() >= config_.per_stream_cap) {
+        // Per-stream admission: the stream at its cap sheds ITS OWN
+        // oldest request.  The flood pays for the flood.
+        s.fifo.pop_front();
+        ++s.shed;
+        ++shed_;
+        --size_;
+        shed_metric.add();
+      } else if (size_ >= config_.capacity) {
+        // Whole-shard overload: the deepest stream (the one most
+        // responsible for the backlog) sheds its oldest.
+        shed_from_deepest_locked();
+        shed_metric.add();
+      }
+      s.fifo.push_back(copies > 1 ? request : std::move(request));
+      ++s.pushed;
+      ++pushed_;
+      ++size_;
     }
-    s.fifo.push_back(std::move(request));
-    ++s.pushed;
-    ++pushed_;
-    ++size_;
   }
   nonempty_.notify_one();
   return true;

@@ -69,8 +69,10 @@ class ShardQueue {
   /// Producer side; `request.stream_id` selects the sub-queue.
   /// Returns false iff the shard is closed (request dropped and
   /// counted as rejected).  Never blocks: overload sheds (see file
-  /// comment), it does not backpressure the readout.
-  bool push(ServeRequest request);
+  /// comment), it does not backpressure the readout.  `duplicate`
+  /// enqueues a copy right behind the request in the same critical
+  /// section (an injected queue fault; the router suppresses it).
+  bool push(ServeRequest request, bool duplicate = false);
 
   /// Consumer side: quantum round-robin batch fill.  Waits up to
   /// `max_wait` for the shard to become non-empty (zero = poll: flush

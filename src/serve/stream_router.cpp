@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "core/contract.hpp"
 #include "core/require.hpp"
 #include "core/telemetry.hpp"
 
@@ -11,9 +12,39 @@ namespace adapt::serve {
 
 namespace tm = core::telemetry;
 
+namespace {
+
+/// Bump a Stats mirror and its telemetry counter together.
+void bump(std::atomic<std::uint64_t>& mirror, tm::Counter& metric,
+          std::uint64_t n = 1) {
+  mirror.fetch_add(n, std::memory_order_relaxed);
+  metric.add(n);
+}
+
+}  // namespace
+
+const char* to_string(HealthState state) {
+  static constexpr const char* kNames[] = {"healthy", "degraded",
+                                           "recovering"};
+  return kNames[static_cast<std::size_t>(state)];
+}
+
+bool ring_admissible(const recon::ComptonRing& ring, double polar_deg_guess) {
+  const auto finite3 = [](const core::Vec3& v) {
+    return std::isfinite(v.x) && std::isfinite(v.y) && std::isfinite(v.z);
+  };
+  return finite3(ring.axis) && core::is_cosine(ring.eta) &&
+         std::isfinite(ring.d_eta) && ring.d_eta >= 0.0 &&
+         std::isfinite(ring.e_total) && ring.e_total >= 0.0 &&
+         std::isfinite(ring.hit1.energy) && ring.hit1.energy >= 0.0 &&
+         std::isfinite(ring.hit2.energy) && ring.hit2.energy >= 0.0 &&
+         finite3(ring.hit1.position) && finite3(ring.hit2.position) &&
+         std::isfinite(polar_deg_guess);
+}
+
 StreamRouter::StreamRouter(pipeline::Models models, RouterConfig config,
                            ResultSink sink)
-    : models_(models), config_(config), sink_(std::move(sink)) {
+    : config_(config), sink_(std::move(sink)), models_(models) {
   ADAPT_REQUIRE(static_cast<bool>(sink_), "stream router needs a sink");
   ADAPT_REQUIRE(config.num_shards >= 1, "router needs at least one shard");
   ADAPT_REQUIRE(config.num_workers >= 1, "router needs at least one worker");
@@ -37,6 +68,8 @@ StreamRouter::StreamRouter(pipeline::Models models, RouterConfig config,
   shards_.reserve(config.num_shards);
   for (std::size_t s = 0; s < config.num_shards; ++s)
     shards_.push_back(std::make_unique<ShardQueue>(shard_config));
+  heartbeats_ =
+      std::make_unique<std::atomic<std::uint64_t>[]>(config.num_workers);
 }
 
 StreamRouter::~StreamRouter() { stop(); }
@@ -46,6 +79,7 @@ void StreamRouter::start() {
   workers_.reserve(config_.num_workers);
   for (std::size_t w = 0; w < config_.num_workers; ++w)
     workers_.emplace_back([this, w] { worker_loop(w); });
+  watchdog_ = std::thread([this] { watchdog_loop(); });
 }
 
 void StreamRouter::set_engine(InferenceEngine engine) {
@@ -56,6 +90,16 @@ void StreamRouter::set_engine(InferenceEngine engine) {
 void StreamRouter::set_alert_callback(StreamAlertCallback on_alert) {
   ADAPT_REQUIRE(!started_.load(), "set_alert_callback must precede start()");
   on_alert_ = std::move(on_alert);
+}
+
+void StreamRouter::set_queue_fault_hook(QueueFaultHook hook) {
+  ADAPT_REQUIRE(!started_.load(), "install hooks before start()");
+  queue_fault_hook_ = std::move(hook);
+}
+
+void StreamRouter::set_forward_hook(ForwardHook hook) {
+  ADAPT_REQUIRE(!started_.load(), "install hooks before start()");
+  forward_hook_ = std::move(hook);
 }
 
 StreamRouter::PerStream& StreamRouter::stream_entry(std::uint32_t stream_id) {
@@ -90,12 +134,26 @@ StreamRouter::PerStream& StreamRouter::stream_entry(std::uint32_t stream_id) {
 std::uint64_t StreamRouter::submit(std::uint32_t stream_id,
                                    const recon::ComptonRing& ring,
                                    double polar_deg_guess) {
-  // Hot path: sequence assignment + one shard push, nothing else.  The
+  // Hot path: validation, sequence assignment, one shard push.  The
   // router's stream registry is populated worker-side (account_batch);
   // per-stream submission counts are the shard ledger's per-stream
   // `pushed`, maintained under the same shard lock the push already
   // takes.
   static tm::Counter& submitted_metric = tm::counter("serve.stream.submitted");
+  static tm::Counter& rejected_metric =
+      tm::counter("serve.supervisor.input_rejected");
+  static tm::Counter& drops_metric =
+      tm::counter("serve.supervisor.queue_drops");
+  if (!ring_admissible(ring, polar_deg_guess)) {
+    bump(input_rejected_, rejected_metric);
+    return 0;
+  }
+  const QueueFault fault =
+      queue_fault_hook_ ? queue_fault_hook_() : QueueFault::kNone;
+  if (fault == QueueFault::kDrop) {
+    bump(queue_drops_, drops_metric);
+    return 0;
+  }
   ServeRequest request;
   request.ring = ring;
   request.polar_deg_guess = polar_deg_guess;
@@ -103,7 +161,8 @@ std::uint64_t StreamRouter::submit(std::uint32_t stream_id,
   request.sequence = next_sequence_.fetch_add(1, std::memory_order_relaxed);
   request.enqueued_at = std::chrono::steady_clock::now();
   const std::uint64_t seq = request.sequence;
-  if (!shards_[shard_of(stream_id)]->push(std::move(request))) {
+  if (!shards_[shard_of(stream_id)]->push(std::move(request),
+                                          fault == QueueFault::kDuplicate)) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
     return 0;
   }
@@ -117,13 +176,21 @@ void StreamRouter::stop() {
   for (std::thread& worker : workers_) {
     if (worker.joinable()) worker.join();
   }
+  // The watchdog outlives the drain, so a forward that wedges it is
+  // still counted; the notify means stop() never waits out an interval.
+  {
+    core::LockGuard lock(watchdog_mutex_);
+    watchdog_stop_ = true;
+  }
+  watchdog_wake_.notify_all();
+  if (watchdog_.joinable()) watchdog_.join();
 }
 
 void StreamRouter::worker_loop(std::size_t worker_index) {
   static tm::Counter& events_metric = tm::counter("serve.stream.events");
   static tm::Counter& batches_metric = tm::counter("serve.stream.batches");
-  static tm::Counter& errors_metric =
-      tm::counter("serve.stream.batch_exceptions");
+  static tm::Counter& delivered_metric =
+      tm::counter("serve.supervisor.delivered");
   static tm::Histogram& depth_metric = tm::histogram("serve.stream.shard_depth");
 
   // The shards this worker owns, in index order.
@@ -131,6 +198,7 @@ void StreamRouter::worker_loop(std::size_t worker_index) {
   for (std::size_t s = worker_index; s < shards_.size();
        s += config_.num_workers)
     my_shards.push_back(s);
+  std::atomic<std::uint64_t>& heartbeat = heartbeats_[worker_index];
 
   // Degrade keys on the owning shard's post-pop depth: the backlog the
   // next flush already faces.
@@ -172,43 +240,61 @@ void StreamRouter::worker_loop(std::size_t worker_index) {
       if (all_drained) break;
       continue;
     }
-    in_flight_.fetch_add(1, std::memory_order_relaxed);
+    heartbeat.fetch_add(1, std::memory_order_relaxed);  // Now odd: busy.
 
     const std::size_t depth_after = shards_[shard]->depth();
     depth_metric.record(static_cast<double>(depth_after));
-    const bool degraded = config_.degrade_when_saturated &&
-                          depth_after >= std::max<std::size_t>(watermark, 1);
-    results.clear();
-    // A forward that throws (corrupt weights tripping a contract, an
-    // injected transient, an engine bug) must not take the worker down
-    // with it: the batch fails over to the analytic emergency path.
-    try {
-      process_batch(batch, degraded, results);
-    } catch (const std::exception&) {
-      batch_errors_.fetch_add(1, std::memory_order_relaxed);
-      errors_metric.add();
+    suppress_duplicates(batch);
+    if (!batch.empty()) {
+      const bool degraded =
+          config_.degrade_when_saturated &&
+          depth_after >= std::max<std::size_t>(watermark, 1);
       results.clear();
-      emergency_results(batch, results);
-    }
+      process_batch(batch, degraded, results);
 
-    processed_.fetch_add(n, std::memory_order_relaxed);
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    events_metric.add(n);
-    batches_metric.add();
-    // Per-stream accounting and the localizer feed precede the sink.
-    account_batch(batch, results);
-    sink_(results);
-    in_flight_.fetch_sub(1, std::memory_order_relaxed);
+      processed_.fetch_add(batch.size(), std::memory_order_relaxed);
+      batches_.fetch_add(1, std::memory_order_relaxed);
+      events_metric.add(batch.size());
+      batches_metric.add();
+      delivered_metric.add(batch.size());
+      // Per-stream accounting and the localizer feed precede the sink.
+      account_batch(batch, results);
+      sink_(results);
+    }
+    heartbeat.fetch_add(1, std::memory_order_relaxed);
   }
+}
+
+void StreamRouter::suppress_duplicates(std::vector<ServeRequest>& batch) {
+  static tm::Counter& suppressed_metric =
+      tm::counter("serve.supervisor.duplicates_suppressed");
+
+  // A copy sits right behind its original in the stream's FIFO, so it
+  // is the request after the last one this worker served on the stream
+  // — in this batch or a later one.  Streams arrive in contiguous runs.
+  std::size_t kept = 0;
+  PerStream* entry = nullptr;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (i == 0 || batch[i].stream_id != batch[i - 1].stream_id)
+      entry = &stream_entry(batch[i].stream_id);
+    if (batch[i].sequence == entry->last_sequence) continue;
+    entry->last_sequence = batch[i].sequence;
+    if (kept != i) batch[kept] = std::move(batch[i]);
+    ++kept;
+  }
+  if (kept < batch.size())
+    bump(duplicates_suppressed_, suppressed_metric, batch.size() - kept);
+  batch.resize(kept);
 }
 
 void StreamRouter::process_batch(std::span<const ServeRequest> batch,
                                  bool degraded,
                                  std::vector<ServeResult>& results) {
-  static tm::Histogram& infer_ms = tm::histogram("serve.stream.infer_ms");
   static tm::Histogram& latency_ms = tm::histogram("serve.stream.latency_ms");
   static tm::Counter& degraded_metric =
       tm::counter("serve.stream.degraded_events");
+  static tm::Counter& fallback_metric =
+      tm::counter("serve.stream.fallback_events");
 
   // Structure-of-arrays staging: the AoS request batch splits into a
   // contiguous ring array + per-ring polar guesses, and the fused
@@ -224,32 +310,9 @@ void StreamRouter::process_batch(std::span<const ServeRequest> batch,
     polar.push_back(r.polar_deg_guess);
   }
 
-  BatchOutputs out;
-  {
-    tm::ScopedTimer timer(infer_ms);
-    if (engine_) {
-      out = engine_(rings, polar, degraded);
-    } else {
-      // Degraded mode = the null-deta analytic passthrough, by
-      // construction the same clamp the Models fallback applies.
-      auto fused = models_.infer_batch(rings, polar, config_.d_eta_floor,
-                                       config_.d_eta_cap,
-                                       /*allow_deta=*/!degraded);
-      out.is_background = std::move(fused.is_background);
-      out.d_eta = std::move(fused.d_eta);
-      out.degraded = degraded && models_.deta != nullptr;
-    }
-  }
-  ADAPT_REQUIRE(out.is_background.size() == batch.size() &&
-                    out.d_eta.size() == batch.size(),
-                "inference engine output count mismatch");
-
-  if (out.degraded) {
-    degraded_.fetch_add(batch.size(), std::memory_order_relaxed);
-    degraded_metric.add(batch.size());
-  }
-  if (out.fallback)
-    fallback_.fetch_add(batch.size(), std::memory_order_relaxed);
+  const BatchOutputs out = forward(rings, polar, degraded);
+  if (out.degraded) bump(degraded_, degraded_metric, batch.size());
+  if (out.fallback) bump(fallback_, fallback_metric, batch.size());
 
   const auto now = std::chrono::steady_clock::now();
   results.reserve(batch.size());
@@ -270,29 +333,198 @@ void StreamRouter::process_batch(std::span<const ServeRequest> batch,
   }
 }
 
-void StreamRouter::emergency_results(std::span<const ServeRequest> batch,
-                                     std::vector<ServeResult>& results) {
+BatchOutputs StreamRouter::forward(std::span<const recon::ComptonRing> rings,
+                                   std::span<const double> polar,
+                                   bool degraded) {
+  static tm::Histogram& infer_ms = tm::histogram("serve.stream.infer_ms");
+  static tm::Counter& errors_metric =
+      tm::counter("serve.stream.batch_exceptions");
+  static tm::Counter& retries_metric = tm::counter("serve.supervisor.retries");
+  static tm::Counter& recovered_metric =
+      tm::counter("serve.supervisor.transient_recovered");
   static tm::Counter& fallback_metric =
-      tm::counter("serve.stream.fallback_events");
+      tm::counter("serve.supervisor.fallback_batches");
 
-  fallback_.fetch_add(batch.size(), std::memory_order_relaxed);
-  fallback_metric.add(batch.size());
-  const auto now = std::chrono::steady_clock::now();
-  results.reserve(batch.size());
-  for (const ServeRequest& r : batch) {
-    ServeResult res;
-    res.sequence = r.sequence;
-    res.stream_id = r.stream_id;
-    res.is_background = 0;  // No veto: background leaks are flagged, not
-                            // silently dropped science.
-    const double analytic =
-        std::isfinite(r.ring.d_eta) ? r.ring.d_eta : config_.d_eta_floor;
-    res.d_eta = std::clamp(analytic, config_.d_eta_floor, config_.d_eta_cap);
-    res.fallback = true;
-    res.latency_ms =
-        std::chrono::duration<double, std::milli>(now - r.enqueued_at).count();
-    results.push_back(res);
+  for (std::size_t attempt = 0;; ++attempt) {
+    // A forward that throws (corrupt weights tripping a contract, an
+    // injected transient, an engine bug) must not take the worker down
+    // with it.  The shared lock is per attempt, so a health tick or a
+    // restore may run during the backoff.
+    BatchOutputs out;
+    bool complete_recovery = false;
+    try {
+      core::ReaderLock lock(models_mutex_);
+      tm::ScopedTimer timer(infer_ms);
+      if (forward_hook_) forward_hook_(rings.size());
+      if (engine_) {
+        out = engine_(rings, polar, degraded);
+      } else {
+        // Quarantined models are nulled for this batch: the Models
+        // null semantics are exactly the fallback path, flagged.
+        // Degraded mode = the null-deta analytic passthrough, by
+        // construction the same clamp the Models fallback applies.
+        pipeline::Models effective = models_;
+        if (!background_ok_) effective.background = nullptr;
+        if (!deta_ok_) effective.deta = nullptr;
+        auto fused = effective.infer_batch(rings, polar, config_.d_eta_floor,
+                                           config_.d_eta_cap,
+                                           /*allow_deta=*/!degraded);
+        out.is_background = std::move(fused.is_background);
+        out.d_eta = std::move(fused.d_eta);
+        out.degraded = degraded && effective.deta != nullptr;
+        out.fallback = effective.background != models_.background ||
+                       effective.deta != models_.deta;
+      }
+      ADAPT_REQUIRE(out.is_background.size() == rings.size() &&
+                        out.d_eta.size() == rings.size(),
+                    "inference engine output count mismatch");
+      complete_recovery = !out.fallback && state_ == HealthState::kRecovering;
+    } catch (const std::exception&) {
+      if (attempt == kMaxRetries) break;
+      bump(retries_, retries_metric);
+      std::this_thread::sleep_for(kRetryBackoff * (1u << attempt));
+      continue;
+    }
+    if (attempt > 0) bump(transient_recovered_, recovered_metric);
+    if (out.fallback) bump(fallback_batches_, fallback_metric);
+    if (complete_recovery) {
+      // A clean batch after a restore completes the recovery: no
+      // fallback-flagged batch can follow it.
+      core::WriterLock lock(models_mutex_);
+      update_state_locked(/*allow_complete_recovery=*/true);
+    }
+    return out;
   }
+  // Retries exhausted: the analytic path.
+  bump(batch_errors_, errors_metric);
+  bump(fallback_batches_, fallback_metric);
+  BatchOutputs out;
+  out.fallback = true;
+  // No veto: background leaks are flagged, not silently dropped science.
+  out.is_background.assign(rings.size(), 0);
+  out.d_eta.resize(rings.size());
+  for (std::size_t i = 0; i < rings.size(); ++i) {
+    const double analytic =
+        std::isfinite(rings[i].d_eta) ? rings[i].d_eta : config_.d_eta_floor;
+    out.d_eta[i] = std::clamp(analytic, config_.d_eta_floor, config_.d_eta_cap);
+  }
+  return out;
+}
+
+void StreamRouter::watchdog_loop() {
+  static tm::Counter& stalls_metric =
+      tm::counter("serve.supervisor.watchdog_stalls");
+
+  // Per worker: the heartbeat last seen, when it last moved (or the
+  // worker was idle), and whether the batch it holds is already counted.
+  struct Sample {
+    std::uint64_t beats = 0;
+    std::chrono::steady_clock::time_point since;
+    bool counted = false;
+  };
+  std::vector<Sample> samples(config_.num_workers);
+  core::UniqueLock lock(watchdog_mutex_);
+  while (!watchdog_stop_) {
+    watchdog_wake_.wait_for(lock, kWatchdogInterval);
+    const auto now = std::chrono::steady_clock::now();
+    for (std::size_t w = 0; w < samples.size(); ++w) {
+      const std::uint64_t beats =
+          heartbeats_[w].load(std::memory_order_relaxed);
+      Sample& sample = samples[w];
+      if (beats % 2 == 0 || beats != sample.beats) {
+        sample = Sample{beats, now, false};
+      } else if (!sample.counted && now - sample.since > kStallTimeout) {
+        sample.counted = true;
+        bump(watchdog_stalls_, stalls_metric);
+      }
+    }
+  }
+}
+
+void StreamRouter::take_references_locked() {
+  if (references_taken_) return;
+  references_taken_ = true;
+  if (models_.background) background_ref_ = models_.background->weight_checksum();
+  if (models_.deta) deta_ref_ = models_.deta->weight_checksum();
+}
+
+void StreamRouter::update_state_locked(bool allow_complete_recovery) {
+  static tm::Counter& degraded_metric =
+      tm::counter("serve.supervisor.state_degraded");
+  static tm::Counter& recovering_metric =
+      tm::counter("serve.supervisor.state_recovering");
+  static tm::Counter& healthy_metric =
+      tm::counter("serve.supervisor.state_healthy");
+
+  if (!background_ok_ || !deta_ok_) {
+    if (state_ != HealthState::kDegraded) {
+      state_ = HealthState::kDegraded;
+      bump(degraded_entered_, degraded_metric);
+    }
+    return;
+  }
+  if (state_ == HealthState::kDegraded) {
+    state_ = HealthState::kRecovering;
+    bump(recovering_entered_, recovering_metric);
+  }
+  if (state_ == HealthState::kRecovering && allow_complete_recovery) {
+    state_ = HealthState::kHealthy;
+    bump(healthy_entered_, healthy_metric);
+  }
+}
+
+void StreamRouter::health_tick() {
+  static tm::Counter& checksum_metric =
+      tm::counter("serve.supervisor.checksum_failures");
+
+  // Only ok -> bad transitions count: a model already quarantined stays
+  // quarantined (and uncounted) until an explicit restore re-arms it.
+  const auto check = [&](auto* model, std::uint64_t reference, bool& ok) {
+    if (ok && model && model->weight_checksum() != reference) {
+      ok = false;
+      bump(checksum_failures_, checksum_metric);
+    }
+  };
+  core::WriterLock lock(models_mutex_);
+  take_references_locked();
+  check(models_.background, background_ref_, background_ok_);
+  check(models_.deta, deta_ref_, deta_ok_);
+  update_state_locked(/*allow_complete_recovery=*/true);
+}
+
+void StreamRouter::restore_background(pipeline::BackgroundNet* net) {
+  core::WriterLock lock(models_mutex_);
+  take_references_locked();
+  models_.background = net;
+  background_ref_ = net ? net->weight_checksum() : 0;
+  background_ok_ = true;
+  restored_locked();
+}
+
+void StreamRouter::restore_deta(pipeline::DEtaNet* net) {
+  core::WriterLock lock(models_mutex_);
+  take_references_locked();
+  models_.deta = net;
+  deta_ref_ = net ? net->weight_checksum() : 0;
+  deta_ok_ = true;
+  restored_locked();
+}
+
+void StreamRouter::restored_locked() {
+  static tm::Counter& restores_metric =
+      tm::counter("serve.supervisor.restores");
+  bump(restores_, restores_metric);
+  // Recovery completes on the first clean batch (or a tick), not here:
+  // kRecovering marks the drain window.
+  update_state_locked(/*allow_complete_recovery=*/false);
+}
+
+void StreamRouter::with_models_quiesced(
+    const std::function<void(pipeline::Models&)>& fn) {
+  ADAPT_REQUIRE(static_cast<bool>(fn), "null quiesce callback");
+  core::WriterLock lock(models_mutex_);
+  take_references_locked();  // The reference is the pre-mutation state.
+  fn(models_);
 }
 
 void StreamRouter::account_batch(std::span<const ServeRequest> batch,
@@ -352,6 +584,23 @@ StreamRouter::Stats StreamRouter::stats() const {
   s.background = background_.load(std::memory_order_relaxed);
   s.fallback = fallback_.load(std::memory_order_relaxed);
   s.batch_errors = batch_errors_.load(std::memory_order_relaxed);
+  s.input_rejected = input_rejected_.load(std::memory_order_relaxed);
+  s.queue_drops = queue_drops_.load(std::memory_order_relaxed);
+  s.duplicates_suppressed =
+      duplicates_suppressed_.load(std::memory_order_relaxed);
+  s.retries = retries_.load(std::memory_order_relaxed);
+  s.transient_recovered = transient_recovered_.load(std::memory_order_relaxed);
+  s.fallback_batches = fallback_batches_.load(std::memory_order_relaxed);
+  s.checksum_failures = checksum_failures_.load(std::memory_order_relaxed);
+  s.restores = restores_.load(std::memory_order_relaxed);
+  s.watchdog_stalls = watchdog_stalls_.load(std::memory_order_relaxed);
+  s.degraded_entered = degraded_entered_.load(std::memory_order_relaxed);
+  s.recovering_entered = recovering_entered_.load(std::memory_order_relaxed);
+  s.healthy_entered = healthy_entered_.load(std::memory_order_relaxed);
+  {
+    core::ReaderLock lock(models_mutex_);
+    s.state = state_;
+  }
   for (const auto& shard : shards_) {
     s.shed += shard->stats().shed;
     // Streams never span shards, so the shard counts sum exactly.

@@ -15,7 +15,7 @@
 #include "quant/fuse.hpp"
 #include "quant/qat_io.hpp"
 #include "quant/quantized_mlp.hpp"
-#include "serve/supervisor.hpp"
+#include "serve/stream_router.hpp"
 #include "serve/synthetic_models.hpp"
 
 namespace adapt::fault {
@@ -50,9 +50,9 @@ TEST(Injector, CorruptedRingIsNeverAdmissible) {
   core::Rng rng(11);
   for (int i = 0; i < 200; ++i) {
     recon::ComptonRing ring = make_ring(rng);
-    ASSERT_TRUE(serve::Supervisor::ring_admissible(ring, 30.0));
+    ASSERT_TRUE(serve::ring_admissible(ring, 30.0));
     ASSERT_TRUE(inj.maybe_corrupt_ring(ring, 1.0));
-    EXPECT_FALSE(serve::Supervisor::ring_admissible(ring, 30.0)) << "i=" << i;
+    EXPECT_FALSE(serve::ring_admissible(ring, 30.0)) << "i=" << i;
   }
   EXPECT_EQ(inj.ledger().injected[static_cast<std::size_t>(
                 FaultClass::kRingField)],

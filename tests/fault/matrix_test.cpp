@@ -95,6 +95,99 @@ TEST(FaultMatrix, TinyScenarioInjectsEveryFaultClassWithExactCounts) {
   EXPECT_EQ(injected(MatrixRow::kModelBytes, FaultClass::kModelBytes), 4u);
 }
 
+// The integer `serve counters:` block and `final state:` line of every
+// fault row for the tiny scenario, recorded before the recovery
+// policies moved into the router.  Integers only, so the pin holds on
+// any host; a mismatch prints the observed block, ready to paste.
+TEST(FaultMatrix, FaultRowServeCountersArePinned) {
+  MatrixSpec spec;
+  spec.seed = 2026;
+  spec.scenarios.push_back(tiny_scenario());
+
+  const MatrixResult result = run_matrix(spec);
+  ASSERT_EQ(result.cells.size(), kMatrixRowCount);
+  const auto serve_block = [&](MatrixRow row) {
+    const std::string& report =
+        result.cells[static_cast<std::size_t>(row)].report;
+    const std::size_t begin = report.find("serve counters:\n");
+    const std::size_t state = report.find("final state: ", begin);
+    if (begin == std::string::npos || state == std::string::npos)
+      return std::string("<missing>");
+    return report.substr(begin, report.find('\n', state) + 1 - begin);
+  };
+  const std::string expected[] = {
+      // events
+      "serve counters:\n"
+      "  submitted=691\n"
+      "  input_rejected=34\n"
+      "  queue_drops=22\n"
+      "  duplicates_suppressed=21\n"
+      "  retries=0\n"
+      "  transient_recovered=0\n"
+      "  fallback_batches=0\n"
+      "  checksum_failures=0\n"
+      "  restores=0\n"
+      "  watchdog_stalls=0\n"
+      "  delivered=691\n"
+      "  delivered_fallback=0\n"
+      "  delivered_degraded=0\n"
+      "final state: healthy\n",
+      // forward
+      "serve counters:\n"
+      "  submitted=750\n"
+      "  input_rejected=0\n"
+      "  queue_drops=0\n"
+      "  duplicates_suppressed=0\n"
+      "  retries=15\n"
+      "  transient_recovered=11\n"
+      "  fallback_batches=2\n"
+      "  checksum_failures=0\n"
+      "  restores=0\n"
+      "  watchdog_stalls=1\n"
+      "  delivered=750\n"
+      "  delivered_fallback=2\n"
+      "  delivered_degraded=0\n"
+      "final state: healthy\n",
+      // seu
+      "serve counters:\n"
+      "  submitted=747\n"
+      "  input_rejected=0\n"
+      "  queue_drops=0\n"
+      "  duplicates_suppressed=0\n"
+      "  retries=0\n"
+      "  transient_recovered=0\n"
+      "  fallback_batches=16\n"
+      "  checksum_failures=1\n"
+      "  restores=1\n"
+      "  watchdog_stalls=0\n"
+      "  delivered=747\n"
+      "  delivered_fallback=16\n"
+      "  delivered_degraded=0\n"
+      "final state: healthy\n",
+      // model_bytes
+      "serve counters:\n"
+      "  submitted=747\n"
+      "  input_rejected=0\n"
+      "  queue_drops=0\n"
+      "  duplicates_suppressed=0\n"
+      "  retries=0\n"
+      "  transient_recovered=0\n"
+      "  fallback_batches=0\n"
+      "  checksum_failures=0\n"
+      "  restores=0\n"
+      "  watchdog_stalls=0\n"
+      "  delivered=747\n"
+      "  delivered_fallback=0\n"
+      "  delivered_degraded=0\n"
+      "final state: healthy\n",
+  };
+  for (std::size_t r = 1; r < kMatrixRowCount; ++r) {
+    const MatrixRow row = static_cast<MatrixRow>(r);
+    EXPECT_EQ(serve_block(row), expected[r - 1])
+        << to_string(row) << " row observed:\n" << serve_block(row);
+  }
+}
+
 TEST(FaultMatrix, ReportIsByteIdenticalAcrossRuns) {
   MatrixSpec spec;
   spec.seed = 7;

@@ -135,7 +135,7 @@ TEST(QuantizedMlpSimd, CrossWidthEngineInterleavingIsStable) {
 
 TEST(QuantizedMlpSimd, SeuBitFlipDetectedIdenticallyThroughEveryVariant) {
   // The fault layer's SEU story must survive the SIMD kernels: a
-  // flipped weight bit changes the checksum (the supervisor's
+  // flipped weight bit changes the checksum (the serve router's
   // detection channel), and the corrupted engine still computes
   // bit-identically across variants — corruption must never hide
   // behind kernel-dependent noise.

@@ -159,6 +159,24 @@ TEST(ShardQueue, CloseRefusesProducersAndDrainsConsumer) {
   EXPECT_EQ(q.pop_batch(batch, 16, std::chrono::microseconds(0)), 0u);
 }
 
+// An injected duplicate lands right behind its original, in one
+// critical section, so a second producer cannot slip in between; the
+// ledger counts both copies.
+TEST(ShardQueue, DuplicatePushEnqueuesAdjacentCopy) {
+  ShardQueue q(config(16, 16, 8));
+  EXPECT_TRUE(q.push(request(4, 1)));
+  EXPECT_TRUE(q.push(request(4, 2), /*duplicate=*/true));
+  EXPECT_TRUE(q.push(request(4, 3)));
+  EXPECT_EQ(q.stats().pushed, 4u);
+  EXPECT_EQ(q.stream_depth(4), 4u);
+
+  std::vector<ServeRequest> batch;
+  ASSERT_EQ(q.pop_batch(batch, 16, std::chrono::microseconds(0)), 4u);
+  std::vector<std::uint64_t> sequences;
+  for (const ServeRequest& r : batch) sequences.push_back(r.sequence);
+  EXPECT_EQ(sequences, (std::vector<std::uint64_t>{1, 2, 2, 3}));
+}
+
 TEST(ShardQueue, BlockingPopWakesOnPush) {
   ShardQueue q(config(16, 16, 4));
   std::thread producer([&] {

@@ -12,7 +12,6 @@
 #include "core/rng.hpp"
 #include "core/units.hpp"
 #include "serve/stream_router.hpp"
-#include "serve/supervisor.hpp"
 #include "serve/synthetic_models.hpp"
 
 namespace adapt::serve {
@@ -230,12 +229,13 @@ TEST(StreamLocalizer, EndToEndThroughStreamRouter) {
 
 TEST(StreamLocalizer, SupervisorFiltersInjectedDuplicates) {
   // An injected queue duplicate is served twice by the worker but must
-  // reach the supervisor's sink — and thus a localizer fed from it —
+  // reach the router's sink — and thus a localizer fed from it —
   // exactly once: a double-counted ring would skew the posterior.
   pipeline::Models models;  // null models: analytic path, no veto
-  SupervisorConfig cfg;
-  cfg.router.max_batch = 8;
-  cfg.watchdog_interval = std::chrono::milliseconds(0);
+  RouterConfig cfg;
+  cfg.num_shards = 1;
+  cfg.num_workers = 1;  // one worker: the sink below is not thread-safe
+  cfg.max_batch = 8;
 
   core::Rng rng(28);
   const core::Vec3 s = core::from_spherical(0.6, 0.3);
@@ -253,22 +253,22 @@ TEST(StreamLocalizer, SupervisorFiltersInjectedDuplicates) {
   // sink can pair every delivered result with its ring.
   StreamLocalizer loc(analytic_config());
   std::vector<ServeRequest> fed;
-  Supervisor supervisor(models, cfg,
-                        [&](std::span<const ServeResult> results) {
-                          fed.clear();
-                          for (const ServeResult& r : results)
-                            fed.push_back(requests[r.stream_id]);
-                          loc.observe(fed, results);
-                        });
-  supervisor.set_queue_fault_hook([] { return QueueFault::kDuplicate; });
-  supervisor.start();
+  StreamRouter router(models, cfg,
+                      [&](std::span<const ServeResult> results) {
+                        fed.clear();
+                        for (const ServeResult& r : results)
+                          fed.push_back(requests[r.stream_id]);
+                        loc.observe(fed, results);
+                      });
+  router.set_queue_fault_hook([] { return QueueFault::kDuplicate; });
+  router.start();
   for (std::uint32_t i = 0; i < n; ++i)
-    EXPECT_NE(supervisor.submit(requests[i].ring, 30.0, i), 0u);
-  supervisor.stop();
+    EXPECT_NE(router.submit(i, requests[i].ring, 30.0), 0u);
+  router.stop();
 
-  const SupervisorStats stats = supervisor.stats();
+  const StreamRouter::Stats stats = router.stats();
   EXPECT_EQ(stats.duplicates_suppressed, n);
-  EXPECT_EQ(stats.delivered, n);
+  EXPECT_EQ(stats.processed, n);
   // At-most-once into the localizer as well.
   EXPECT_EQ(loc.status().rings_accepted, n);
 }

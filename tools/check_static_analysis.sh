@@ -12,8 +12,9 @@
 #   5. TSan ctest       (full suite under ThreadSanitizer, std::thread
 #                        backend — see core/parallel.hpp for why the
 #                        TSan build swaps out libgomp)
-#   6. TSan serve+fault focus (shard/router/supervisor/fault-matrix tests
-#                        repeated for more interleavings)
+#   6. TSan serve+fault focus (shard/router/supervised-router/fault-
+#                        matrix tests repeated for more interleavings;
+#                        a filter pattern that matches no test fails)
 #   7. thread-safety     (Clang Thread Safety Analysis over src/ with
 #                        -Werror=thread-safety{,-beta}; the configure
 #                        step itself proves the gate is live via a
@@ -154,25 +155,42 @@ fi
 
 # --- 6. serving-layer + fault-injection TSan focus --------------------
 # The serve subsystem is the one place where producer threads, the
-# consumer worker, the supervisor watchdog, and shared model state all
-# race by design, and the fault matrix deliberately provokes every
-# recovery path (retries, checksum quarantine, watchdog restarts).
-# The full ctest pass above runs each of these tests once; here they
-# are repeated to give TSan more interleavings to object to.
+# workers, the stall watchdog, and shared model state all race by
+# design, and the fault matrix deliberately provokes every recovery
+# path (retries, checksum quarantine, the watchdog).  The full ctest
+# pass above runs each of these tests once; here they are repeated to
+# give TSan more interleavings to object to.
+
+# Run a gtest binary under a filter, repeated.  gtest passes silently
+# when a filter matches nothing, so every ':'-separated pattern must
+# first list at least one test: a renamed suite cannot drop out of the
+# focus unnoticed.
+run_focus() {
+  local binary="$1" filter="$2" repeat="$3" pattern listed patterns
+  IFS=':' read -r -a patterns <<< "${filter}"
+  for pattern in "${patterns[@]}"; do
+    listed="$("${binary}" --gtest_list_tests --gtest_filter="${pattern}" \
+      | grep -c '^  ' || true)"
+    if [ "${listed}" -eq 0 ]; then
+      echo "error: gtest filter '${pattern}' matches no test in ${binary}" >&2
+      return 1
+    fi
+  done
+  "${binary}" --gtest_filter="${filter}" --gtest_repeat="${repeat}" \
+    --gtest_brief=1
+}
+
 if want tsan-serve; then
-  stage "TSan serve+fault focus (shards + router + supervisor + fault matrix, repeated)"
+  stage "TSan serve+fault focus (shards + router + supervised router + fault matrix, repeated)"
   build_tsan_tree
-  "${build_root}/tsan/tests/adapt_serve_tests" \
-    --gtest_filter='ShardQueue.*:StreamRouter.*:SupervisorTest.*:ConcurrentInference.*' \
-    --gtest_repeat=3 --gtest_brief=1 \
+  run_focus "${build_root}/tsan/tests/adapt_serve_tests" \
+    'ShardQueue.*:StreamRouter.*:SupervisedRouter.*:ConcurrentInference.*' 3 \
     || fail "serve tests failed under TSan"
-  "${build_root}/tsan/tests/adapt_fault_tests" \
-    --gtest_repeat=2 --gtest_brief=1 \
+  run_focus "${build_root}/tsan/tests/adapt_fault_tests" '*' 2 \
     || fail "fault-injection tests failed under TSan"
   # Per-stream localizers are built on the router's workers, and every
   # SkyGrid they build goes through the shared pixel-centre registry.
-  "${build_root}/tsan/tests/adapt_loc_tests" \
-    --gtest_filter='SkyGrid.*' --gtest_repeat=3 --gtest_brief=1 \
+  run_focus "${build_root}/tsan/tests/adapt_loc_tests" 'SkyGrid.*' 3 \
     || fail "sky-grid table registry tests failed under TSan"
 fi
 
