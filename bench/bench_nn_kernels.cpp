@@ -105,9 +105,8 @@ quant::QuantizedMlp build_int8_background_engine() {
 
 /// The seed's per-element integer inference: (q_x - zp) * q_w inside
 /// the inner loop, per-layer activation buffers, per-element requant.
-nn::Tensor naive_int8_forward(const quant::QuantizedMlp& mlp,
+nn::Tensor naive_int8_forward(const std::vector<quant::QuantizedLayer>& layers,
                               const nn::Tensor& x) {
-  const auto& layers = mlp.layers();
   const std::size_t n = x.rows();
   std::vector<std::uint8_t> act(n * layers.front().in_features);
   for (std::size_t i = 0; i < act.size(); ++i)
@@ -141,10 +140,11 @@ nn::Tensor naive_int8_forward(const quant::QuantizedMlp& mlp,
 }
 
 void BM_Int8DotNaive(benchmark::State& state) {
-  const quant::QuantizedMlp engine = build_int8_background_engine();
+  const std::vector<quant::QuantizedLayer> layers =
+      build_int8_background_engine().layers();
   const nn::Tensor x = random_features(kPaperBatch, 13, 11);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(naive_int8_forward(engine, x));
+    benchmark::DoNotOptimize(naive_int8_forward(layers, x));
   }
   state.SetItemsProcessed(state.iterations() * kPaperBatch);
 }
@@ -209,6 +209,8 @@ void BM_BackgroundNetInt8(benchmark::State& state) {
 }
 BENCHMARK(BM_BackgroundNetInt8);
 
+
+
 void BM_Reconstruction(benchmark::State& state) {
   const eval::TrialSetup setup;
   const eval::TrialRunner runner(setup);
@@ -266,9 +268,12 @@ BENCHMARK(BM_MonteCarloTransport);
 // the production background-net panel shapes, so
 // `--benchmark_filter=Kernel` pits scalar vs AVX2 vs AVX-512 directly.
 
-void bench_u8i8_gemm(benchmark::State& state, nn::kernels::Isa isa) {
+/// One u8i8_gemm over the paper batch at one layer shape, weights
+/// packed once outside the timed loop as the engine does.
+void bench_u8i8_gemm(benchmark::State& state, nn::kernels::Isa isa,
+                     std::size_t in, std::size_t out) {
   const nn::kernels::KernelSet& kset = nn::kernels::kernel_set(isa);
-  const std::size_t rows = kPaperBatch, in = 256, out = 128;
+  const std::size_t rows = kPaperBatch;
   core::Rng rng(33);
   std::vector<std::uint8_t> x(rows * in);
   for (auto& v : x) v = static_cast<std::uint8_t>(rng.uniform_index(256));
@@ -276,10 +281,13 @@ void bench_u8i8_gemm(benchmark::State& state, nn::kernels::Isa isa) {
   for (auto& v : w)
     v = static_cast<std::int8_t>(
         static_cast<int>(rng.uniform_index(255)) - 127);
+  std::vector<std::int8_t> panel(nn::kernels::panel_bytes(in, out));
+  nn::kernels::pack_panel(w.data(), in, out, panel.data());
   std::vector<std::int32_t> acc(rows * out);
   for (auto _ : state) {
-    kset.u8i8_gemm(x.data(), w.data(), acc.data(), rows, in, out);
+    kset.u8i8_gemm(x.data(), panel.data(), acc.data(), rows, in, out);
     benchmark::DoNotOptimize(acc.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * static_cast<long>(rows));
 }
@@ -331,9 +339,14 @@ void register_kernel_variant_benchmarks() {
     const auto isa = static_cast<nk::Isa>(i);
     if (!nk::supported(isa)) continue;
     const std::string name = nk::kernel_set(isa).name;
+    // The 256 -> 128 hidden layer, and the 13 -> 256 first layer whose
+    // 13 inputs fill 16 of every 64 panel bytes.
     benchmark::RegisterBenchmark(
         ("BM_U8I8GemmKernel/" + name).c_str(),
-        [isa](benchmark::State& s) { bench_u8i8_gemm(s, isa); });
+        [isa](benchmark::State& s) { bench_u8i8_gemm(s, isa, 256, 128); });
+    benchmark::RegisterBenchmark(
+        ("BM_U8I8GemmKernel/" + name + "/13x256").c_str(),
+        [isa](benchmark::State& s) { bench_u8i8_gemm(s, isa, 13, 256); });
     benchmark::RegisterBenchmark(
         ("BM_U8RequantKernel/" + name).c_str(),
         [isa](benchmark::State& s) { bench_u8_requant(s, isa); });

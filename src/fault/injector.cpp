@@ -201,9 +201,9 @@ void Injector::on_forward_attempt(std::size_t /*batch_size*/) {
 }
 
 Injector::BitFlip Injector::flip_int8_weight_bit(quant::QuantizedMlp& model) {
-  ADAPT_REQUIRE(!model.layers().empty(), "model has no layers");
+  ADAPT_REQUIRE(model.num_layers() != 0, "model has no layers");
   BitFlip flip;
-  flip.layer = rng_.uniform_index(model.layers().size());
+  flip.layer = rng_.uniform_index(model.num_layers());
   flip.byte_index = rng_.next_u64();
   flip.bit = static_cast<unsigned>(rng_.uniform_index(8));
   model.flip_weight_bit(flip.layer, flip.byte_index, flip.bit);

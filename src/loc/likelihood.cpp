@@ -6,10 +6,6 @@
 #include "core/require.hpp"
 #include "core/telemetry.hpp"
 
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
-
 namespace adapt::loc {
 
 bool ring_usable(const recon::ComptonRing& ring) {
@@ -69,45 +65,14 @@ constexpr std::size_t kLanes = 8;
 /// (c.s - eta) / d_eta, squared, capped, halved and added in ring
 /// order.  Each ring is loaded once per block, and the lanes' sums are
 /// independent, so their divides and adds overlap instead of queueing
-/// behind one loop-carried add.
+/// behind one loop-carried add.  Plain C++ on purpose: `omp simd` has
+/// the compiler pack the lanes into vector registers (two per SSE2
+/// divide on baseline x86-64) with the same IEEE operations lane by
+/// lane — `r2 < cap2 ? r2 : cap2` is exactly minpd, and no lane's sum
+/// is reassociated — so the sums do not depend on how it vectorizes.
 template <std::size_t W>
 void truncated_nll_lanes(std::span<const recon::ComptonRing> rings,
                          const core::Vec3* dirs, double cap2, double* out) {
-#if defined(__SSE2__)
-  if constexpr (W % 2 == 0) {
-    // Baseline x86-64 pairs the lanes into SSE2 packed ops: the same
-    // IEEE operations lane by lane (mul, add, sub, div, and minpd,
-    // which is exactly `a < b ? a : b`), two candidates per divide.
-    constexpr std::size_t P = W / 2;
-    __m128d x[P], y[P], z[P], nll[P];
-    for (std::size_t p = 0; p < P; ++p) {
-      x[p] = _mm_set_pd(dirs[2 * p + 1].x, dirs[2 * p].x);
-      y[p] = _mm_set_pd(dirs[2 * p + 1].y, dirs[2 * p].y);
-      z[p] = _mm_set_pd(dirs[2 * p + 1].z, dirs[2 * p].z);
-      nll[p] = _mm_setzero_pd();
-    }
-    const __m128d cap = _mm_set1_pd(cap2);
-    const __m128d half = _mm_set1_pd(0.5);
-    for (const auto& ring : rings) {
-      ADAPT_REQUIRE(ring.d_eta > 0.0, "ring has non-positive d_eta");
-      const __m128d cx = _mm_set1_pd(ring.axis.x);
-      const __m128d cy = _mm_set1_pd(ring.axis.y);
-      const __m128d cz = _mm_set1_pd(ring.axis.z);
-      const __m128d eta = _mm_set1_pd(ring.eta);
-      const __m128d d_eta = _mm_set1_pd(ring.d_eta);
-      for (std::size_t p = 0; p < P; ++p) {
-        const __m128d dot =
-            _mm_add_pd(_mm_add_pd(_mm_mul_pd(cx, x[p]), _mm_mul_pd(cy, y[p])),
-                       _mm_mul_pd(cz, z[p]));
-        const __m128d r = _mm_div_pd(_mm_sub_pd(dot, eta), d_eta);
-        const __m128d r2 = _mm_mul_pd(r, r);
-        nll[p] = _mm_add_pd(nll[p], _mm_mul_pd(half, _mm_min_pd(r2, cap)));
-      }
-    }
-    for (std::size_t p = 0; p < P; ++p) _mm_storeu_pd(out + 2 * p, nll[p]);
-    return;
-  }
-#endif
   double x[W], y[W], z[W], nll[W];
   for (std::size_t k = 0; k < W; ++k) {
     x[k] = dirs[k].x;
@@ -118,6 +83,7 @@ void truncated_nll_lanes(std::span<const recon::ComptonRing> rings,
   for (const auto& ring : rings) {
     ADAPT_REQUIRE(ring.d_eta > 0.0, "ring has non-positive d_eta");
     const core::Vec3 c = ring.axis;
+#pragma omp simd
     for (std::size_t k = 0; k < W; ++k) {
       const double r =
           (c.x * x[k] + c.y * y[k] + c.z * z[k] - ring.eta) / ring.d_eta;

@@ -3,13 +3,13 @@
 /// cpuid + XCR0 say the machine runs AVX2.
 ///
 /// Bit-identity notes:
-///  * INT8: activations widen u8->s16 and weights s8->s16, then
-///    _mm256_madd_epi16 multiplies and pairwise-adds into int32 lanes.
-///    Every product |x*w| <= 255*128 and each int32 lane holds the sum
-///    of two such products (<= 65280), so nothing saturates and the
-///    result is the exact integer dot product in some lane order —
-///    integer addition is associative, so any order is the scalar
-///    answer.  The tempting _mm256_maddubs_epi16 is NOT used: it
+///  * INT8: activations widen u8->s16 and the packed panel's weights
+///    s8->s16, then _mm256_madd_epi16 multiplies and pairwise-adds into
+///    int32 lanes.  Every product |x*w| <= 255*128 and each int32 lane
+///    holds the sum of two such products (<= 65280), so nothing
+///    saturates and the result is the exact integer dot product in some
+///    lane order — integer addition is associative, so any order is the
+///    scalar answer.  The tempting _mm256_maddubs_epi16 is NOT used: it
 ///    saturates its intermediate int16 pair sums (255*(-128)*2 <
 ///    INT16_MIN) and silently breaks identity.
 ///  * float: vector lanes map across C columns (j); each output
@@ -20,6 +20,9 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
+#include <cstring>
+
 #include "nn/kernels/kernels.hpp"
 #include "nn/kernels/kernels_impl.hpp"
 
@@ -29,24 +32,81 @@ namespace {
 
 constexpr std::size_t kColChunk = 8;  ///< floats per YMM register.
 
-inline std::int32_t hsum_epi32(__m256i v) {
-  const __m128i lo = _mm256_castsi256_si128(v);
-  const __m128i hi = _mm256_extracti128_si256(v, 1);
-  __m128i s = _mm_add_epi32(lo, hi);
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(1, 0, 3, 2)));
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(2, 3, 0, 1)));
-  return _mm_cvtsi128_si32(s);
+/// One 4-byte activation word widened to four int16 lanes and repeated
+/// across the register: the madd_epi16 partner of a widened quarter
+/// block, whose int16 lanes run (c, 0..3) for four channels c.
+inline __m256i broadcast_word_s16(std::int32_t word) {
+  return _mm256_broadcastq_epi64(_mm_cvtepu8_epi16(_mm_cvtsi32_si128(word)));
 }
 
-/// 16 activation bytes widened to sixteen int16 lanes.
-inline __m256i load_u8_16(const std::uint8_t* p) {
-  return _mm256_cvtepu8_epi16(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+/// 16 output channels of one row from four quarter accumulators whose
+/// lanes hold (channel, input-pair) partial sums: lanes (c, 0) and
+/// (c, 1) are adjacent, so hadd pairs them and the 64-bit permute
+/// undoes hadd's 128-bit interleave.
+inline void store_channels(const __m256i q[4], std::int32_t* dst,
+                           std::size_t n) {
+  constexpr int kInterleave = _MM_SHUFFLE(3, 1, 2, 0);
+  const __m256i lo =
+      _mm256_permute4x64_epi64(_mm256_hadd_epi32(q[0], q[1]), kInterleave);
+  const __m256i hi =
+      _mm256_permute4x64_epi64(_mm256_hadd_epi32(q[2], q[3]), kInterleave);
+  if (n == kPanelChannels) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst), lo);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + 8), hi);
+    return;
+  }
+  alignas(32) std::int32_t lanes[kPanelChannels];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), lo);
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes + 8), hi);
+  std::memcpy(dst, lanes, n * sizeof(std::int32_t));
 }
 
-inline __m256i load_s8_16(const std::int8_t* p) {
-  return _mm256_cvtepi8_epi16(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+/// R activation rows x 16 output channels per column block.  A 64-byte
+/// panel block splits into four 16-byte quarters of 4 channels x 4
+/// inputs; each quarter widens once to int16 and is shared by the R
+/// rows, and madd_epi16 against the row's broadcast word leaves one
+/// (channel, input-pair) partial sum per int32 lane.  The pair sums
+/// are folded into outputs once per block, not once per output.  R is
+/// at most 2: 2 rows x 4 accumulators, their two broadcast words and
+/// one widened quarter fit the 16 YMM registers (a 2-row tile divides
+/// kU8I8RowTile).
+template <int R>
+inline void u8i8_tile(const std::uint8_t* x, const std::int8_t* panel,
+                      std::int32_t* acc, std::size_t in_features,
+                      std::size_t out_features) {
+  const std::size_t groups = panel_groups(in_features);
+  const std::size_t full = in_features / kPanelDepth;
+  const std::uint8_t* row[R];
+  std::int32_t tail[R];
+  for (int r = 0; r < R; ++r) {
+    row[r] = x + static_cast<std::size_t>(r) * in_features;
+    tail[r] = load_tail_word(row[r] + full * kPanelDepth,
+                             in_features % kPanelDepth);
+  }
+  for (std::size_t oc0 = 0; oc0 < out_features; oc0 += kPanelChannels) {
+    const std::int8_t* blk =
+        panel + oc0 / kPanelChannels * groups * kPanelBlockBytes;
+    __m256i v[R][4];
+    for (int r = 0; r < R; ++r)
+      for (int q = 0; q < 4; ++q) v[r][q] = _mm256_setzero_si256();
+    for (std::size_t g = 0; g < groups; ++g) {
+      __m256i xw[R];
+      for (int r = 0; r < R; ++r)
+        xw[r] = broadcast_word_s16(
+            g < full ? load_word(row[r] + g * kPanelDepth) : tail[r]);
+      const std::int8_t* b = blk + g * kPanelBlockBytes;
+      for (int q = 0; q < 4; ++q) {
+        const __m256i wq = _mm256_cvtepi8_epi16(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + 16 * q)));
+        for (int r = 0; r < R; ++r)
+          v[r][q] = _mm256_add_epi32(v[r][q], _mm256_madd_epi16(wq, xw[r]));
+      }
+    }
+    const std::size_t n = std::min(kPanelChannels, out_features - oc0);
+    for (int r = 0; r < R; ++r)
+      store_channels(v[r], acc + static_cast<std::size_t>(r) * out_features +
+                               oc0, n);
+  }
 }
 
 /// Load mask covering the first jw (< 8) lanes: jw -1s then zeros.
@@ -96,58 +156,18 @@ inline void micro_tile_partial(const float* a, std::size_t lda, const float* b,
 
 }  // namespace
 
-void u8i8_gemm_avx2(const std::uint8_t* x, const std::int8_t* w,
+void u8i8_gemm_avx2(const std::uint8_t* x, const std::int8_t* panel,
                     std::int32_t* acc, std::size_t rows,
                     std::size_t in_features, std::size_t out_features) {
-  const std::size_t vec_end = in_features & ~static_cast<std::size_t>(15);
-  for (std::size_t r = 0; r < rows; ++r) {
-    const std::uint8_t* xi = x + r * in_features;
-    std::int32_t* accr = acc + r * out_features;
-    std::size_t oc = 0;
-    for (; oc + 4 <= out_features; oc += 4) {
-      const std::int8_t* w0 = w + (oc + 0) * in_features;
-      const std::int8_t* w1 = w + (oc + 1) * in_features;
-      const std::int8_t* w2 = w + (oc + 2) * in_features;
-      const std::int8_t* w3 = w + (oc + 3) * in_features;
-      __m256i v0 = _mm256_setzero_si256();
-      __m256i v1 = _mm256_setzero_si256();
-      __m256i v2 = _mm256_setzero_si256();
-      __m256i v3 = _mm256_setzero_si256();
-      for (std::size_t ic = 0; ic < vec_end; ic += 16) {
-        const __m256i xv = load_u8_16(xi + ic);
-        v0 = _mm256_add_epi32(v0, _mm256_madd_epi16(xv, load_s8_16(w0 + ic)));
-        v1 = _mm256_add_epi32(v1, _mm256_madd_epi16(xv, load_s8_16(w1 + ic)));
-        v2 = _mm256_add_epi32(v2, _mm256_madd_epi16(xv, load_s8_16(w2 + ic)));
-        v3 = _mm256_add_epi32(v3, _mm256_madd_epi16(xv, load_s8_16(w3 + ic)));
-      }
-      std::int32_t a0 = hsum_epi32(v0);
-      std::int32_t a1 = hsum_epi32(v1);
-      std::int32_t a2 = hsum_epi32(v2);
-      std::int32_t a3 = hsum_epi32(v3);
-      for (std::size_t ic = vec_end; ic < in_features; ++ic) {
-        const std::int32_t xv = xi[ic];
-        a0 += xv * w0[ic];
-        a1 += xv * w1[ic];
-        a2 += xv * w2[ic];
-        a3 += xv * w3[ic];
-      }
-      accr[oc + 0] = a0;
-      accr[oc + 1] = a1;
-      accr[oc + 2] = a2;
-      accr[oc + 3] = a3;
-    }
-    for (; oc < out_features; ++oc) {
-      const std::int8_t* wr = w + oc * in_features;
-      __m256i v = _mm256_setzero_si256();
-      for (std::size_t ic = 0; ic < vec_end; ic += 16)
-        v = _mm256_add_epi32(
-            v, _mm256_madd_epi16(load_u8_16(xi + ic), load_s8_16(wr + ic)));
-      std::int32_t a = hsum_epi32(v);
-      for (std::size_t ic = vec_end; ic < in_features; ++ic)
-        a += static_cast<std::int32_t>(xi[ic]) * wr[ic];
-      accr[oc] = a;
-    }
-  }
+  // Pairs of rows, then the odd one out.
+  static_assert(kU8I8RowTile % 2 == 0);
+  std::size_t r0 = 0;
+  for (; r0 + 2 <= rows; r0 += 2)
+    u8i8_tile<2>(x + r0 * in_features, panel, acc + r0 * out_features,
+                 in_features, out_features);
+  if (r0 < rows)
+    u8i8_tile<1>(x + r0 * in_features, panel, acc + r0 * out_features,
+                 in_features, out_features);
 }
 
 /// Requant epilogue, 8 output channels per iteration.  The rounding
@@ -225,7 +245,7 @@ void f32_row_block_avx2(const float* a, std::size_t lda, const float* b,
                         std::size_t ldb, float* c, std::size_t ldc,
                         std::size_t rows, std::size_t k, std::size_t j0,
                         std::size_t j1) {
-  dispatch_f32_rows(rows, [&](auto rows_c) {
+  dispatch_tile_rows(rows, [&](auto rows_c) {
     constexpr int R = decltype(rows_c)::value;
     std::size_t j = j0;
     for (; j + kColChunk <= j1; j += kColChunk)

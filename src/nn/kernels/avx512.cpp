@@ -7,8 +7,10 @@
 ///    accumulates four products per int32 lane WITHOUT saturation —
 ///    the exact integer dot product, associatively reordered.  (Its
 ///    sibling VPDPBUSDS saturates and must never be used here.)
-///    Remainder lanes load through a zero-source masked load, so the
-///    padding contributes exact zeros.
+///    Lane c of a block's product is output channel c (the packed
+///    panel layout, kernels.hpp); zero panel padding contributes exact
+///    zeros, and a row's partial last word is zero-filled, never read
+///    past the row.
 ///  * float: 16 C columns per ZMM; per-element math is the same
 ///    ascending-t unfused mul+add as the scalar reference, with mask
 ///    stores for column tails.
@@ -16,6 +18,8 @@
 #ifdef ADAPT_KERNELS_HAVE_AVX512
 
 #include <immintrin.h>
+
+#include <algorithm>
 
 #include "nn/kernels/kernels.hpp"
 #include "nn/kernels/kernels_impl.hpp"
@@ -26,23 +30,49 @@ namespace {
 
 constexpr std::size_t kColChunk = 16;  ///< floats per ZMM register.
 
-inline __m512i load_u8_64(const std::uint8_t* p) {
-  return _mm512_loadu_si512(static_cast<const void*>(p));
-}
-
-inline __m512i load_s8_64(const std::int8_t* p) {
-  return _mm512_loadu_si512(static_cast<const void*>(p));
-}
-
-/// Masked tail load with the dead lanes as exact zeros (zero products
-/// keep the dot product exact).  Spelled as mask_loadu with an
-/// explicit zero source rather than maskz_loadu: GCC 12's maskz
-/// intrinsic trips a -Wmaybe-uninitialized false positive under -O2,
-/// and library code must stay -Werror clean.
-template <typename T>
-inline __m512i load_s8_tail(__mmask64 m, const T* p) {
-  return _mm512_mask_loadu_epi8(_mm512_setzero_si512(), m,
-                                static_cast<const void*>(p));
+/// R activation rows x 16 output channels per column block, one ZMM
+/// accumulator per row.  Each 64-byte panel block is loaded once and
+/// fed to all R rows against their broadcast 4-byte activation word,
+/// so a block's 16 outputs come straight out of the accumulator lanes:
+/// no horizontal sum, and a 13-wide layer fills every lane.  Output
+/// columns past out_features are masked off at the store.
+template <int R>
+inline void u8i8_tile(const std::uint8_t* x, const std::int8_t* panel,
+                      std::int32_t* acc, std::size_t in_features,
+                      std::size_t out_features) {
+  const std::size_t groups = panel_groups(in_features);
+  const std::size_t full = in_features / kPanelDepth;
+  const std::uint8_t* row[R];
+  __m512i tail[R];
+  for (int r = 0; r < R; ++r) {
+    row[r] = x + static_cast<std::size_t>(r) * in_features;
+    tail[r] = _mm512_set1_epi32(load_tail_word(
+        row[r] + full * kPanelDepth, in_features % kPanelDepth));
+  }
+  for (std::size_t oc0 = 0; oc0 < out_features; oc0 += kPanelChannels) {
+    const std::int8_t* blk =
+        panel + oc0 / kPanelChannels * groups * kPanelBlockBytes;
+    __m512i v[R];
+    for (int r = 0; r < R; ++r) v[r] = _mm512_setzero_si512();
+    for (std::size_t g = 0; g < full; ++g) {
+      const __m512i w = _mm512_loadu_si512(
+          static_cast<const void*>(blk + g * kPanelBlockBytes));
+      for (int r = 0; r < R; ++r)
+        v[r] = _mm512_dpbusd_epi32(
+            v[r], _mm512_set1_epi32(load_word(row[r] + g * kPanelDepth)), w);
+    }
+    if (full < groups) {
+      const __m512i w = _mm512_loadu_si512(
+          static_cast<const void*>(blk + full * kPanelBlockBytes));
+      for (int r = 0; r < R; ++r)
+        v[r] = _mm512_dpbusd_epi32(v[r], tail[r], w);
+    }
+    const std::size_t n = std::min(kPanelChannels, out_features - oc0);
+    const auto mask = static_cast<__mmask16>((1u << n) - 1u);
+    for (int r = 0; r < R; ++r)
+      _mm512_mask_storeu_epi32(
+          acc + static_cast<std::size_t>(r) * out_features + oc0, mask, v[r]);
+  }
 }
 
 template <int R>
@@ -84,59 +114,17 @@ inline void micro_tile_partial(const float* a, std::size_t lda, const float* b,
 
 }  // namespace
 
-void u8i8_gemm_avx512(const std::uint8_t* x, const std::int8_t* w,
+void u8i8_gemm_avx512(const std::uint8_t* x, const std::int8_t* panel,
                       std::int32_t* acc, std::size_t rows,
                       std::size_t in_features, std::size_t out_features) {
-  const std::size_t vec_end = in_features & ~static_cast<std::size_t>(63);
-  const std::size_t rem = in_features - vec_end;
-  const auto tail =
-      rem != 0 ? static_cast<__mmask64>(~0ULL >> (64 - rem)) : __mmask64{0};
-  for (std::size_t r = 0; r < rows; ++r) {
-    const std::uint8_t* xi = x + r * in_features;
-    std::int32_t* accr = acc + r * out_features;
-    std::size_t oc = 0;
-    for (; oc + 4 <= out_features; oc += 4) {
-      const std::int8_t* w0 = w + (oc + 0) * in_features;
-      const std::int8_t* w1 = w + (oc + 1) * in_features;
-      const std::int8_t* w2 = w + (oc + 2) * in_features;
-      const std::int8_t* w3 = w + (oc + 3) * in_features;
-      __m512i v0 = _mm512_setzero_si512();
-      __m512i v1 = _mm512_setzero_si512();
-      __m512i v2 = _mm512_setzero_si512();
-      __m512i v3 = _mm512_setzero_si512();
-      for (std::size_t ic = 0; ic < vec_end; ic += 64) {
-        const __m512i xv = load_u8_64(xi + ic);
-        v0 = _mm512_dpbusd_epi32(v0, xv, load_s8_64(w0 + ic));
-        v1 = _mm512_dpbusd_epi32(v1, xv, load_s8_64(w1 + ic));
-        v2 = _mm512_dpbusd_epi32(v2, xv, load_s8_64(w2 + ic));
-        v3 = _mm512_dpbusd_epi32(v3, xv, load_s8_64(w3 + ic));
-      }
-      if (rem != 0) {
-        const __m512i xv = load_s8_tail(tail, xi + vec_end);
-        v0 = _mm512_dpbusd_epi32(
-            v0, xv, load_s8_tail(tail, w0 + vec_end));
-        v1 = _mm512_dpbusd_epi32(
-            v1, xv, load_s8_tail(tail, w1 + vec_end));
-        v2 = _mm512_dpbusd_epi32(
-            v2, xv, load_s8_tail(tail, w2 + vec_end));
-        v3 = _mm512_dpbusd_epi32(
-            v3, xv, load_s8_tail(tail, w3 + vec_end));
-      }
-      accr[oc + 0] = _mm512_reduce_add_epi32(v0);
-      accr[oc + 1] = _mm512_reduce_add_epi32(v1);
-      accr[oc + 2] = _mm512_reduce_add_epi32(v2);
-      accr[oc + 3] = _mm512_reduce_add_epi32(v3);
-    }
-    for (; oc < out_features; ++oc) {
-      const std::int8_t* wr = w + oc * in_features;
-      __m512i v = _mm512_setzero_si512();
-      for (std::size_t ic = 0; ic < vec_end; ic += 64)
-        v = _mm512_dpbusd_epi32(v, load_u8_64(xi + ic), load_s8_64(wr + ic));
-      if (rem != 0)
-        v = _mm512_dpbusd_epi32(v, load_s8_tail(tail, xi + vec_end),
-                                load_s8_tail(tail, wr + vec_end));
-      accr[oc] = _mm512_reduce_add_epi32(v);
-    }
+  static_assert(kU8I8RowTile <= kMaxTileRows);
+  for (std::size_t r0 = 0; r0 < rows; r0 += kU8I8RowTile) {
+    const std::size_t tile = std::min(kU8I8RowTile, rows - r0);
+    dispatch_tile_rows(tile, [&](auto rows_c) {
+      u8i8_tile<decltype(rows_c)::value>(x + r0 * in_features, panel,
+                                         acc + r0 * out_features,
+                                         in_features, out_features);
+    });
   }
 }
 
@@ -221,7 +209,7 @@ void f32_row_block_avx512(const float* a, std::size_t lda, const float* b,
                           std::size_t ldb, float* c, std::size_t ldc,
                           std::size_t rows, std::size_t k, std::size_t j0,
                           std::size_t j1) {
-  dispatch_f32_rows(rows, [&](auto rows_c) {
+  dispatch_tile_rows(rows, [&](auto rows_c) {
     constexpr int R = decltype(rows_c)::value;
     std::size_t j = j0;
     for (; j + kColChunk <= j1; j += kColChunk)

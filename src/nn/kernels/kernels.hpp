@@ -5,7 +5,8 @@
 ///
 /// A KernelSet bundles one implementation each of
 ///   * u8i8_gemm — the INT8 engine's uint8 activation x int8 weight
-///     panel product into raw int32 accumulators,
+///     product into raw int32 accumulators, reading the weights from
+///     the one packed panel layout below,
 ///   * u8_requant — the requantization epilogue turning those
 ///     accumulators back into the next layer's uint8 activations
 ///     (zero-point correction, bias, ReLU, rescale, round), and
@@ -21,7 +22,8 @@
 /// and the serve layer promises batched == per-ring results exactly.
 /// The INT8 kernel is pure int32 accumulation (associative — any
 /// lane/block order is exact; the variants use only non-saturating
-/// widening multiplies, never the saturating maddubs/VPDPBUSDS forms).
+/// widening multiplies, never the saturating maddubs/VPDPBUSDS forms),
+/// and every variant reads the same packed weight bytes.
 /// The float kernel keeps each output element's additions in ascending
 /// k order with separate mul+add (kernel TUs build with
 /// -ffp-contract=off so no variant silently fuses), making every
@@ -37,12 +39,68 @@ namespace adapt::nn::kernels {
 enum class Isa : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 inline constexpr int kIsaCount = 3;
 
+/// Packed INT8 weight panel: the one layout u8i8_gemm reads.
+///
+/// The int8 weights W[oc][ic] of an (out x in) layer are stored as
+/// ceil(out / 16) column blocks, each made of ceil(in / 4) consecutive
+/// 64-byte blocks.  Block (nb, kg) holds 16 output channels x 4 input
+/// bytes, channel-major: its byte 4 * c + j is W[16 * nb + c][4 * kg + j].
+/// That is the operand VPDPBUSD multiplies against one broadcast
+/// 4-byte activation word, so one instruction adds 4 products to each
+/// of 16 int32 outputs and no output ever needs a horizontal sum; the
+/// AVX2 and scalar variants walk the same bytes.  Channels >= out and
+/// inputs >= in are zero bytes, so the padding adds exact zeros
+/// whatever activation bytes it meets and never reaches an output.
+/// quant::QuantizedMlp packs each layer once at construction and keeps
+/// the panel as the only copy of its weights: its checksum digests
+/// these bytes (padding included) and its SEU hook flips them, so the
+/// bytes verified are the bytes computed with.
+inline constexpr std::size_t kPanelChannels = 16;
+inline constexpr std::size_t kPanelDepth = 4;
+inline constexpr std::size_t kPanelBlockBytes = kPanelChannels * kPanelDepth;
+
+/// 4-byte input groups per column block: ceil(in / 4).
+constexpr std::size_t panel_groups(std::size_t in_features) {
+  return (in_features + kPanelDepth - 1) / kPanelDepth;
+}
+
+/// Panel size in bytes, padding included.
+constexpr std::size_t panel_bytes(std::size_t in_features,
+                                  std::size_t out_features) {
+  return (out_features + kPanelChannels - 1) / kPanelChannels *
+         panel_groups(in_features) * kPanelBlockBytes;
+}
+
+/// Offset of W[oc][ic] in the panel of a layer with `in_features`
+/// inputs.
+constexpr std::size_t panel_offset(std::size_t in_features, std::size_t oc,
+                                   std::size_t ic) {
+  return (oc / kPanelChannels * panel_groups(in_features) +
+          ic / kPanelDepth) *
+             kPanelBlockBytes +
+         oc % kPanelChannels * kPanelDepth + ic % kPanelDepth;
+}
+
+/// Writes the panel of row-major weights w (out x in) into
+/// panel[0, panel_bytes(in, out)) in one pass in destination order,
+/// padding included.
+void pack_panel(const std::int8_t* w, std::size_t in_features,
+                std::size_t out_features, std::int8_t* panel);
+
+/// Rows the SIMD u8i8_gemm variants compute per register tile (the
+/// AVX-512 tile height; the AVX2 tile height divides it).  A caller
+/// splitting a batch into row blocks keeps them multiples of it, so
+/// only a batch's last block can end in a short tile.  Results never
+/// depend on it.
+inline constexpr std::size_t kU8I8RowTile = 8;
+
 /// acc[r * out_features + oc] = sum_ic x[r * in_features + ic] *
-/// w[oc * in_features + ic], as exact int32 (activations uint8,
-/// weights int8 row-major [out x in]).  Zero-point folding, bias, and
-/// requantization stay with the caller — they are shared scalar code
-/// so every variant feeds the identical epilogue.
-using U8I8GemmFn = void (*)(const std::uint8_t* x, const std::int8_t* w,
+/// W[oc][ic], as exact int32 (activations uint8 row-major, weights
+/// the int8 panel above).  Reads exactly in_features bytes of each
+/// activation row.  Zero-point folding, bias, and requantization stay
+/// with the caller — they are shared scalar code so every variant
+/// feeds the identical epilogue.
+using U8I8GemmFn = void (*)(const std::uint8_t* x, const std::int8_t* panel,
                             std::int32_t* acc, std::size_t rows,
                             std::size_t in_features, std::size_t out_features);
 

@@ -1,7 +1,8 @@
 /// Scalar reference kernels.  Every SIMD variant must match these bit
 /// for bit; they are also the shipped fallback on CPUs (or builds)
-/// without AVX2, so they keep the 4-way channel/column blocking that
-/// gives the autovectorizer independent accumulator chains.
+/// without AVX2, so they are written for the autovectorizer: the INT8
+/// kernel accumulates the 64 lanes of one packed panel block, the
+/// float kernel keeps a column chunk of independent accumulators.
 ///
 /// This TU builds with the project's baseline flags plus
 /// -ffp-contract=off: the float kernel's mul+add must stay unfused so
@@ -12,6 +13,8 @@
 #include "nn/kernels/kernels.hpp"
 #include "nn/kernels/kernels_impl.hpp"
 
+#include <algorithm>
+#include <cstring>
 #include <string>
 
 #include "core/require.hpp"
@@ -62,43 +65,47 @@ inline void micro_tile_partial(const float* __restrict a, std::size_t lda,
       c[static_cast<std::size_t>(r) * ldc + j] = acc[r][j];
 }
 
+/// Adds one panel block's products with the activation word to the 64
+/// lanes a[4c + j] (channel c, input byte j of the group), the lanes
+/// VPDPBUSD fills.
+inline void accumulate_block(std::int32_t* __restrict a, std::int32_t word,
+                             const std::int8_t* __restrict b) {
+  // The word repeated across the block, so the multiply below is a
+  // plain lane-by-lane loop.
+  std::uint8_t xr[kPanelBlockBytes];
+  for (std::size_t c = 0; c < kPanelChannels; ++c)
+    std::memcpy(xr + c * kPanelDepth, &word, sizeof word);
+  // |u8 * s8| <= 255 * 128 fits int16 exactly, so the product is a
+  // 16-bit multiply the vectorizer can pack 8 to a register.
+  for (std::size_t i = 0; i < kPanelBlockBytes; ++i)
+    a[i] += static_cast<std::int16_t>(xr[i] * b[i]);
+}
+
 }  // namespace
 
-void u8i8_gemm_scalar(const std::uint8_t* x, const std::int8_t* w,
+void u8i8_gemm_scalar(const std::uint8_t* x, const std::int8_t* panel,
                       std::int32_t* acc, std::size_t rows,
                       std::size_t in_features, std::size_t out_features) {
+  const std::size_t groups = panel_groups(in_features);
+  const std::size_t full = in_features / kPanelDepth;
   for (std::size_t r = 0; r < rows; ++r) {
-    const std::uint8_t* __restrict xi = x + r * in_features;
-    std::int32_t* __restrict accr = acc + r * out_features;
-    std::size_t oc = 0;
-    // Four output channels share every activation load and give the
-    // autovectorizer four independent reduction chains.
-    for (; oc + 4 <= out_features; oc += 4) {
-      const std::int8_t* __restrict w0 = w + (oc + 0) * in_features;
-      const std::int8_t* __restrict w1 = w + (oc + 1) * in_features;
-      const std::int8_t* __restrict w2 = w + (oc + 2) * in_features;
-      const std::int8_t* __restrict w3 = w + (oc + 3) * in_features;
-      std::int32_t a0 = 0, a1 = 0, a2 = 0, a3 = 0;
-#pragma omp simd reduction(+ : a0, a1, a2, a3)
-      for (std::size_t ic = 0; ic < in_features; ++ic) {
-        const std::int32_t xv = xi[ic];
-        a0 += xv * w0[ic];
-        a1 += xv * w1[ic];
-        a2 += xv * w2[ic];
-        a3 += xv * w3[ic];
-      }
-      accr[oc + 0] = a0;
-      accr[oc + 1] = a1;
-      accr[oc + 2] = a2;
-      accr[oc + 3] = a3;
-    }
-    for (; oc < out_features; ++oc) {
-      const std::int8_t* __restrict wr = w + oc * in_features;
-      std::int32_t a = 0;
-#pragma omp simd reduction(+ : a)
-      for (std::size_t ic = 0; ic < in_features; ++ic)
-        a += static_cast<std::int32_t>(xi[ic]) * wr[ic];
-      accr[oc] = a;
+    const std::uint8_t* xi = x + r * in_features;
+    std::int32_t* accr = acc + r * out_features;
+    const std::int32_t tail =
+        load_tail_word(xi + full * kPanelDepth, in_features % kPanelDepth);
+    for (std::size_t oc0 = 0; oc0 < out_features; oc0 += kPanelChannels) {
+      const std::int8_t* blk = panel + oc0 / kPanelChannels * groups *
+                                           kPanelBlockBytes;
+      std::int32_t a[kPanelBlockBytes] = {};
+      for (std::size_t g = 0; g < full; ++g)
+        accumulate_block(a, load_word(xi + g * kPanelDepth),
+                         blk + g * kPanelBlockBytes);
+      if (full < groups)
+        accumulate_block(a, tail, blk + full * kPanelBlockBytes);
+      const std::size_t n = std::min(kPanelChannels, out_features - oc0);
+      for (std::size_t c = 0; c < n; ++c)
+        accr[oc0 + c] = a[c * kPanelDepth] + a[c * kPanelDepth + 1] +
+                        a[c * kPanelDepth + 2] + a[c * kPanelDepth + 3];
     }
   }
 }
@@ -126,10 +133,10 @@ void u8_requant_scalar(const std::int32_t* acc, std::size_t rows,
   }
 }
 
-void require_f32_rows(std::size_t rows) {
-  ADAPT_REQUIRE(rows >= 1 && rows <= kMaxF32TileRows,
+void require_tile_rows(std::size_t rows) {
+  ADAPT_REQUIRE(rows >= 1 && rows <= kMaxTileRows,
                 "f32_row_block: rows must be in 1.." +
-                    std::to_string(kMaxF32TileRows) + ", got " +
+                    std::to_string(kMaxTileRows) + ", got " +
                     std::to_string(rows));
 }
 
@@ -137,7 +144,7 @@ void f32_row_block_scalar(const float* a, std::size_t lda, const float* b,
                           std::size_t ldb, float* c, std::size_t ldc,
                           std::size_t rows, std::size_t k, std::size_t j0,
                           std::size_t j1) {
-  dispatch_f32_rows(rows, [&](auto rows_c) {
+  dispatch_tile_rows(rows, [&](auto rows_c) {
     constexpr int R = decltype(rows_c)::value;
     std::size_t j = j0;
     for (; j + kColChunk <= j1; j += kColChunk)
@@ -148,3 +155,33 @@ void f32_row_block_scalar(const float* a, std::size_t lda, const float* b,
 }
 
 }  // namespace adapt::nn::kernels::detail
+
+namespace adapt::nn::kernels {
+
+void pack_panel(const std::int8_t* w, std::size_t in_features,
+                std::size_t out_features, std::int8_t* panel) {
+  const std::size_t groups = panel_groups(in_features);
+  std::int8_t* dst = panel;
+  for (std::size_t oc0 = 0; oc0 < out_features; oc0 += kPanelChannels) {
+    for (std::size_t g = 0; g < groups; ++g, dst += kPanelBlockBytes) {
+      const std::size_t ic0 = g * kPanelDepth;
+      if (oc0 + kPanelChannels <= out_features &&
+          ic0 + kPanelDepth <= in_features) {
+        // An interior block: one 4-byte copy per channel.
+        for (std::size_t c = 0; c < kPanelChannels; ++c)
+          std::memcpy(dst + c * kPanelDepth, w + (oc0 + c) * in_features + ic0,
+                      kPanelDepth);
+        continue;
+      }
+      for (std::size_t c = 0; c < kPanelChannels; ++c)
+        for (std::size_t j = 0; j < kPanelDepth; ++j) {
+          const std::size_t oc = oc0 + c, ic = ic0 + j;
+          dst[c * kPanelDepth + j] = oc < out_features && ic < in_features
+                                         ? w[oc * in_features + ic]
+                                         : std::int8_t{0};
+        }
+    }
+  }
+}
+
+}  // namespace adapt::nn::kernels

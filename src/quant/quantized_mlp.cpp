@@ -34,9 +34,11 @@ QuantizedMlp::QuantizedMlp(std::vector<QuantizedLayer> layers)
   }
   // Fold the activation zero point out of the inner loop:
   // sum (q_x - zp) * q_w == sum q_x * q_w - zp * sum q_w, and the
-  // weight row sums are input-independent.
+  // weight row sums are input-independent.  Then pack the weights and
+  // drop the row-major copy.
   weight_row_sums_.reserve(layers_.size());
-  for (const auto& l : layers_) {
+  panels_.reserve(layers_.size());
+  for (auto& l : layers_) {
     std::vector<std::int32_t> sums(l.out_features, 0);
     for (std::size_t oc = 0; oc < l.out_features; ++oc) {
       const std::int8_t* w = l.weight.data() + oc * l.in_features;
@@ -46,6 +48,12 @@ QuantizedMlp::QuantizedMlp(std::vector<QuantizedLayer> layers)
       sums[oc] = s;
     }
     weight_row_sums_.push_back(std::move(sums));
+    std::vector<std::int8_t> panel(
+        nn::kernels::panel_bytes(l.in_features, l.out_features));
+    nn::kernels::pack_panel(l.weight.data(), l.in_features, l.out_features,
+                            panel.data());
+    panels_.push_back(std::move(panel));
+    l.weight = {};
   }
 }
 
@@ -89,13 +97,16 @@ nn::Tensor QuantizedMlp::forward(const nn::Tensor& x) const {
     if (last) out = nn::Tensor(n, layer.out_features);
 
     // One quantized GEMM per layer over the whole activation panel,
-    // handed out in multi-row blocks (~128k MACs each) so the kernel
-    // amortizes its setup and parallel_for its scheduling.  The
-    // integer accumulation is associative, so block shape cannot
-    // change results.
+    // handed out in multi-row blocks (~128k MACs each, rounded up to
+    // whole kernel row tiles, so the 256 -> 128 layer runs full 8-row
+    // tiles, not 4-row blocks) so the kernel amortizes its setup and
+    // parallel_for its scheduling.  The integer accumulation is
+    // associative, so block shape cannot change results.
     const std::size_t macs = layer.in_features * layer.out_features;
-    const std::size_t block_rows = std::max<std::size_t>(
+    constexpr std::size_t kTile = nn::kernels::kU8I8RowTile;
+    const std::size_t target_rows = std::max<std::size_t>(
         1, (128 * 1024) / std::max<std::size_t>(macs, 1));
+    const std::size_t block_rows = (target_rows + kTile - 1) / kTile * kTile;
     const std::size_t n_blocks = (n + block_rows - 1) / block_rows;
     kset.u8i8_calls->add();
     if (!last) kset.requant_calls->add();
@@ -110,7 +121,7 @@ nn::Tensor QuantizedMlp::forward(const nn::Tensor& x) const {
           acc_buf.resize(rows * layer.out_features);
           std::int32_t* __restrict acc = acc_buf.data();
 
-          kset.u8i8_gemm(act + r0 * layer.in_features, layer.weight.data(),
+          kset.u8i8_gemm(act + r0 * layer.in_features, panels_[li].data(),
                          acc, rows, layer.in_features, layer.out_features);
 
           // Epilogue: zero-point correction, bias, ReLU, then
@@ -149,17 +160,37 @@ nn::Tensor QuantizedMlp::forward(const nn::Tensor& x) const {
 std::size_t QuantizedMlp::model_size_bytes() const {
   std::size_t bytes = 0;
   for (const auto& l : layers_) {
-    bytes += l.weight.size() * sizeof(std::int8_t);
+    bytes += l.in_features * l.out_features * sizeof(std::int8_t);
     bytes += l.bias.size() * sizeof(std::int32_t);
     bytes += l.weight_scales.size() * sizeof(float);
   }
   return bytes;
 }
 
+std::size_t QuantizedMlp::packed_weight_bytes() const {
+  std::size_t bytes = 0;
+  for (const auto& p : panels_) bytes += p.size();
+  return bytes;
+}
+
+std::vector<QuantizedLayer> QuantizedMlp::layers() const {
+  std::vector<QuantizedLayer> out = layers_;
+  for (std::size_t li = 0; li < out.size(); ++li) {
+    QuantizedLayer& l = out[li];
+    l.weight.resize(l.in_features * l.out_features);
+    for (std::size_t oc = 0; oc < l.out_features; ++oc)
+      for (std::size_t ic = 0; ic < l.in_features; ++ic)
+        l.weight[oc * l.in_features + ic] =
+            panels_[li][nn::kernels::panel_offset(l.in_features, oc, ic)];
+  }
+  return out;
+}
+
 std::uint64_t QuantizedMlp::weight_checksum() const {
   core::Fnv1a64 h;
-  for (const auto& l : layers_) {
-    h.update(l.weight.data(), l.weight.size() * sizeof(std::int8_t));
+  for (std::size_t li = 0; li < layers_.size(); ++li) {
+    const QuantizedLayer& l = layers_[li];
+    h.update(panels_[li].data(), panels_[li].size() * sizeof(std::int8_t));
     h.update(l.bias.data(), l.bias.size() * sizeof(std::int32_t));
     h.update(l.weight_scales.data(), l.weight_scales.size() * sizeof(float));
   }
@@ -169,9 +200,12 @@ std::uint64_t QuantizedMlp::weight_checksum() const {
 void QuantizedMlp::flip_weight_bit(std::size_t layer, std::size_t byte_index,
                                    unsigned bit) {
   ADAPT_REQUIRE(layer < layers_.size(), "flip_weight_bit: layer out of range");
-  auto& weights = layers_[layer].weight;
-  ADAPT_REQUIRE(!weights.empty(), "flip_weight_bit: layer has no weights");
-  auto& w = weights[byte_index % weights.size()];
+  const QuantizedLayer& l = layers_[layer];
+  const std::size_t count = l.in_features * l.out_features;
+  ADAPT_REQUIRE(count != 0, "flip_weight_bit: layer has no weights");
+  const std::size_t logical = byte_index % count;
+  auto& w = panels_[layer][nn::kernels::panel_offset(
+      l.in_features, logical / l.in_features, logical % l.in_features)];
   w = static_cast<std::int8_t>(static_cast<std::uint8_t>(w) ^
                                static_cast<std::uint8_t>(1u << (bit % 8u)));
 }

@@ -27,6 +27,9 @@
 
 namespace adapt::quant {
 
+/// One exported layer.  This is the exchange form QuantizedMlp is
+/// built from: the engine packs `weight` into its panel and keeps no
+/// row-major copy.
 struct QuantizedLayer {
   std::size_t in_features = 0;
   std::size_t out_features = 0;
@@ -38,6 +41,11 @@ struct QuantizedLayer {
   bool relu = false;
 };
 
+/// The deployed engine.  Each layer's weights live in exactly one
+/// place, the packed panel u8i8_gemm reads (nn/kernels/kernels.hpp:
+/// 64-byte blocks of 16 output channels x 4 input bytes, zero-padded),
+/// packed once at construction.  The checksum digests those bytes and
+/// the SEU hook flips them, so what is verified is what is computed.
 class QuantizedMlp {
  public:
   explicit QuantizedMlp(std::vector<QuantizedLayer> layers);
@@ -47,28 +55,44 @@ class QuantizedMlp {
   /// background network, pre-sigmoid logits.
   nn::Tensor forward(const nn::Tensor& x) const;
 
-  /// Weight + bias storage in bytes (INT8 footprint; the number the
-  /// paper's BRAM comparison cares about).
+  /// Logical weight + bias + scale storage in bytes: in * out int8
+  /// weights per layer, no panel padding (INT8 footprint; the number
+  /// the paper's BRAM comparison cares about).
   std::size_t model_size_bytes() const;
 
-  const std::vector<QuantizedLayer>& layers() const { return layers_; }
+  /// Bytes of the packed weight panels the forward reads, padding
+  /// included.
+  std::size_t packed_weight_bytes() const;
 
-  /// FNV-1a digest of every weight/bias/scale byte, in layer order.
-  /// Recorded at deploy time and recomputed on the serve router's
-  /// health ticks: any in-memory bit flip changes the digest.
+  std::size_t num_layers() const { return layers_.size(); }
+
+  /// The layers in exchange form.  Built on each call: the row-major
+  /// weights are unpacked from the panels, so they show any flipped
+  /// bit.
+  std::vector<QuantizedLayer> layers() const;
+
+  /// FNV-1a digest of every packed panel byte (padding included), bias
+  /// and scale, in layer order.  Recorded at deploy time and recomputed
+  /// on the serve router's health ticks: any in-memory bit flip in
+  /// what the forward reads changes the digest.
   std::uint64_t weight_checksum() const;
 
   /// SEU-emulation hook for fault injection (src/fault): flips one bit
   /// of one stored int8 weight, exactly as an upset in weight memory
-  /// would.  Deliberately does NOT refresh the precomputed zero-point
-  /// row sums — a real upset would not either; the folded constants
-  /// going stale is part of the corruption the checksum must catch.
-  /// `byte_index` wraps modulo the layer's weight count.
+  /// would.  `byte_index` wraps modulo the layer's logical weight count
+  /// in * out and names the row-major byte oc * in + ic; the flip lands
+  /// on that weight's byte in the packed panel, never on padding.
+  /// Deliberately does NOT refresh the precomputed zero-point row
+  /// sums — a real upset would not either; the folded constants going
+  /// stale is part of the corruption the checksum must catch.
   void flip_weight_bit(std::size_t layer, std::size_t byte_index,
                        unsigned bit);
 
  private:
+  /// Shapes, bias, scales, qparams and relu.  Their `weight` vectors
+  /// are released once packed: panels_ holds the one copy.
   std::vector<QuantizedLayer> layers_;
+  std::vector<std::vector<std::int8_t>> panels_;
   /// Per-layer, per-output-channel weight row sums, precomputed at
   /// construction so the inner inference loop is a pure q_x * q_w dot
   /// product: sum (q_x - zp) * q_w == sum q_x * q_w - zp * row_sum.

@@ -65,44 +65,141 @@ const std::vector<std::size_t>& batch_sizes() {
   return b;
 }
 
+/// acc = x * W^T straight from the row-major definition, no panel.
+std::vector<std::int32_t> rowmajor_gemm(const std::vector<std::uint8_t>& x,
+                                        const std::vector<std::int8_t>& w,
+                                        std::size_t rows, std::size_t in,
+                                        std::size_t out) {
+  std::vector<std::int32_t> acc(rows * out, 0);
+  for (std::size_t r = 0; r < rows; ++r)
+    for (std::size_t oc = 0; oc < out; ++oc)
+      for (std::size_t ic = 0; ic < in; ++ic)
+        acc[r * out + oc] += static_cast<std::int32_t>(x[r * in + ic]) *
+                             w[oc * in + ic];
+  return acc;
+}
+
+std::vector<std::int8_t> packed(const std::vector<std::int8_t>& w,
+                                std::size_t in, std::size_t out) {
+  std::vector<std::int8_t> panel(panel_bytes(in, out));
+  pack_panel(w.data(), in, out, panel.data());
+  return panel;
+}
+
+/// Accumulator slots past rows * out: a store past the last output
+/// overwrites them.
+constexpr std::size_t kGuard = 16;
+constexpr std::int32_t kSentinel = 0x5a5a5a5a;
+
+/// Runs `isa` and checks every output against `want`, and that no
+/// store reached the guard slots.
+void expect_gemm(Isa isa, const std::vector<std::uint8_t>& x,
+                 const std::vector<std::int8_t>& panel,
+                 const std::vector<std::int32_t>& want, std::size_t rows,
+                 std::size_t in, std::size_t out) {
+  std::vector<std::int32_t> got(rows * out + kGuard, kSentinel);
+  kernel_set(isa).u8i8_gemm(x.data(), panel.data(), got.data(), rows, in,
+                            out);
+  for (std::size_t i = 0; i < want.size(); ++i)
+    ASSERT_EQ(got[i], want[i])
+        << kernel_set(isa).name << " in=" << in << " out=" << out
+        << " rows=" << rows << " row=" << i / out << " oc=" << i % out;
+  for (std::size_t i = want.size(); i < got.size(); ++i)
+    ASSERT_EQ(got[i], kSentinel)
+        << kernel_set(isa).name << " wrote past the last output, in=" << in
+        << " out=" << out << " rows=" << rows;
+}
+
 TEST(U8I8GemmKernels, AllVariantsMatchScalarExactly) {
+  // in: below, at and past the 4-byte group and the 64-byte block;
+  // out: below, at and past the 16-channel block; rows: every tail of
+  // the 8-row (AVX-512) and 2-row (AVX2) tiles, and the ~54-ring serve
+  // batch.  The scalar panel kernel is itself held to the row-major
+  // definition.
   core::Rng rng(2024);
-  const KernelSet& ref = kernel_set(Isa::kScalar);
-  for (const GemmShape& shape : gemm_shapes()) {
-    for (const std::size_t rows : batch_sizes()) {
-      const auto x = random_u8(rows * shape.in, rng);
-      const auto w = random_s8(shape.out * shape.in, rng);
-      std::vector<std::int32_t> want(rows * shape.out, 0);
-      ref.u8i8_gemm(x.data(), w.data(), want.data(), rows, shape.in,
-                    shape.out);
-      for (const Isa isa : supported_isas()) {
-        if (isa == Isa::kScalar) continue;
-        std::vector<std::int32_t> got(rows * shape.out, -1);
-        kernel_set(isa).u8i8_gemm(x.data(), w.data(), got.data(), rows,
-                                  shape.in, shape.out);
-        for (std::size_t i = 0; i < want.size(); ++i)
-          ASSERT_EQ(got[i], want[i])
-              << kernel_set(isa).name << " in=" << shape.in
-              << " out=" << shape.out << " rows=" << rows << " idx=" << i;
+  const std::vector<std::size_t> row_counts = {1, 2, 3, 4, 5, 6, 7, 8, 9, 54};
+  for (const std::size_t in : {1, 3, 4, 5, 13, 63, 64, 65, 256}) {
+    for (const std::size_t out : {1, 15, 16, 17, 64, 128, 256}) {
+      const auto w = random_s8(out * in, rng);
+      const auto panel = packed(w, in, out);
+      for (const std::size_t rows : row_counts) {
+        const auto x = random_u8(rows * in, rng);
+        const auto want = rowmajor_gemm(x, w, rows, in, out);
+        for (const Isa isa : supported_isas())
+          expect_gemm(isa, x, panel, want, rows, in, out);
       }
     }
   }
 }
 
-TEST(U8I8GemmKernels, ExtremeValuesDoNotSaturate) {
-  // All-255 activations against all-(-128) weights is the most
-  // negative possible accumulation — the case the saturating
-  // maddubs/VPDPBUSDS instructions would silently clip.
-  const std::size_t in = 256, out = 4, rows = 2;
-  const std::vector<std::uint8_t> x(rows * in, 255);
-  const std::vector<std::int8_t> w(out * in, -128);
-  const std::int32_t expected = -128 * 255 * static_cast<std::int32_t>(in);
-  for (const Isa isa : supported_isas()) {
-    std::vector<std::int32_t> acc(rows * out, 0);
-    kernel_set(isa).u8i8_gemm(x.data(), w.data(), acc.data(), rows, in, out);
-    for (const std::int32_t a : acc)
-      ASSERT_EQ(a, expected) << kernel_set(isa).name;
+TEST(U8I8GemmKernels, PaddingLanesNeverLeak) {
+  // pack_panel must zero every padding byte, whatever the destination
+  // held; with nonzero padding, the all-255 activations beyond `in`
+  // in a group and the channels beyond `out` in a block would reach
+  // the outputs or spill into the next row's.
+  for (const std::size_t in : {1, 3, 5, 13, 65}) {
+    for (const std::size_t out : {1, 15, 17}) {
+      const std::vector<std::int8_t> w(out * in, 1);
+      std::vector<std::int8_t> panel(panel_bytes(in, out), 0x77);
+      pack_panel(w.data(), in, out, panel.data());
+      std::size_t weights = 0;
+      for (std::size_t oc = 0; oc < out; ++oc)
+        for (std::size_t ic = 0; ic < in; ++ic) {
+          ASSERT_EQ(panel[panel_offset(in, oc, ic)], 1)
+              << "in=" << in << " out=" << out;
+          ++weights;
+        }
+      std::size_t nonzero = 0;
+      for (const std::int8_t b : panel) nonzero += b != 0 ? 1 : 0;
+      EXPECT_EQ(nonzero, weights) << "in=" << in << " out=" << out;
+
+      const std::size_t rows = 9;
+      const std::vector<std::uint8_t> x(rows * in, 255);
+      const std::vector<std::int32_t> want(
+          rows * out, 255 * static_cast<std::int32_t>(in));
+      for (const Isa isa : supported_isas())
+        expect_gemm(isa, x, panel, want, rows, in, out);
+    }
   }
+}
+
+TEST(U8I8GemmKernels, ExtremeValuesDoNotSaturate) {
+  // All-255 activations against all-127 or all-(-128) weights are the
+  // largest accumulations of either sign — the cases the saturating
+  // maddubs/VPDPBUSDS instructions would silently clip.
+  const std::size_t in = 256, out = 17, rows = 9;
+  const std::vector<std::uint8_t> x(rows * in, 255);
+  for (const std::int8_t weight : {std::int8_t{127}, std::int8_t{-128}}) {
+    const auto panel =
+        packed(std::vector<std::int8_t>(out * in, weight), in, out);
+    const std::vector<std::int32_t> want(
+        rows * out, weight * 255 * static_cast<std::int32_t>(in));
+    for (const Isa isa : supported_isas())
+      expect_gemm(isa, x, panel, want, rows, in, out);
+  }
+}
+
+TEST(PackedPanel, OffsetsCoverTheBlocksOnce) {
+  // panel_offset maps the in * out weights one-to-one into the panel,
+  // each 64-byte block holding 16 channels x 4 inputs channel-major.
+  for (const std::size_t in : {1, 4, 13, 65}) {
+    for (const std::size_t out : {1, 16, 17}) {
+      std::vector<int> hits(panel_bytes(in, out), 0);
+      for (std::size_t oc = 0; oc < out; ++oc)
+        for (std::size_t ic = 0; ic < in; ++ic) {
+          const std::size_t off = panel_offset(in, oc, ic);
+          ASSERT_LT(off, hits.size());
+          ++hits[off];
+          EXPECT_EQ(off / kPanelBlockBytes,
+                    oc / kPanelChannels * panel_groups(in) + ic / kPanelDepth);
+          EXPECT_EQ(off % kPanelBlockBytes,
+                    oc % kPanelChannels * kPanelDepth + ic % kPanelDepth);
+        }
+      for (const int h : hits) ASSERT_LE(h, 1);
+    }
+  }
+  EXPECT_EQ(panel_bytes(13, 256), 4u * 4u * 256u);
+  EXPECT_EQ(panel_bytes(64, 1), 16u * 64u);
 }
 
 TEST(U8RequantKernels, AllVariantsMatchScalarExactly) {

@@ -114,6 +114,24 @@ TEST(QuantizedMlpSimd, OddWidthsBitIdenticalAcrossIsas) {
   }
 }
 
+TEST(QuantizedMlpSimd, LayerWiderThanOneRowBlockBitIdenticalAcrossIsas) {
+  // 600 x 300 = 180k MACs per row is more than the forward's ~128k-MAC
+  // row block, so each block is one kernel tile of rows; 21 rows leave
+  // a short last tile.
+  const QuantizedMlp engine = make_engine({600, 300, 1}, 5);
+  const nn::Tensor x = random_batch(21, 600, 77);
+  nn::Tensor want;
+  {
+    ForcedIsa forced(nk::Isa::kScalar);
+    want = engine.forward(x);
+  }
+  for (const nk::Isa isa : supported_isas()) {
+    if (isa == nk::Isa::kScalar) continue;
+    ForcedIsa forced(isa);
+    expect_bit_identical(engine.forward(x), want, nk::kernel_set(isa).name);
+  }
+}
+
 TEST(QuantizedMlpSimd, CrossWidthEngineInterleavingIsStable) {
   // Regression guard for the thread_local ping-pong scratch buffers in
   // forward(): one thread serving engines of different widths back to
@@ -138,7 +156,9 @@ TEST(QuantizedMlpSimd, SeuBitFlipDetectedIdenticallyThroughEveryVariant) {
   // flipped weight bit changes the checksum (the serve router's
   // detection channel), and the corrupted engine still computes
   // bit-identically across variants — corruption must never hide
-  // behind kernel-dependent noise.
+  // behind kernel-dependent noise.  One flip per layer, so the 13-wide
+  // first layer (a partial 4-byte group in every block) and the 1-wide
+  // last layer (15 padding channels) are both hit.
   QuantizedMlp engine = make_engine({13, 64, 32, 1}, 99);
   const nn::Tensor x = random_batch(16, 13, 3);
   const std::uint64_t checksum_before = engine.weight_checksum();
@@ -149,24 +169,28 @@ TEST(QuantizedMlpSimd, SeuBitFlipDetectedIdenticallyThroughEveryVariant) {
     clean_want = engine.forward(x);
   }
 
-  engine.flip_weight_bit(0, 5, 6);
-  EXPECT_NE(engine.weight_checksum(), checksum_before);
+  for (std::size_t layer = 0; layer < engine.num_layers(); ++layer) {
+    // Byte 12 is (oc 0, ic 12) of the 13-wide layer, the last input
+    // of its partial group; in the other layers an interior weight.
+    engine.flip_weight_bit(layer, 12, 6);
+    EXPECT_NE(engine.weight_checksum(), checksum_before) << "layer " << layer;
 
-  nn::Tensor corrupt_want;
-  {
-    ForcedIsa forced(nk::Isa::kScalar);
-    corrupt_want = engine.forward(x);
-  }
-  for (const nk::Isa isa : supported_isas()) {
-    if (isa == nk::Isa::kScalar) continue;
-    ForcedIsa forced(isa);
-    expect_bit_identical(engine.forward(x), corrupt_want,
-                         nk::kernel_set(isa).name);
-  }
+    nn::Tensor corrupt_want;
+    {
+      ForcedIsa forced(nk::Isa::kScalar);
+      corrupt_want = engine.forward(x);
+    }
+    for (const nk::Isa isa : supported_isas()) {
+      if (isa == nk::Isa::kScalar) continue;
+      ForcedIsa forced(isa);
+      expect_bit_identical(engine.forward(x), corrupt_want,
+                           nk::kernel_set(isa).name);
+    }
 
-  // Flipping the same bit back restores the digest exactly.
-  engine.flip_weight_bit(0, 5, 6);
-  EXPECT_EQ(engine.weight_checksum(), checksum_before);
+    // Flipping the same bit back restores the digest exactly.
+    engine.flip_weight_bit(layer, 12, 6);
+    EXPECT_EQ(engine.weight_checksum(), checksum_before) << "layer " << layer;
+  }
   ForcedIsa forced(nk::Isa::kScalar);
   expect_bit_identical(engine.forward(x), clean_want, "restored weights");
 }

@@ -145,6 +145,48 @@ TEST(QuantizedEngine, LayerMetadataPreserved) {
   EXPECT_FALSE(engine.layers()[3].relu);
 }
 
+TEST(QuantizedEngine, PaperDimensionPanelAndLogicalSizesArePinned) {
+  // 13 -> 256 -> 128 -> 64 -> 1.  The packed panels the forward reads
+  // hold sum ceil(in/4)*4 * ceil(out/16)*16 bytes (16 x 4 blocks):
+  // 16*256 + 256*128 + 128*64 + 64*16 = 46,080.  model_size_bytes()
+  // stays the logical INT8 footprint Table III and the FPGA example
+  // report: 44,352 weights + 449 int32 biases + 449 float scales.
+  QatFixture fixture(14);
+  const QuantizedMlp engine = export_quantized(fixture.qat);
+  ASSERT_EQ(engine.num_layers(), 4u);
+  EXPECT_EQ(engine.packed_weight_bytes(), 46080u);
+  EXPECT_EQ(engine.model_size_bytes(), 47944u);
+}
+
+TEST(QuantizedEngine, WeightBitFlipLandsOnTheLogicalWeight) {
+  // The SEU hook names a row-major byte oc * in + ic (wrapping modulo
+  // in * out); the flip must land on exactly that weight of the packed
+  // panel, in every layer, including the 13-wide first and the
+  // 1-wide last layer.
+  QatFixture fixture(15);
+  QuantizedMlp engine = export_quantized(fixture.qat);
+  const std::vector<QuantizedLayer> before = engine.layers();
+  const std::uint64_t digest = engine.weight_checksum();
+  for (std::size_t li = 0; li < before.size(); ++li) {
+    const std::size_t count = before[li].weight.size();
+    const std::size_t byte_index = 3 * count + 37 % count;
+    engine.flip_weight_bit(li, byte_index, 9);  // Bit 9 wraps to bit 1.
+    EXPECT_NE(engine.weight_checksum(), digest) << "layer " << li;
+    const std::vector<QuantizedLayer> after = engine.layers();
+    for (std::size_t lj = 0; lj < before.size(); ++lj)
+      for (std::size_t i = 0; i < before[lj].weight.size(); ++i) {
+        const bool flipped = lj == li && i == byte_index % count;
+        EXPECT_EQ(after[lj].weight[i],
+                  static_cast<std::int8_t>(before[lj].weight[i] ^
+                                           (flipped ? 2 : 0)))
+            << "flip in layer " << li << " seen at layer " << lj
+            << " byte " << i;
+      }
+    engine.flip_weight_bit(li, byte_index, 9);
+    EXPECT_EQ(engine.weight_checksum(), digest) << "layer " << li;
+  }
+}
+
 TEST(QuantizedEngine, ExportRequiresCalibration) {
   core::Rng rng(11);
   nn::Sequential swapped =

@@ -313,7 +313,8 @@ fi
 
 # ---- SIMD kernel throughput gate ----------------------------------
 # bench_nn_kernels registers one benchmark per dispatched kernel
-# variant (BM_U8I8GemmKernel/<isa>, BM_U8RequantKernel/<isa>,
+# variant (BM_U8I8GemmKernel/<isa> at the 256 -> 128 layer and
+# BM_U8I8GemmKernel/<isa>/13x256 at the first, BM_U8RequantKernel/<isa>,
 # BM_F32RowBlockKernel/<isa>) plus the dispatch-level int8 paths and
 # the whole FP32 forward of both paper networks (BM_BackgroundNetFp32,
 # BM_DetaNetFp32: a slow activation or epilogue shows up there, not in
