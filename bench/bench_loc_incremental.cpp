@@ -17,18 +17,30 @@
 ///     sub-microsecond update time moves past the timer floor;
 ///   * the 68% credible radius shrinks monotonically-ish with ring
 ///     count, which is what makes the serve-layer early alert
-///     (`adaptctl serve-bench --alert-deg`) useful.
+///     (`adaptctl serve-bench --alert-deg`) useful;
+///   * the serve-cadence row replays the serve path's load on one
+///     thread: 256 localizers on the 2 deg grid fed interleaved, each
+///     with a 68% radius check and a peak every 64 of its rings.  Its
+///     `serve_update_res2.0` (per-ring add) and `serve_query_res2.0`
+///     (per-check radius + peak) rows are gated like the others, and
+///     its touched/ring exactly, like the inc_update rows.  It also
+///     prints the rate of arc ranges sent to the exact acos fallback
+///     (loc/arc_ranges.hpp) per 10^6 ranges built.
 ///
 /// Scale knobs: ADAPT_LOC_BENCH_RINGS (default 400) rings per stream,
-/// ADAPT_LOC_BENCH_REPS (default 3) repetitions per timed cell.
+/// ADAPT_LOC_BENCH_REPS (default 3) repetitions per timed cell.  The
+/// serve-cadence row always feeds 256 x 512 rings.
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "core/rng.hpp"
+#include "core/telemetry.hpp"
 #include "core/units.hpp"
 #include "loc/incremental.hpp"
 #include "loc/skymap.hpp"
@@ -57,6 +69,28 @@ std::vector<recon::ComptonRing> make_rings(std::size_t n) {
                                 rng.normal(0.0, d_eta),
                             -1.0, 1.0);
     }
+  }
+  return rings;
+}
+
+/// One serve stream: a seeded source anywhere in the upper 70 deg,
+/// rings consistent with it plus 25% uniform background, d_eta 0.05.
+std::vector<recon::ComptonRing> serve_stream(std::uint64_t seed,
+                                             std::size_t n) {
+  core::Rng rng(seed);
+  const core::Vec3 source =
+      core::from_spherical(core::deg_to_rad(rng.uniform(0.0, 70.0)),
+                           rng.uniform(-core::kPi, core::kPi));
+  constexpr double d_eta = 0.05;
+  std::vector<recon::ComptonRing> rings(n);
+  for (recon::ComptonRing& ring : rings) {
+    ring.axis = rng.isotropic_direction();
+    ring.d_eta = d_eta;
+    ring.eta = rng.uniform() < 0.25
+                   ? rng.uniform(-1.0, 1.0)
+                   : std::clamp(ring.axis.dot(source) +
+                                    rng.normal(0.0, d_eta),
+                                -1.0, 1.0);
   }
   return rings;
 }
@@ -140,6 +174,104 @@ int main() {
                    core::TextTable::integer(static_cast<long long>(n_pixels)),
                    "-", core::TextTable::num(radius, 2)});
   }
+  // Serve cadence: interleaved localizers, a check every 64 rings.
+  {
+    constexpr std::size_t kLocalizers = 256;
+    constexpr std::size_t kRingsEach = 512;
+    constexpr std::size_t kCheckEvery = 64;
+    loc::IncrementalConfig ic;
+    ic.resolution_deg = 2.0;
+    std::vector<std::vector<recon::ComptonRing>> streams;
+    for (std::size_t l = 0; l < kLocalizers; ++l)
+      streams.push_back(serve_stream(0x5e77e + l, kRingsEach));
+
+    // Counting pass (untimed, telemetry on): touched/ring and the
+    // exact-fallback rate per range built.  A ring builds one range
+    // per coarse row and per refined fine row; a refinement replays
+    // every stored ring over each newly refined fine row.
+    namespace tm = core::telemetry;
+    const bool was_enabled = tm::enabled();
+    tm::set_enabled(true);
+    tm::Counter& fallback_ctr =
+        tm::counter("loc.incremental.arc_fallbacks");
+    const std::uint64_t fallbacks_before = fallback_ctr.value();
+    std::uint64_t ranges_built = 0;
+    std::uint64_t touched = 0;
+    {
+      std::vector<loc::IncrementalLocalizer> locs(
+          kLocalizers, loc::IncrementalLocalizer(ic));
+      for (std::size_t i = 0; i < kRingsEach; ++i) {
+        for (std::size_t l = 0; l < kLocalizers; ++l) {
+          loc::IncrementalLocalizer& inc = locs[l];
+          ranges_built += static_cast<std::uint64_t>(
+              inc.coarse_grid().n_rows()) + inc.refined_fine_rows();
+          inc.add_ring(streams[l][i]);
+          if (i % kCheckEvery != kCheckEvery - 1) continue;
+          const std::size_t refined = inc.refined_fine_rows();
+          (void)inc.credible_radius_deg(0.68);
+          (void)inc.peak();
+          ranges_built += static_cast<std::uint64_t>(
+              inc.refined_fine_rows() - refined) * inc.n_rings();
+        }
+      }
+      for (const auto& inc : locs) touched += inc.pixels_touched_total();
+    }
+    const std::uint64_t fallbacks = fallback_ctr.value() - fallbacks_before;
+    tm::set_enabled(was_enabled);
+
+    double update_ms = 0.0;
+    double query_ms = 0.0;
+    double radius_sum = 0.0;
+    for (std::size_t r = 0; r < reps; ++r) {
+      std::vector<loc::IncrementalLocalizer> locs(
+          kLocalizers, loc::IncrementalLocalizer(ic));
+      radius_sum = 0.0;
+      for (std::size_t i = 0; i < kRingsEach; ++i) {
+        const auto t0 = std::chrono::steady_clock::now();
+        for (std::size_t l = 0; l < kLocalizers; ++l)
+          locs[l].add_ring(streams[l][i]);
+        update_ms += ms_since(t0);
+        if (i % kCheckEvery != kCheckEvery - 1) continue;
+        const auto q0 = std::chrono::steady_clock::now();
+        for (auto& inc : locs) {
+          radius_sum += inc.credible_radius_deg(0.68);
+          (void)inc.peak();
+        }
+        query_ms += ms_since(q0);
+      }
+    }
+    const double n_rings_fed =
+        static_cast<double>(kLocalizers * kRingsEach * reps);
+    const double n_checks = static_cast<double>(
+        kLocalizers * (kRingsEach / kCheckEvery) * reps);
+    const double per_ring_ms = update_ms / n_rings_fed;
+    const double per_check_ms = query_ms / n_checks;
+    const auto n_pixels = static_cast<long long>(
+        loc::SkyGrid(ic.resolution_deg, ic.max_polar_deg).n_pixels());
+    const auto touched_per_ring = static_cast<long long>(
+        touched / (kLocalizers * kRingsEach));
+    table.add_row({"serve_update_res2.0", core::TextTable::num(per_ring_ms, 4),
+                   core::TextTable::integer(n_pixels),
+                   core::TextTable::integer(touched_per_ring), "-"});
+    table.add_row({"serve_query_res2.0", core::TextTable::num(per_check_ms, 4),
+                   core::TextTable::integer(n_pixels), "-",
+                   core::TextTable::num(
+                       radius_sum /
+                           static_cast<double>(kLocalizers *
+                                               (kRingsEach / kCheckEvery)),
+                       2)});
+    std::printf(
+        "serve cadence (%zu localizers x %zu rings, 2.0 deg, check every "
+        "%zu): %.3f us per ring, %.2f us per check, %lld touched/ring, "
+        "%.2f exact fallbacks per 10^6 ranges (%llu of %llu)\n\n",
+        kLocalizers, kRingsEach, kCheckEvery, per_ring_ms * 1e3,
+        per_check_ms * 1e3, touched_per_ring,
+        1e6 * static_cast<double>(fallbacks) /
+            static_cast<double>(ranges_built),
+        static_cast<unsigned long long>(fallbacks),
+        static_cast<unsigned long long>(ranges_built));
+  }
+
   table.print(std::cout, "Batch recompute vs incremental update (mean ms)");
   table.write_csv("bench_loc_incremental.csv");
 

@@ -1,7 +1,6 @@
 #include "loc/incremental.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -19,111 +18,53 @@ namespace {
 
 constexpr std::size_t kNpos = std::numeric_limits<std::size_t>::max();
 
-/// Slack [bins] by which a candidate range reaches past the pixel
-/// centres inside the analytic arc.  The arc ends come from acos of a
-/// rounded cosine, so they can sit a rounding error away from where
-/// the per-pixel test flips; this slack plus the guard bins absorbs
-/// that, and is far below a bin, so it adds almost no wasted tests.
-constexpr double kArcSlackBins = 0.02;
-
-/// Candidate azimuth-bin ranges of one grid row for a ring band.
-///
-/// On the row at polar angle theta, the ring dot product is
-///   c.s(phi) = m + s * cos(phi - phi0),
-///   m = c_z cos(theta), s = hypot(c_x, c_y) sin(theta),
-///   phi0 = atan2(c_y, c_x),
-/// so |c.s - eta| <= w selects up to two azimuth arcs symmetric about
-/// phi0.  The ranges returned are inclusive *unwrapped* bin intervals
-/// (reduce the first bin with a positive modulo, then walk with
-/// increment-and-wrap), guaranteed duplicate-free mod bins.  Each range
-/// holds the bins whose centres lie inside its arc widened by
-/// kArcSlackBins, plus one always-tested guard bin on each side.  The
-/// caller applies the exact per-pixel-centre residual test, which is
-/// the same condition the batch path evaluates; every pixel that
-/// passes it lies in a range, so each sum is the same as a scan of the
-/// whole row would give, bit for bit (each pixel gets at most one add
-/// per ring), while a ring tests only ~1 bin per arc end it does not
-/// add to.
-struct BinRanges {
-  std::array<std::pair<long, long>, 2> r;
-  int n = 0;
-};
-
-BinRanges band_bin_ranges(int bins, double m, double s, double phi0,
-                          double eta, double w) {
-  BinRanges out;
-  const auto full = [&] {
-    out.n = 1;
-    out.r[0] = {0, bins - 1};
-    return out;
-  };
-  if (s < 1e-12) {
-    // Band is azimuth-independent on this row (ring axis on the polar
-    // axis, or the zenith row itself).
-    if (std::abs(m - eta) <= w + 1e-12) return full();
-    return out;
-  }
-  const double lo = (eta - w - m) / s;
-  const double hi = (eta + w - m) / s;
-  if (lo > 1.0 || hi < -1.0) return out;  // band misses the row
-  const double a_min = std::acos(std::clamp(hi, -1.0, 1.0));
-  const double a_max = std::acos(std::clamp(lo, -1.0, 1.0));
-  const double bin_w = core::kTwoPi / static_cast<double>(bins);
-  const auto to_range = [&](double lo_phi, double hi_phi) {
-    // Bin b centres at (b + 0.5) * bin_w: the centres inside the
-    // slack-widened arc, plus one guard bin each side.
-    const long b0 = static_cast<long>(std::ceil(lo_phi / bin_w - 0.5 -
-                                                kArcSlackBins)) - 1;
-    const long b1 = static_cast<long>(std::floor(hi_phi / bin_w - 0.5 +
-                                                 kArcSlackBins)) + 1;
-    return std::pair<long, long>{b0, b1};
-  };
-  const auto rp = to_range(phi0 + a_min, phi0 + a_max);
-  const auto rm = to_range(phi0 - a_max, phi0 - a_min);
-  const long len =
-      (rp.second - rp.first + 1) + (rm.second - rm.first + 1);
-  if (len >= bins) return full();
-  if (rm.second + 1 >= rp.first) {
-    // Arcs meet near delta-phi = 0 (band grazes its nearest approach).
-    const std::pair<long, long> merged{rm.first, rp.second};
-    if (merged.second - merged.first + 1 >= bins) return full();
-    out.n = 1;
-    out.r[0] = merged;
-    return out;
-  }
-  if (rp.second + 1 >= rm.first + bins) {
-    // Arcs meet across delta-phi = pi (band grazes its far point).
-    const std::pair<long, long> merged{rp.first, rm.second + bins};
-    if (merged.second - merged.first + 1 >= bins) return full();
-    out.n = 1;
-    out.r[0] = merged;
-    return out;
-  }
-  out.n = 2;
-  out.r[0] = rm;
-  out.r[1] = rp;
-  return out;
-}
-
-}  // namespace
-
 /// Folds one ring into `n` consecutive pixels.  Same contribution rule
 /// as the batch likelihood: only residuals strictly inside the cap add
 /// excess.  max(0, 0.5 * (cap^2 - r^2)) is that rule without a branch:
 /// outside the cap it adds +0.0, which leaves the sum's bits alone
 /// (sums start at +0.0 and only grow), so the loop vectorizes and the
 /// sums stay those of `if (r^2 < cap^2) excess += ...`.
-void IncrementalLocalizer::fold_run(const RingBand& ring, double cap2,
-                                    const Vec3* centres, double* excess,
-                                    long n) {
-  const Vec3 axis = ring.axis;
-  const double eta = ring.eta;
-  const double d_eta = ring.d_eta;
+void fold_run(const Vec3& axis, double eta, double d_eta, double cap2,
+              const Vec3* centres, double* excess, long n) {
   for (long j = 0; j < n; ++j) {
     const double r = (axis.dot(centres[j]) - eta) / d_eta;
     excess[j] += std::max(0.0, 0.5 * (cap2 - r * r));
   }
 }
+
+/// Folds a ring into the ranges `arcs` last built for it, on rows of
+/// `grid` whose excess `row_excess(row)` points at.  Each range is at
+/// most two runs of its row; an empty second run is not called.
+/// Returns the pixels tested.
+template <class RowExcess>
+std::size_t fold_ranges(const ArcRanges& arcs, const SkyGrid& grid,
+                        const Vec3& axis, double eta, double d_eta,
+                        double cap2, RowExcess&& row_excess) {
+  std::size_t touched = 0;
+  for (std::size_t k = 0; k < arcs.size(); ++k) {
+    const BinRanges& ranges = arcs.ranges(k);
+    if (ranges.n == 0) continue;
+    const std::size_t row = arcs.row(k);
+    const long bins = grid.az_bins(row);
+    const Vec3* centres = grid.row_centers(row).data();
+    double* excess = row_excess(row);
+    for (int j = 0; j < ranges.n; ++j) {
+      const auto [b0, b1] = ranges.r[static_cast<std::size_t>(j)];
+      // b0 lies in [-bins - 1, bins - 1] (arc_ranges.hpp).
+      long first = b0;
+      while (first < 0) first += bins;
+      const long count = b1 - b0 + 1;
+      const long head = std::min(count, bins - first);
+      fold_run(axis, eta, d_eta, cap2, centres + first, excess + first, head);
+      if (count > head)
+        fold_run(axis, eta, d_eta, cap2, centres, excess, count - head);
+      touched += static_cast<std::size_t>(count);
+    }
+  }
+  return touched;
+}
+
+}  // namespace
 
 IncrementalLocalizer::IncrementalLocalizer(const IncrementalConfig& config)
     : config_(config) {
@@ -143,34 +84,12 @@ IncrementalLocalizer::IncrementalLocalizer(const IncrementalConfig& config)
   coarse_excess_.assign(coarse_.n_pixels(), 0.0);
   coarse_refined_.assign(static_cast<std::size_t>(coarse_.n_rows()), 0);
   fine_excess_.resize(static_cast<std::size_t>(fine_.n_rows()));
-}
-
-void IncrementalLocalizer::accumulate_band(
-    const SkyGrid& grid, std::size_t row, const RingBand& ring,
-    double cap2, std::vector<double>& excess, std::size_t base,
-    std::size_t& touched) {
-  const double w = config_.truncation_sigma * ring.d_eta;
-  const int bins = grid.az_bins(row);
-  // The row's closed form m + s * cos(phi - phi0) only places the
-  // candidate arcs; each candidate's residual is ring_residual's
-  // (c.s - eta) / d_eta against the shared pixel-centre table, so it
-  // is bit-equal to the batch path's (see incremental.hpp).
-  const BinRanges ranges = band_bin_ranges(
-      bins, ring.axis.z * grid.row_cos(row), ring.axis_xy * grid.row_sin(row),
-      ring.phi0, ring.eta, w);
-  const Vec3* centres = grid.row_centers(row).data();
-  double* row_excess = excess.data() + base;
-  const long lbins = bins;
-  for (int k = 0; k < ranges.n; ++k) {
-    const auto [b0, b1] = ranges.r[static_cast<std::size_t>(k)];
-    const long first = ((b0 % lbins) + lbins) % lbins;
-    const long count = b1 - b0 + 1;
-    // An unwrapped range is at most two contiguous runs of the row.
-    const long head = std::min(count, lbins - first);
-    fold_run(ring, cap2, centres + first, row_excess + first, head);
-    fold_run(ring, cap2, centres, row_excess, count - head);
-    touched += static_cast<std::size_t>(count);
-  }
+  coarse_arcs_ = ArcRanges(static_cast<std::size_t>(coarse_.n_rows()));
+  for (std::size_t row = 0;
+       row < static_cast<std::size_t>(coarse_.n_rows()); ++row)
+    coarse_arcs_.add_row(coarse_, row);
+  fine_arcs_ = ArcRanges(static_cast<std::size_t>(fine_.n_rows()));
+  replay_arcs_ = ArcRanges(static_cast<std::size_t>(config.coarse_factor));
 }
 
 std::size_t IncrementalLocalizer::fine_rows_of(std::size_t coarse_row,
@@ -203,21 +122,19 @@ std::size_t IncrementalLocalizer::add_ring(const recon::ComptonRing& ring) {
                std::hypot(ring.axis.x, ring.axis.y),
                std::atan2(ring.axis.y, ring.axis.x)});
   const double cap2 = config_.truncation_sigma * config_.truncation_sigma;
-  std::size_t touched = 0;
-
-  for (std::size_t row = 0;
-       row < static_cast<std::size_t>(coarse_.n_rows()); ++row) {
-    accumulate_band(coarse_, row, band, cap2, coarse_excess_,
-                    coarse_.row_offset(row), touched);
-  }
-  for (std::size_t cr = 0;
-       cr < static_cast<std::size_t>(coarse_.n_rows()); ++cr) {
-    if (!coarse_refined_[cr]) continue;
-    std::size_t first = 0;
-    const std::size_t count = fine_rows_of(cr, first);
-    for (std::size_t fr = first; fr < first + count; ++fr) {
-      accumulate_band(fine_, fr, band, cap2, fine_excess_[fr], 0, touched);
-    }
+  const double w = config_.truncation_sigma * band.d_eta;
+  // Every row's ranges first, then the folds.
+  coarse_arcs_.build(band.axis.z, band.axis_xy, band.phi0, band.eta, w);
+  std::size_t touched =
+      fold_ranges(coarse_arcs_, coarse_, band.axis, band.eta, band.d_eta,
+                  cap2, [this](std::size_t row) {
+                    return coarse_excess_.data() + coarse_.row_offset(row);
+                  });
+  if (fine_arcs_.size() > 0) {
+    fine_arcs_.build(band.axis.z, band.axis_xy, band.phi0, band.eta, w);
+    touched += fold_ranges(
+        fine_arcs_, fine_, band.axis, band.eta, band.d_eta, cap2,
+        [this](std::size_t row) { return fine_excess_[row].data(); });
   }
 
   pixels_touched_ += touched;
@@ -242,16 +159,27 @@ void IncrementalLocalizer::refine_coarse_row(std::size_t coarse_row) {
   const double cap2 = config_.truncation_sigma * config_.truncation_sigma;
   std::size_t first = 0;
   const std::size_t count = fine_rows_of(coarse_row, first);
+  replay_arcs_.clear();
   for (std::size_t fr = first; fr < first + count; ++fr) {
     fine_excess_[fr].assign(static_cast<std::size_t>(fine_.az_bins(fr)),
                             0.0);
-    // Replay in arrival order so the sums are bit-identical to the
-    // ones a from-the-start refined row would have accumulated.
-    std::size_t touched = 0;
+    replay_arcs_.add_row(fine_, fr);
+  }
+  // Replay in arrival order so the sums are bit-identical to the
+  // ones a from-the-start refined row would have accumulated.
+  std::size_t touched = 0;
+  if (count > 0) {
     for (const RingBand& band : rings_) {
-      accumulate_band(fine_, fr, band, cap2, fine_excess_[fr], 0, touched);
+      replay_arcs_.build(band.axis.z, band.axis_xy, band.phi0, band.eta,
+                         config_.truncation_sigma * band.d_eta);
+      touched += fold_ranges(
+          replay_arcs_, fine_, band.axis, band.eta, band.d_eta, cap2,
+          [this](std::size_t row) { return fine_excess_[row].data(); });
     }
-    pixels_touched_ += touched;
+  }
+  pixels_touched_ += touched;
+  for (std::size_t fr = first; fr < first + count; ++fr) {
+    fine_arcs_.add_row(fine_, fr);
     refined_ctr.add();
   }
   coarse_refined_[coarse_row] = 1;
@@ -329,8 +257,9 @@ void IncrementalLocalizer::ensure_posterior() {
   if (any_finite) {
     for (std::size_t i = 0; i < total; ++i) {
       const double v = mixed_value_[i];
-      const double m =
-          std::isfinite(v) ? std::exp(v - max_v) * mixed_sa_[i] : 0.0;
+      const double m = std::isfinite(v)
+                           ? shifted_exp(v - max_v) * mixed_sa_[i]
+                           : 0.0;
       mixed_prob_[i] = m;
       norm += m;
     }

@@ -22,8 +22,12 @@
 /// pixel that passes the exact residual test is among them, so the
 /// sums equal a full-row scan's bit for bit.  A ring's azimuth-only
 /// invariants (hypot and atan2 of its axis) are computed once per ring,
-/// not once per row; they place the arcs and nothing else.  Each
-/// tested pixel's residual is ring_residual's (c.s - eta) / d_eta
+/// not once per row; they place the arcs and nothing else.  The arcs
+/// of every visited row come first, from one ArcRanges::build() per
+/// ring and row list (arc_ranges.hpp: a vectorized polynomial acos,
+/// exact libm acos only where an arc end falls within its error margin
+/// of a bin boundary), and then the folds, with no empty run folded.
+/// Each tested pixel's residual is ring_residual's (c.s - eta) / d_eta
 /// against the grid's shared pixel-centre table (sky_grid.hpp), so no
 /// tested pixel calls into libm.
 ///
@@ -55,9 +59,18 @@
 ///     NOT promised, only because they associate differently: the
 ///     batch path sums 0.5*min(r^2,cap^2) per pixel across rings while
 ///     the accumulator sums 0.5*(cap^2-r^2) per ring across pixels.
+///   - the candidate ranges equal the per-row libm-acos computation's
+///     on every row (ArcRanges, held to it as an oracle in
+///     tests/loc/arc_ranges_test.cpp), so which pixels a ring tests,
+///     and every sum, do not depend on the polynomial (`touched/ring`
+///     and the digests pinned in the tests hold them).
 ///   - credible regions (here and in SkyMap) come from one greedy cut,
 ///     greedy_mass_cut(), taking entries by (value descending, index
-///     ascending), so tied pixels are cut in a defined order.
+///     ascending), so tied pixels are cut in a defined order.  The
+///     first entry comes from one scan and the heap is built only when
+///     it holds less than the content, which changes no visit.
+///     Entries whose excess sits more than 746 below the maximum get
+///     +0 mass without an exp call, the value exp returns there.
 ///   - adaptive queries (default config) additionally approximate the
 ///     unrefined tail by its coarse pixels; with the default
 ///     refine_mass_fraction = 0.999 the peak is exact and the 68%/90%
@@ -83,13 +96,17 @@
 /// `loc.incremental.pixels_touched` histograms per update (the fold);
 /// `loc.incremental.query_ms` histogram per credible-region query
 /// (posterior rebuild plus the cut); `loc.incremental.rows_refined`
-/// counter.
+/// counter; `loc.incremental.arc_fallbacks` counter, bumped once per
+/// row whose arc ranges took the exact libm-acos path (arc_ranges.hpp;
+/// 0 of 2.2 million ranges on bench_loc_incremental's serve-cadence
+/// stream).
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "core/vec3.hpp"
+#include "loc/arc_ranges.hpp"
 #include "loc/sky_grid.hpp"
 #include "loc/skymap.hpp"
 #include "recon/ring.hpp"
@@ -166,12 +183,6 @@ class IncrementalLocalizer {
     double phi0;     ///< atan2(axis.y, axis.x); places the arcs only
   };
 
-  static void fold_run(const RingBand& ring, double cap2,
-                       const core::Vec3* centres, double* excess, long n);
-  void accumulate_band(const SkyGrid& grid, std::size_t row,
-                       const RingBand& ring, double cap2,
-                       std::vector<double>& excess, std::size_t base,
-                       std::size_t& touched);
   void refine_coarse_row(std::size_t coarse_row);
   std::size_t fine_rows_of(std::size_t coarse_row, std::size_t& first) const;
   void ensure_posterior();
@@ -187,6 +198,12 @@ class IncrementalLocalizer {
                                                   ///< refined).
   std::vector<RingBand> rings_;  ///< Replay log for refinement
                                  ///< backfill, in arrival order.
+  // Arc ranges per ring, storage sized here at construction: every
+  // coarse row, the refined fine rows (in refinement order), and the
+  // fine rows of the coarse row being refined.
+  ArcRanges coarse_arcs_;
+  ArcRanges fine_arcs_;
+  ArcRanges replay_arcs_;
 
   std::size_t rings_rejected_ = 0;
   std::uint64_t pixels_touched_ = 0;

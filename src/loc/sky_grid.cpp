@@ -158,15 +158,13 @@ bool normalize_log_posterior(const SkyGrid& grid,
 
   double norm = 0.0;
   if (any_finite) {
-    for (std::size_t i = 0; i < total; ++i) {
+    grid.for_each_pixel_solid_angle([&](std::size_t i, double sa) {
       const double v = log_post[i];
-      const double mass = std::isfinite(v)
-                              ? std::exp(v - max_log) *
-                                    grid.pixel_solid_angle_deg2(i)
-                              : 0.0;
+      const double mass =
+          std::isfinite(v) ? shifted_exp(v - max_log) * sa : 0.0;
       probability[i] = mass;
       norm += mass;
-    }
+    });
   }
 
   if (!(norm > 0.0) || !std::isfinite(norm)) {
@@ -177,10 +175,11 @@ bool normalize_log_posterior(const SkyGrid& grid,
         core::telemetry::counter("loc.skymap.degenerate");
     degenerate.add(1);
     double total_sa = 0.0;
-    for (std::size_t i = 0; i < total; ++i)
-      total_sa += grid.pixel_solid_angle_deg2(i);
-    for (std::size_t i = 0; i < total; ++i)
-      probability[i] = grid.pixel_solid_angle_deg2(i) / total_sa;
+    grid.for_each_pixel_solid_angle(
+        [&](std::size_t, double sa) { total_sa += sa; });
+    grid.for_each_pixel_solid_angle([&](std::size_t i, double sa) {
+      probability[i] = sa / total_sa;
+    });
     return false;
   }
 

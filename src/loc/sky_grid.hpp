@@ -42,6 +42,7 @@
 /// non-finite) it returns false, produces the *uniform* solid-angle
 /// posterior instead of NaNs, and counts `loc.skymap.degenerate`.
 
+#include <cmath>
 #include <cstddef>
 #include <memory>
 #include <optional>
@@ -102,8 +103,16 @@ class SkyGrid {
   double row_pixel_solid_angle_deg2(std::size_t row) const {
     return row_sa_deg2_[row];
   }
-  double pixel_solid_angle_deg2(std::size_t index) const {
-    return row_sa_deg2_[row_of(index)];
+  /// Calls f(index, solid_angle_deg2) for every pixel in index order,
+  /// reading each row's solid angle once (no row_of() per pixel).
+  template <class F>
+  void for_each_pixel_solid_angle(F&& f) const {
+    for (std::size_t row = 0; row < az_bins_.size(); ++row) {
+      const double sa = row_sa_deg2_[row];
+      const std::size_t end =
+          row_offset_[row] + static_cast<std::size_t>(az_bins_[row]);
+      for (std::size_t i = row_offset_[row]; i < end; ++i) f(i, sa);
+    }
   }
 
   /// Pixel containing `direction`, or nullopt outside the field of
@@ -122,6 +131,11 @@ class SkyGrid {
   std::vector<double> row_sin_;
   std::shared_ptr<const std::vector<core::Vec3>> centers_;
 };
+
+/// exp(d) for a softmax shift d <= 0, without the call where the
+/// result is +0 either way: exp underflows to exactly +0 below about
+/// -745.13, and glibc reaches that +0 through its slow path.
+inline double shifted_exp(double d) { return d < -746.0 ? 0.0 : std::exp(d); }
 
 /// Normalize per-pixel log-posterior values into probability masses
 /// with solid-angle weights (stable softmax).  Returns true on a valid

@@ -77,12 +77,13 @@ double SkyMap::credible_region_area_deg2(double content) const {
   // Greedy: add pixels in decreasing posterior density until the mass
   // target is met.
   std::vector<double> density(probability_.size());
-  for (std::size_t i = 0; i < density.size(); ++i)
-    density[i] = probability_[i] / grid_.pixel_solid_angle_deg2(i);
+  grid_.for_each_pixel_solid_angle([&](std::size_t i, double sa) {
+    density[i] = probability_[i] / sa;
+  });
   double area = 0.0;
   std::vector<std::size_t> heap;
   greedy_mass_cut(density, probability_, content, heap, [&](std::size_t i) {
-    area += grid_.pixel_solid_angle_deg2(i);
+    area += grid_.row_pixel_solid_angle_deg2(grid_.row_of(i));
   });
   return area;
 }

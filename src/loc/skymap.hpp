@@ -20,6 +20,7 @@
 /// before evaluation, matching the point-estimate localizer paths.
 
 #include <algorithm>
+#include <cstddef>
 #include <numeric>
 #include <optional>
 #include <span>
@@ -44,23 +45,36 @@ struct SkyMapConfig {
 /// ascending) order — a strict total order, so the visit sequence, and
 /// with it every floating-point sum over it, never depends on the
 /// sort implementation — and stops after the entry that brings the
-/// summed `mass` to `content` (or after the last entry).  Heap-ordered:
-/// one make_heap plus a pop per taken entry, O(n + k log n) for the k
-/// entries a peaked posterior needs instead of a full sort.  `heap` is
-/// caller-owned scratch.
+/// summed `mass` to `content` (or after the last entry).  The first
+/// entry comes from one linear scan, and a peaked posterior often
+/// holds `content` in it alone; only when it does not is a heap built
+/// over the rest, popping one entry per take: O(n + k log n) for the
+/// k entries taken, instead of a full sort.  `heap` is caller-owned
+/// scratch.
 template <class Take>
 void greedy_mass_cut(std::span<const double> key,
                      std::span<const double> mass, double content,
                      std::vector<std::size_t>& heap, Take&& take) {
-  heap.resize(key.size());
-  std::iota(heap.begin(), heap.end(), std::size_t{0});
+  const std::size_t n = key.size();
+  if (n == 0) return;
+  std::size_t top = 0;
+  for (std::size_t i = 1; i < n; ++i)
+    if (key[i] > key[top]) top = i;
+  take(top);
+  double sum = 0.0;
+  sum += mass[top];
+  if (sum >= content) return;
+
+  heap.resize(n - 1);
+  const auto skip = heap.begin() + static_cast<std::ptrdiff_t>(top);
+  std::iota(heap.begin(), skip, std::size_t{0});
+  std::iota(skip, heap.end(), top + 1);
   // Heap "less": a is taken after b.
   const auto after = [key](std::size_t a, std::size_t b) {
     if (key[a] != key[b]) return key[a] < key[b];
     return a > b;
   };
   std::make_heap(heap.begin(), heap.end(), after);
-  double sum = 0.0;
   for (auto end = heap.end(); end != heap.begin(); --end) {
     std::pop_heap(heap.begin(), end, after);
     const std::size_t i = *(end - 1);

@@ -332,7 +332,7 @@ TEST(IncrementalLocalizer, SnapshotMatchesBatchAtCheckpoints) {
     EXPECT_NEAR(from_inc.credible_region_area_deg2(0.68),
                 from_batch.credible_region_area_deg2(0.68),
                 1e-6 * from_batch.credible_region_area_deg2(0.68) +
-                    from_batch.grid().pixel_solid_angle_deg2(0))
+                    from_batch.grid().row_pixel_solid_angle_deg2(0))
         << "checkpoint " << checkpoint;
   }
 }
@@ -628,6 +628,81 @@ TEST(IncrementalLocalizer, BenchStreamTouchedPerRingIsExact) {
     EXPECT_EQ(inc.pixels_touched_total() / (rings.size() + 1), want)
         << "res " << res;
   }
+}
+
+/// bench_loc_incremental's serve stream (serve_stream there; this test
+/// replays its first 32 of 256): a seeded source anywhere in the upper
+/// 70 deg, rings consistent with it plus 25% uniform background,
+/// d_eta 0.05.
+std::vector<recon::ComptonRing> serve_stream(std::uint64_t seed,
+                                             std::size_t n) {
+  core::Rng rng(seed);
+  const core::Vec3 source =
+      core::from_spherical(core::deg_to_rad(rng.uniform(0.0, 70.0)),
+                           rng.uniform(-core::kPi, core::kPi));
+  constexpr double d_eta = 0.05;
+  std::vector<recon::ComptonRing> rings(n);
+  for (recon::ComptonRing& ring : rings) {
+    ring.axis = rng.isotropic_direction();
+    ring.d_eta = d_eta;
+    ring.eta = rng.uniform() < 0.25
+                   ? rng.uniform(-1.0, 1.0)
+                   : std::clamp(ring.axis.dot(source) + rng.normal(0.0, d_eta),
+                                -1.0, 1.0);
+  }
+  return rings;
+}
+
+TEST(IncrementalLocalizer, ServeCadenceDigestIsPinned) {
+  // The serve path's load: 32 localizers on the 2 deg grid, each fed
+  // 512 rings with a 68% radius check and a peak every 64 rings.  Pins
+  // every radius and peak.  Recorded before ArcRanges (arc_ranges.hpp) and
+  // the one-scan greedy cut; neither may move a bit of it.  The stream
+  // reaches the cut's three regimes, counted from the refined rows:
+  // the top pixel holding 68% alone, a cut that needs more pixels, and
+  // a posterior whose excess spans more than exp() can represent (its
+  // low entries underflow to +0 mass).
+  IncrementalConfig ic;
+  ic.resolution_deg = 2.0;
+  Fnv64 digest;
+  int top_alone = 0;
+  int needs_more = 0;
+  int underflowed = 0;
+  for (std::uint64_t k = 0; k < 32; ++k) {
+    IncrementalLocalizer inc(ic);
+    const auto rings = serve_stream(0x5e77e + k, 512);
+    for (std::size_t i = 0; i < rings.size(); ++i) {
+      inc.add_ring(rings[i]);
+      if (i % 64 != 63) continue;
+      digest.add(inc.credible_radius_deg(0.68));
+      const core::Vec3 p = inc.peak();
+      digest.add(p.x);
+      digest.add(p.y);
+      digest.add(p.z);
+
+      double top = -std::numeric_limits<double>::infinity();
+      double low = std::numeric_limits<double>::infinity();
+      core::Vec3 top_dir;
+      for (std::size_t fr = 0;
+           fr < static_cast<std::size_t>(inc.fine_grid().n_rows()); ++fr) {
+        const std::span<const double> row = inc.fine_row_excess(fr);
+        for (std::size_t az = 0; az < row.size(); ++az) {
+          low = std::min(low, row[az]);
+          if (row[az] > top) {
+            top = row[az];
+            top_dir = inc.fine_grid().pixel_center(fr, az);
+          }
+        }
+      }
+      ++(inc.probability_at(top_dir) >= 0.68 ? top_alone : needs_more);
+      if (top - low > 746.0) ++underflowed;
+    }
+  }
+  // 220, 36 and 124 of the 256 checks when recorded.
+  EXPECT_GT(top_alone, 0);
+  EXPECT_GT(needs_more, 0);
+  EXPECT_GT(underflowed, 0);
+  EXPECT_EQ(digest.h, 0x9666ccb71e220450ull) << std::hex << digest.h;
 }
 
 }  // namespace

@@ -123,9 +123,10 @@ TEST(SkyGridNormalize, AllNonFiniteFallsBackToUniform) {
   }
   EXPECT_NEAR(sum, 1.0, 1e-9);
   // Uniform in *density*: probability proportional to solid angle.
-  const double density0 = prob[0] / grid.pixel_solid_angle_deg2(0);
+  const double density0 = prob[0] / grid.row_pixel_solid_angle_deg2(0);
   const std::size_t last = prob.size() - 1;
-  const double density1 = prob[last] / grid.pixel_solid_angle_deg2(last);
+  const double density1 =
+      prob[last] / grid.row_pixel_solid_angle_deg2(grid.row_of(last));
   EXPECT_NEAR(density0, density1, 1e-12);
 }
 

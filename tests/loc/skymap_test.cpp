@@ -268,6 +268,108 @@ TEST(CredibleCut, TiesTakenInIndexOrderLikeStableSort) {
   }
 }
 
+/// The entries a greedy cut takes, in order.
+std::vector<std::size_t> cut_sequence(const std::vector<double>& key,
+                                      const std::vector<double>& mass,
+                                      double content) {
+  std::vector<std::size_t> heap;
+  std::vector<std::size_t> taken;
+  greedy_mass_cut(key, mass, content, heap,
+                  [&](std::size_t i) { taken.push_back(i); });
+  return taken;
+}
+
+/// The same sequence through a std::stable_sort on key descending.
+std::vector<std::size_t> stable_sort_sequence(const std::vector<double>& key,
+                                              const std::vector<double>& mass,
+                                              double content) {
+  std::vector<std::size_t> order(key.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) { return key[a] > key[b]; });
+  std::vector<std::size_t> taken;
+  double sum = 0.0;
+  for (const std::size_t i : order) {
+    taken.push_back(i);
+    sum += mass[i];
+    if (sum >= content) break;
+  }
+  return taken;
+}
+
+TEST(CredibleCut, TiesAtTheMaximumTakeTheLowestIndexFirst) {
+  // Three entries share the top key; the first taken is the lowest
+  // index of them, whether it alone reaches the content or not.
+  const std::vector<double> key = {1.0, 3.0, 2.0, 3.0, 0.5, 3.0};
+  const std::vector<double> mass = {0.05, 0.3, 0.1, 0.3, 0.05, 0.2};
+  EXPECT_EQ(cut_sequence(key, mass, 0.25), (std::vector<std::size_t>{1}));
+  EXPECT_EQ(cut_sequence(key, mass, 0.5), (std::vector<std::size_t>{1, 3}));
+  EXPECT_EQ(cut_sequence(key, mass, 0.85),
+            (std::vector<std::size_t>{1, 3, 5, 2}));
+  // Every key tied: plain index order.
+  const std::vector<double> flat(7, 2.5);
+  const std::vector<double> even(7, 1.0 / 7.0);
+  EXPECT_EQ(cut_sequence(flat, even, 0.4),
+            (std::vector<std::size_t>{0, 1, 2}));
+}
+
+TEST(CredibleCut, FirstEntryReachingContentIsTheOnlyTake) {
+  // A peaked posterior: the top entry alone holds the content, so the
+  // cut takes it and nothing else, wherever it sits.
+  for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{999}}) {
+    for (const std::size_t top : {std::size_t{0}, n / 2, n - 1}) {
+      std::vector<double> key(n, -5.0);
+      std::vector<double> mass(n, n > 1 ? 0.2 / static_cast<double>(n - 1) : 0.0);
+      key[top] = 7.0;
+      mass[top] = 0.8;
+      EXPECT_EQ(cut_sequence(key, mass, 0.8), (std::vector<std::size_t>{top}))
+          << "n " << n << " top " << top;
+      EXPECT_EQ(cut_sequence(key, mass, 0.68), (std::vector<std::size_t>{top}))
+          << "n " << n << " top " << top;
+      if (n > 1) {
+        // Just short: the top entry first, then the rest by index.
+        const auto more = cut_sequence(key, mass, 0.81);
+        ASSERT_GT(more.size(), 1u) << "n " << n << " top " << top;
+        EXPECT_EQ(more[0], top);
+        EXPECT_EQ(more[1], top == 0 ? 1u : 0u);
+      }
+    }
+  }
+}
+
+TEST(CredibleCut, EmptyInputTakesNothing) {
+  const std::vector<double> none;
+  std::vector<std::size_t> heap = {4, 2};
+  bool called = false;
+  greedy_mass_cut(none, none, 0.5, heap, [&](std::size_t) { called = true; });
+  EXPECT_FALSE(called);
+}
+
+TEST(CredibleCut, RandomKeysCutLikeStableSort) {
+  // Random keys drawn from a few levels (many ties) or a continuum,
+  // random masses, and contents from a sliver to more than the total:
+  // the visit sequence equals a stable sort's, entry for entry.
+  core::Rng rng(0xc07);
+  for (int trial = 0; trial < 400; ++trial) {
+    const auto n = static_cast<std::size_t>(1 + rng.uniform_index(300));
+    const std::uint64_t levels = trial % 3 == 0 ? 0 : 1 + rng.uniform_index(6);
+    std::vector<double> key(n);
+    std::vector<double> mass(n);
+    double norm = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      key[i] = levels == 0 ? rng.uniform(-800.0, 20.0)
+                           : static_cast<double>(rng.uniform_index(levels));
+      norm += (mass[i] = rng.uniform() < 0.1 ? 0.0 : rng.uniform());
+    }
+    if (norm > 0.0)
+      for (double& m : mass) m /= norm;
+    for (const double content : {1e-6, 0.3, 0.68, 0.9, 0.999, 1.5})
+      ASSERT_EQ(cut_sequence(key, mass, content),
+                stable_sort_sequence(key, mass, content))
+          << "trial " << trial << " n " << n << " content " << content;
+  }
+}
+
 TEST(SkyMap, TiedAndUniformMapsCutLikeStableSort) {
   const SkyGrid grid(3.0, 90.0);
   std::vector<double> uniform(grid.n_pixels(), 0.0);
@@ -282,7 +384,7 @@ TEST(SkyMap, TiedAndUniformMapsCutLikeStableSort) {
     std::vector<double> area(grid.n_pixels());
     for (std::size_t i = 0; i < grid.n_pixels(); ++i) {
       mass[i] = map.probability_at(grid.pixel_center(i));
-      area[i] = grid.pixel_solid_angle_deg2(i);
+      area[i] = grid.row_pixel_solid_angle_deg2(grid.row_of(i));
       density[i] = mass[i] / area[i];
     }
     for (const double content : {0.1, 0.68, 0.9})

@@ -394,9 +394,10 @@ fi
 #     every resolution — the machine-independent reason the
 #     incremental localizer exists.  A violation means the band
 #     enumeration degenerated into a full-grid walk.
-#   * exactly, each inc_update_res<r> row's touched/ring (candidate
-#     pixels tested per ring, a count fixed by the seeded ring stream)
-#     stays at or below its baseline value.  The per-ring update is far
+#   * exactly, each inc_update_res<r> and serve_update_res<r> row's
+#     touched/ring (candidate pixels tested per ring, a count fixed by
+#     the seeded ring streams) stays at or below its baseline value.
+#     The per-ring update is far
 #     below the 0.5 ms timer floor of the first check, so this is what
 #     catches a band enumeration that tests more pixels than it did.
 #     Machine-independent, so it gates even under --check-only.
@@ -466,7 +467,7 @@ awk -F, -v tol="$tolerance" '
 touched_status=0
 awk -F, '
   NR == FNR { if (FNR > 1) base[$1] = $4; next }
-  FNR > 1 && $1 ~ /^inc_update_res/ {
+  FNR > 1 && $1 ~ /^(inc|serve)_update_res/ {
     if (!($1 in base) || base[$1] == "-") {
       printf "FAIL  %-22s no touched/ring baseline\n", $1
       failed = 1
