@@ -4,28 +4,27 @@
 /// The hot-path compute layer's threading primitives.
 ///
 /// Everything performance-critical in adaptml (GEMM kernels, INT8
-/// inference, grid-search localization, event reconstruction, the
-/// evaluation trial harness) funnels its parallelism through these
-/// helpers instead of raw OpenMP pragmas, so that
+/// inference, event reconstruction, the evaluation trial harness)
+/// funnels its parallelism through parallel_for instead of raw OpenMP
+/// pragmas, so that
 ///   - results are deterministic and independent of the schedule
-///     (work is indexed, reductions merge in index/score order),
+///     (work is indexed; each index writes only its own outputs),
 ///   - thread-count and tile-size knobs live in one place
 ///     (`OMP_NUM_THREADS` / `ADAPT_NUM_THREADS`,
 ///     `ADAPT_GEMM_TILE_COLS`), and
 ///   - the backend is swappable: OpenMP when compiled in, a portable
 ///     std::thread fork/join otherwise (or when ADAPT_PARALLEL_FORCE_STD
 ///     is defined — the TSan build does this, because libgomp's
-///     futex-based barriers and criticals are invisible to
-///     ThreadSanitizer and would drown real findings in false
-///     positives; std::thread/std::mutex/std::atomic are fully
-///     instrumented).
+///     futex-based barriers are invisible to ThreadSanitizer and would
+///     drown real findings in false positives;
+///     std::thread/std::mutex/std::atomic are fully instrumented).
 ///
 /// Memory-ordering contract
 /// ------------------------
-/// Callers hand parallel_for / parallel_argmin a set of *disjoint*
-/// index-addressed work items; no iteration may touch another
-/// iteration's state.  Under that contract the only synchronization
-/// these helpers owe callers is fork/join ordering:
+/// Callers hand parallel_for a set of *disjoint* index-addressed work
+/// items; no iteration may touch another iteration's state.  Under
+/// that contract the only synchronization these helpers owe callers is
+/// fork/join ordering:
 ///
 ///   - Everything the caller wrote before the call happens-before
 ///     every `fn(i)` (thread creation / OpenMP region entry), and
@@ -33,14 +32,10 @@
 ///     barrier).
 ///
 /// Both backends get this for free from their primitives, so worker
-/// bookkeeping can be intentionally weak:
-///   - the std backend's chunk cursor is fetch_add(relaxed) — it only
-///     partitions indices, never publishes data; the join provides the
-///     release/acquire edge for the results themselves;
-///   - parallel_argmin merges thread-local minima under a mutex
-///     (OpenMP: `omp critical`), and the merge is made *deterministic*
-///     by value, not by timing: better score wins, equal scores go to
-///     the smaller index, so the winner is independent of merge order.
+/// bookkeeping can be intentionally weak: the std backend's chunk
+/// cursor is fetch_add(relaxed) — it only partitions indices, never
+/// publishes data; the join provides the release/acquire edge for the
+/// results themselves.
 ///
 /// Exceptions: a throw from `fn` (e.g. an ADAPT_CHECKED contract
 /// firing inside a worker) is captured, the region drains, and the
@@ -53,7 +48,7 @@
 #include <cstdlib>
 #include <exception>
 #include <thread>
-#include <utility>
+#include <algorithm>
 #include <vector>
 
 #include "core/sync.hpp"
@@ -227,121 +222,6 @@ void parallel_for(std::size_t n, Fn&& fn, std::size_t grain = 1) {
   }
 #endif
   for (std::size_t i = 0; i < n; ++i) fn(i);
-}
-
-/// Minimize `score(i)` over i in [0, n) in parallel and return
-/// {best_index, best_score}.  Ties break toward the smallest index, so
-/// the winner is independent of the thread count and schedule.
-/// Returns {n, +inf-ish score} only when n == 0 (callers guard).
-template <typename ScoreFn>
-std::pair<std::size_t, double> parallel_argmin(std::size_t n,
-                                               ScoreFn&& score) {
-  std::size_t best_i = n;
-  double best_s = 0.0;
-  bool have = false;
-
-#if ADAPT_PARALLEL_BACKEND_OMP
-  if (!in_parallel_region() && max_threads() > 1 && n > 64) {
-    const auto ni = static_cast<std::ptrdiff_t>(n);
-    detail::ErrorSlot err;
-#pragma omp parallel
-    {
-      std::size_t local_i = n;
-      double local_s = 0.0;
-      bool local_have = false;
-#pragma omp for schedule(static) nowait
-      for (std::ptrdiff_t i = 0; i < ni; ++i) {
-        if (err.stop.load(std::memory_order_relaxed)) continue;
-        try {
-          const double s = score(static_cast<std::size_t>(i));
-          if (!local_have || s < local_s) {
-            local_have = true;
-            local_s = s;
-            local_i = static_cast<std::size_t>(i);
-          }
-        } catch (...) {
-          err.capture();
-        }
-      }
-#pragma omp critical(adapt_parallel_argmin)
-      {
-        // Deterministic merge: better score wins; equal scores go to
-        // the earlier index regardless of which thread merges first.
-        if (local_have &&
-            (!have || local_s < best_s ||
-             (local_s == best_s && local_i < best_i))) {
-          have = true;
-          best_s = local_s;
-          best_i = local_i;
-        }
-      }
-    }
-    err.rethrow_if_set();
-    return {best_i, best_s};
-  }
-#else
-  const int budget = max_threads();
-  if (!in_parallel_region() && budget > 1 && n > 64) {
-    // Static contiguous split; each worker scans its range serially
-    // and merges its local minimum under the mutex.  The merge rule
-    // (score, then index) makes the result independent of merge order;
-    // the joins publish everything else.
-    const std::size_t n_workers =
-        std::min<std::size_t>(static_cast<std::size_t>(budget), n);
-    Mutex merge_mutex;
-    detail::ErrorSlot err;
-    auto worker = [&](std::size_t w) noexcept {
-      bool& in_par = detail::std_backend_in_parallel();
-      const bool saved = in_par;
-      in_par = true;
-      const std::size_t begin = w * n / n_workers;
-      const std::size_t end = (w + 1) * n / n_workers;
-      std::size_t local_i = n;
-      double local_s = 0.0;
-      bool local_have = false;
-      try {
-        for (std::size_t i = begin; i < end; ++i) {
-          if (err.stop.load(std::memory_order_relaxed)) break;
-          const double s = score(i);
-          if (!local_have || s < local_s) {
-            local_have = true;
-            local_s = s;
-            local_i = i;
-          }
-        }
-      } catch (...) {
-        err.capture();
-      }
-      if (local_have) {
-        LockGuard lock(merge_mutex);
-        if (!have || local_s < best_s ||
-            (local_s == best_s && local_i < best_i)) {
-          have = true;
-          best_s = local_s;
-          best_i = local_i;
-        }
-      }
-      in_par = saved;
-    };
-    std::vector<std::thread> threads;
-    threads.reserve(n_workers - 1);
-    for (std::size_t w = 1; w < n_workers; ++w)
-      threads.emplace_back(worker, w);
-    worker(0);
-    for (std::thread& t : threads) t.join();
-    err.rethrow_if_set();
-    return {best_i, best_s};
-  }
-#endif
-  for (std::size_t i = 0; i < n; ++i) {
-    const double s = score(i);
-    if (!have || s < best_s) {
-      have = true;
-      best_s = s;
-      best_i = i;
-    }
-  }
-  return {best_i, best_s};
 }
 
 }  // namespace adapt::core

@@ -192,9 +192,10 @@ void IncrementalLocalizer::ensure_posterior() {
   const auto n_coarse_rows = static_cast<std::size_t>(coarse_.n_rows());
 
   // Decide which coarse rows deserve full resolution: the smallest set
-  // holding `refine_mass_fraction` of the coarse posterior mass
-  // (refinement is monotone, so previously refined rows stay).
-  if (config_.refine_all) {
+  // holding `refine_mass_fraction` of the coarse posterior mass, or
+  // every row at 1.0 (refinement is monotone, so previously refined
+  // rows stay).
+  if (config_.refine_mass_fraction >= 1.0) {
     for (std::size_t cr = 0; cr < n_coarse_rows; ++cr)
       refine_coarse_row(cr);
   } else {

@@ -5,9 +5,10 @@
 /// localization — the NNUE incremental-accumulator idea applied to the
 /// ring likelihood.
 ///
-/// The batch SkyMap evaluates, per pixel s_i, the truncated joint NLL
+/// The sky posterior is, per pixel s_i, the truncated joint NLL
 ///   nll_i = sum_rings 0.5 * min(r^2, cap^2),   r = (c.s_i - eta)/d_eta,
-/// which costs O(pixels * rings) per recompute.  Observe that
+/// which costs O(pixels * rings) when every ring is scored at every
+/// pixel.  Observe that
 ///   -nll_i = -0.5 cap^2 N + excess_i,
 ///   excess_i = sum_rings max(0, 0.5 * (cap^2 - r^2)),
 /// and the -0.5 cap^2 N term is pixel-independent, so it cancels in the
@@ -47,18 +48,21 @@
 /// coarse grid over 90 deg centres its last row at 92 deg); that row
 /// still competes for refinement with its full coarse solid angle.
 ///
-/// Equivalence contract against the batch path (tested in
+/// Equivalence contract against the full per-pixel scan (tested in
 /// tests/loc/incremental_test.cpp):
-///   - snapshot() — and every query when `refine_all` is set — agrees
-///     with SkyMap::compute on the same rings up to floating-point
-///     noise only: per-pixel probabilities within 1e-9 relative,
-///     identical peak pixel, credible areas within one pixel of
-///     greedy-cut tie-breaking.  Each pixel's residual is bit-equal
-///     to the batch path's for the same ring and pixel (same
-///     expression, same pixel centre).  Bit identity of the sums is
-///     NOT promised, only because they associate differently: the
-///     batch path sums 0.5*min(r^2,cap^2) per pixel across rings while
-///     the accumulator sums 0.5*(cap^2-r^2) per ring across pixels.
+///   - snapshot() — and every query when `refine_mass_fraction` is
+///     1.0 — agrees with the per-pixel full scan (the truncated NLL of
+///     every ring at every pixel centre, kept as a test oracle in
+///     tests/loc/full_scan_oracle.hpp) up to floating-point noise
+///     only: per-pixel probabilities within 1e-9 relative, identical
+///     peak pixel, credible areas within one pixel of greedy-cut
+///     tie-breaking.  SkyMap::compute is this fold plus snapshot().
+///     Each pixel's residual is bit-equal to the full scan's for the
+///     same ring and pixel (same expression, same pixel centre).  Bit
+///     identity of the sums is NOT promised, only because they
+///     associate differently: the scan sums 0.5*min(r^2,cap^2) per
+///     pixel across rings while the accumulator sums
+///     0.5*(cap^2-r^2) per ring across pixels.
 ///   - the candidate ranges equal the per-row libm-acos computation's
 ///     on every row (ArcRanges, held to it as an oracle in
 ///     tests/loc/arc_ranges_test.cpp), so which pixels a ring tests,
@@ -81,15 +85,15 @@
 ///     the *coarse* posterior, whose pixel-center evaluation
 ///     misestimates a sharp peak, so the tail approximation can move
 ///     normalized probabilities by a few percent (credible radii and
-///     the peak are far less sensitive).  Set `refine_all`, or use
-///     snapshot(), where tight normalization matters.
+///     the peak are far less sensitive).  Set refine_mass_fraction to
+///     1.0, or use snapshot(), where tight normalization matters.
 ///   - both paths are single-pixel deterministic: results are
 ///     bit-identical across thread counts and `ADAPT_SIMD` settings,
-///     and (given the same query points, or under `refine_all`)
-///     add_ring-one-at-a-time is bit-identical to add_rings.
+///     and (given the same query points, or with refine_mass_fraction
+///     1.0) add_ring-one-at-a-time is bit-identical to add_rings.
 ///
 /// Unusable rings (ring_usable() == false) are rejected and counted,
-/// exactly like the batch and point-estimate paths.
+/// exactly like the point-estimate paths.
 ///
 /// Telemetry: `loc.incremental.rings`, `loc.incremental.rings_rejected`
 /// counters; `loc.incremental.update_ms` and
@@ -121,11 +125,10 @@ struct IncrementalConfig {
   /// the two grids identical).
   int coarse_factor = 4;
   /// Fraction of coarse posterior mass whose rows get full-resolution
-  /// refinement at query time, in (0, 1].
+  /// refinement at query time, in (0, 1].  1.0 refines every coarse
+  /// row, whatever its mass: the tight-equivalence mode in which every
+  /// query reads the full-resolution posterior, as snapshot() does.
   double refine_mass_fraction = 0.999;
-  /// Refine every row unconditionally — the tight-equivalence mode the
-  /// tests use to pin the accumulator against SkyMap::compute.
-  bool refine_all = false;
 };
 
 class IncrementalLocalizer {
@@ -156,8 +159,7 @@ class IncrementalLocalizer {
   bool degenerate();
 
   /// Materialize the full fine-resolution posterior as a SkyMap
-  /// (refines every row).  This is the tight-tolerance equivalence
-  /// point against SkyMap::compute.
+  /// (refines every row).  SkyMap::compute returns exactly this.
   SkyMap snapshot();
 
   /// Fine rows currently materialized at full resolution.

@@ -3,18 +3,18 @@
 /// \file sky_grid.hpp
 /// Shared sky-pixelization geometry for the posterior localizers.
 ///
-/// Both the batch SkyMap (full-grid recompute, skymap.hpp) and the
-/// streaming IncrementalLocalizer (per-ring accumulator,
-/// incremental.hpp) evaluate the ring likelihood on the same
-/// equal-angle-row / sin-scaled-azimuth grid.  Pixel indexing, center
-/// directions, solid angles, and — critically — the direction->pixel
-/// mapping live here so the two paths cannot disagree about which
-/// pixel a boundary direction belongs to.
+/// The IncrementalLocalizer's band fold (incremental.hpp) evaluates
+/// the ring likelihood on this equal-angle-row / sin-scaled-azimuth
+/// grid, and SkyMap (skymap.hpp) reads its posterior back.  Pixel
+/// indexing, center directions, solid angles, and — critically — the
+/// direction->pixel mapping live here so the fold, the map's queries
+/// and the test-local full scan cannot disagree about which pixel a
+/// boundary direction belongs to.
 ///
 /// Pixel-centre table: every pixel centre is computed once, row-major,
 /// by from_spherical(row_polar_rad(row), 2*pi*(az + 0.5)/az_bins(row)),
-/// and every reader — pixel_center(), row_centers(), the batch map and
-/// the streaming band fold — reads those same bits.  The table is
+/// and every reader — pixel_center(), row_centers(), the band fold and
+/// the map's queries — reads those same bits.  The table is
 /// immutable and interned for the process lifetime in a registry keyed
 /// by (resolution_deg, max_polar_deg): every grid of one geometry,
 /// copies included, shares one table.  All per-stream localizers on

@@ -5,9 +5,8 @@
 #include <fstream>
 
 #include "core/contract.hpp"
-#include "core/parallel.hpp"
 #include "core/units.hpp"
-#include "loc/likelihood.hpp"
+#include "loc/incremental.hpp"
 
 namespace adapt::loc {
 
@@ -15,40 +14,16 @@ using core::Vec3;
 
 SkyMap SkyMap::compute(std::span<const recon::ComptonRing> rings,
                        const SkyMapConfig& config) {
-  ADAPT_REQUIRE(config.resolution_deg > 0.0, "resolution must be positive");
-  ADAPT_REQUIRE(config.max_polar_deg > 0.0 && config.max_polar_deg <= 180.0,
-                "max polar out of range");
-  ADAPT_REQUIRE(std::isfinite(config.truncation_sigma) &&
-                    config.truncation_sigma > 0.0,
-                "truncation sigma must be finite and positive");
-
-  // Unusable rings (NaN axis, non-positive d_eta) would poison every
-  // pixel identically; drop them up front like the point-estimate
-  // localizer does so a single bad ring cannot degrade the whole map.
-  std::vector<recon::ComptonRing> filtered_storage;
-  const std::span<const recon::ComptonRing> usable =
-      usable_rings(rings, filtered_storage);
-
-  SkyMap map;
-  map.config_ = config;
-  map.grid_ = SkyGrid(config.resolution_deg, config.max_polar_deg);
-  const std::size_t total = map.grid_.n_pixels();
-
-  // Log-posterior per pixel, then a stable softmax with solid-angle
-  // weights.  Each pixel is computed independently, so the result is
-  // bit-identical regardless of thread count or SIMD dispatch.
-  std::vector<double> log_post(total);
-  core::parallel_for(
-      total,
-      [&](std::size_t i) {
-        const Vec3 dir = map.grid_.pixel_center(i);
-        log_post[i] = -truncated_neg_log_likelihood(usable, dir,
-                                                    config.truncation_sigma);
-      },
-      /*grain=*/64);
-  map.degenerate_ =
-      !normalize_log_posterior(map.grid_, log_post, map.probability_);
-  return map;
+  // The band fold is the one posterior engine: the localizer checks
+  // the config, rejects unusable rings, and snapshot() refines every
+  // row, so the map is the full-resolution posterior.
+  IncrementalConfig ic;
+  ic.resolution_deg = config.resolution_deg;
+  ic.truncation_sigma = config.truncation_sigma;
+  ic.max_polar_deg = config.max_polar_deg;
+  IncrementalLocalizer fold(ic);
+  fold.add_rings(rings);
+  return fold.snapshot();
 }
 
 SkyMap SkyMap::from_log_posterior(const SkyGrid& grid,

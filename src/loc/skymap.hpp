@@ -5,19 +5,29 @@
 /// ships (follow-up telescopes consume probability maps with credible
 /// regions, not bare point estimates).
 ///
-/// The map evaluates the rings' truncated joint likelihood on a
-/// latitude/longitude grid over the visible (upper) hemisphere and
-/// normalizes the per-pixel posterior with solid-angle weights.  From
-/// it: the maximum-a-posteriori direction and the area of the smallest
+/// The map holds the rings' truncated joint likelihood on a
+/// latitude/longitude grid over the visible (upper) hemisphere,
+/// normalized per pixel with solid-angle weights.  From it: the
+/// maximum-a-posteriori direction and the area of the smallest
 /// credible region at a given probability content — the "error circle"
 /// radius quoted in alerts.
+///
+/// There is one posterior engine: compute() folds the rings into an
+/// IncrementalLocalizer with the map's resolution, truncation and
+/// field of view and returns its snapshot(), so a batch map and a
+/// streaming posterior over the same rings are the same sums, and the
+/// batch map costs O(band pixels) per ring, not O(pixels).  It matches
+/// the per-pixel scan it replaced (kept as a test oracle in
+/// tests/loc/full_scan_oracle.hpp) within 1e-9 relative per pixel,
+/// with the same peak pixel.  Its telemetry is the localizer's
+/// `loc.incremental.*`.
 ///
 /// Degenerate posteriors (every pixel's likelihood underflowing to
 /// zero mass) no longer abort or divide into NaNs: the map comes back
 /// uniform with degenerate() == true and the `loc.skymap.degenerate`
 /// counter bumped — see normalize_log_posterior() in sky_grid.hpp.
-/// Unusable rings (non-finite axis/eta, d_eta <= 0) are filtered out
-/// before evaluation, matching the point-estimate localizer paths.
+/// Unusable rings (ring_usable() == false) are rejected by the fold,
+/// matching the point-estimate localizer paths.
 
 #include <algorithm>
 #include <cstddef>
@@ -86,7 +96,8 @@ void greedy_mass_cut(std::span<const double> key,
 
 class SkyMap {
  public:
-  /// Evaluate the posterior for a ring set.
+  /// The posterior for a ring set: the band fold's snapshot().
+  /// Throws std::invalid_argument on a config the localizer rejects.
   static SkyMap compute(std::span<const recon::ComptonRing> rings,
                         const SkyMapConfig& config = {});
 

@@ -13,6 +13,7 @@
 
 #include "core/rng.hpp"
 #include "core/units.hpp"
+#include "full_scan_oracle.hpp"
 #include "loc/skymap.hpp"
 
 namespace adapt::loc {
@@ -202,7 +203,7 @@ TEST(IncrementalLocalizer, BandFoldEqualsFullRowScanBitForBit) {
       ic.resolution_deg = res;
       ic.max_polar_deg = max_polar;
       ic.coarse_factor = 1;
-      ic.refine_all = true;
+      ic.refine_mass_fraction = 1.0;
       const SkyGrid grid(res, max_polar);
       const auto rings = adversarial_rings(grid, ic.truncation_sigma);
       const std::string where =
@@ -311,7 +312,7 @@ TEST(IncrementalLocalizer, SnapshotMatchesBatchAtCheckpoints) {
   bc.resolution_deg = 2.0;
 
   // The documented contract (incremental.hpp): snapshot() agrees with
-  // the batch recompute up to floating-point noise — the per-pixel
+  // the full per-pixel scan up to floating-point noise — the per-pixel
   // residuals are the same bits but the sums associate differently,
   // so bit identity is not expected, but 1e-9 relative is orders below
   // any physical signal.
@@ -322,7 +323,7 @@ TEST(IncrementalLocalizer, SnapshotMatchesBatchAtCheckpoints) {
     SkyMap from_inc = inc.snapshot();
     const std::span<const recon::ComptonRing> prefix(rings.data(),
                                                      checkpoint);
-    const SkyMap from_batch = SkyMap::compute(prefix, bc);
+    const SkyMap from_batch = full_scan_skymap(prefix, bc);
     EXPECT_LT(max_rel_diff(from_inc, from_batch), 1e-9)
         << "checkpoint " << checkpoint;
     EXPECT_LT(core::rad_to_deg(core::angle_between(from_inc.peak(),
@@ -344,13 +345,13 @@ TEST(IncrementalLocalizer, RefineAllQueriesMatchBatch) {
 
   IncrementalConfig ic;
   ic.resolution_deg = 2.0;
-  ic.refine_all = true;
+  ic.refine_mass_fraction = 1.0;
   IncrementalLocalizer inc(ic);
   inc.add_rings(rings);
 
   SkyMapConfig bc;
   bc.resolution_deg = 2.0;
-  const SkyMap batch = SkyMap::compute(rings, bc);
+  const SkyMap batch = full_scan_skymap(rings, bc);
 
   EXPECT_LT(core::rad_to_deg(core::angle_between(inc.peak(), batch.peak())),
             1e-9);
@@ -370,7 +371,7 @@ TEST(IncrementalLocalizer, AdaptiveQueriesMatchBatchWithinCoarseScale) {
   inc.add_rings(rings);
 
   SkyMapConfig bc;
-  const SkyMap batch = SkyMap::compute(rings, bc);
+  const SkyMap batch = full_scan_skymap(rings, bc);
 
   // Adaptive mode approximates only the far tail (< 0.1% of mass) at
   // coarse resolution, so peak and credible radius agree with batch
@@ -387,12 +388,12 @@ TEST(IncrementalLocalizer, DeterministicAcrossFeedingPatterns) {
   const core::Vec3 s = core::from_spherical(0.3, -1.0);
   const auto rings = rings_for(s, 120, 0.06, rng, 30);
 
-  // refine_all removes the one source of history dependence (which
-  // rows got refined when); replay-based refinement then guarantees
-  // the final state does not depend on feeding pattern or query
-  // timing.
+  // Refining every row (refine_mass_fraction 1.0) removes the one
+  // source of history dependence (which rows got refined when);
+  // replay-based refinement then guarantees the final state does not
+  // depend on feeding pattern or query timing.
   IncrementalConfig ic;
-  ic.refine_all = true;
+  ic.refine_mass_fraction = 1.0;
   IncrementalLocalizer one_at_a_time(ic);
   IncrementalLocalizer batched(ic);
   for (std::size_t i = 0; i < rings.size(); ++i) {
@@ -507,7 +508,7 @@ TEST(IncrementalLocalizer, CoarseFactorOneMatchesFineEverywhere) {
   inc.add_rings(rings);
   SkyMapConfig bc;
   bc.resolution_deg = 2.0;
-  const SkyMap batch = SkyMap::compute(rings, bc);
+  const SkyMap batch = full_scan_skymap(rings, bc);
   EXPECT_NEAR(inc.credible_radius_deg(0.9), batch.credible_radius_deg(0.9),
               1e-6 * batch.credible_radius_deg(0.9) + 1e-9);
 }

@@ -3,14 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <limits>
 #include <numeric>
+#include <string>
+#include <utility>
 
 #include "core/checksum.hpp"
 #include "core/rng.hpp"
 #include "core/units.hpp"
+#include "full_scan_oracle.hpp"
+#include "loc/localizer.hpp"
 
 namespace adapt::loc {
 namespace {
@@ -71,12 +76,64 @@ TEST(SkyMap, PeakNearTrueSource) {
   EXPECT_LT(core::rad_to_deg(core::angle_between(map.peak(), s)), 2.5);
 }
 
+TEST(SkyMap, RefinedPeakFindsCleanSource) {
+  // An exhaustive scan of a clean source, polished by the robust
+  // refinement, lands within a degree of the truth.
+  core::Rng rng(1);
+  const core::Vec3 s = core::from_spherical(core::deg_to_rad(42.0), 1.3);
+  const auto rings = rings_for(s, 200, 0.05, rng);
+  const auto result = Localizer().refine(rings, SkyMap::compute(rings).peak());
+  ASSERT_TRUE(result.valid);
+  EXPECT_LT(core::rad_to_deg(core::angle_between(result.direction, s)), 1.0);
+}
+
 TEST(SkyMap, PeakSurvivesBackgroundContamination) {
   core::Rng rng(3);
   const core::Vec3 s = core::from_spherical(core::deg_to_rad(20.0), 0.4);
   const auto rings = rings_for(s, 120, 0.05, rng, 300);
   const SkyMap map = SkyMap::compute(rings);
   EXPECT_LT(core::rad_to_deg(core::angle_between(map.peak(), s)), 3.0);
+}
+
+TEST(SkyMap, PeakSurvivesHeavyContamination) {
+  // Three background rings per source ring.
+  core::Rng rng(2);
+  const core::Vec3 s = core::from_spherical(core::deg_to_rad(15.0), -0.7);
+  const auto rings = rings_for(s, 100, 0.05, rng, 300);
+  const SkyMap map = SkyMap::compute(rings);
+  EXPECT_LT(core::rad_to_deg(core::angle_between(map.peak(), s)), 2.5);
+}
+
+TEST(SkyMap, HorizonSourcePeakStaysAboveHorizon) {
+  // A source just above the horizon must not be pushed below it.
+  core::Rng rng(5);
+  const core::Vec3 s = core::from_spherical(core::deg_to_rad(85.0), 0.0);
+  const auto rings = rings_for(s, 150, 0.05, rng);
+  const core::Vec3 peak = SkyMap::compute(rings).peak();
+  EXPECT_GE(peak.z, -0.05);
+  EXPECT_LT(core::rad_to_deg(core::angle_between(peak, s)), 2.0);
+}
+
+TEST(SkyMap, FastLocalizerAgreesWithRefinedPeak) {
+  // The production localizer must land on the posterior's mode, polished
+  // by the same robust refinement, across a spread of sources and
+  // contamination levels.
+  Localizer fast;
+  for (int trial = 0; trial < 8; ++trial) {
+    core::Rng rng(100 + trial);
+    const core::Vec3 s = core::from_spherical(
+        core::deg_to_rad(10.0 + 9.0 * trial), 0.7 * trial);
+    const auto rings = rings_for(s, 150, 0.05, rng, 150);
+    core::Rng loc_rng(7);
+    const auto quick = fast.localize(rings, loc_rng);
+    const auto reference = fast.refine(rings, SkyMap::compute(rings).peak());
+    ASSERT_TRUE(quick.valid);
+    ASSERT_TRUE(reference.valid);
+    EXPECT_LT(core::rad_to_deg(core::angle_between(quick.direction,
+                                                   reference.direction)),
+              2.0)
+        << "trial " << trial;
+  }
 }
 
 TEST(SkyMap, CredibleRegionShrinksWithMoreRings) {
@@ -394,12 +451,77 @@ TEST(SkyMap, TiedAndUniformMapsCutLikeStableSort) {
   }
 }
 
-TEST(SkyMapDigest, SeededRingsAtOneAndTwoDegrees) {
-  // FNV-1a over every pixel probability, the peak and the 68%/90%
-  // credible radii of seeded batch maps.  Recorded before the pixel
-  // centres moved into a shared per-geometry table: the table must
-  // hand out the same centre bits the closed form did, so this value
-  // never moves with it.
+/// Holds `map` to the full scan: every pixel within 1e-9 relative, the
+/// same peak pixel and degenerate flag, and 68%/90% areas within one
+/// pixel of greedy-cut tie-breaking.
+void expect_matches_full_scan(const SkyMap& map, const SkyMap& scan,
+                              const std::string& where) {
+  ASSERT_EQ(map.n_pixels(), scan.n_pixels()) << where;
+  const SkyGrid& grid = scan.grid();
+  double worst = 0.0;
+  for (std::size_t i = 0; i < scan.n_pixels(); ++i) {
+    const core::Vec3 dir = grid.pixel_center(i);
+    const double want = scan.probability_at(dir);
+    const double diff = std::abs(map.probability_at(dir) - want);
+    // Below ~1e-290 the masses are subnormal-range exp() values, whose
+    // relative precision is gone; no query can see them.
+    if (want > 1e-290) worst = std::max(worst, diff / want);
+    else EXPECT_LT(diff, 1e-290) << where << " pixel " << i;
+  }
+  EXPECT_LT(worst, 1e-9) << where;
+  const core::Vec3 a = map.peak();
+  const core::Vec3 b = scan.peak();
+  EXPECT_TRUE(a.x == b.x && a.y == b.y && a.z == b.z) << where;
+  EXPECT_EQ(map.degenerate(), scan.degenerate()) << where;
+  double largest_pixel = 0.0;
+  for (int row = 0; row < grid.n_rows(); ++row)
+    largest_pixel = std::max(
+        largest_pixel,
+        grid.row_pixel_solid_angle_deg2(static_cast<std::size_t>(row)));
+  for (const double content : {0.68, 0.9})
+    EXPECT_NEAR(map.credible_region_area_deg2(content),
+                scan.credible_region_area_deg2(content), largest_pixel)
+        << where << " content " << content;
+}
+
+TEST(SkyMap, BandFoldMatchesFullScan) {
+  core::Rng rng(31);
+  const auto clean =
+      rings_for(core::from_spherical(core::deg_to_rad(28.0), 2.4), 240,
+                0.05, rng);
+  const auto mixed =
+      rings_for(core::from_spherical(core::deg_to_rad(71.0), -1.1), 200,
+                0.04, rng, 400);
+  recon::ComptonRing bad;
+  bad.axis = {0.0, 0.0, 1.0};
+  bad.eta = 0.2;
+  bad.d_eta = 0.0;
+  std::vector<recon::ComptonRing> unusable(3, bad);
+  unusable[1].d_eta = std::numeric_limits<double>::quiet_NaN();
+  unusable[2].axis.x = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<std::string, std::vector<recon::ComptonRing>>>
+      sets = {{"clean", clean},
+              {"mixed", mixed},
+              {"empty", {}},
+              {"all unusable", unusable}};
+  for (const double res : {0.5, 1.0, 2.0}) {
+    for (const double max_polar : {90.0, 100.0}) {
+      const SkyMapConfig config{res, 3.0, max_polar};
+      for (const auto& [name, rings] : sets) {
+        expect_matches_full_scan(
+            SkyMap::compute(rings, config), full_scan_skymap(rings, config),
+            name + " res " + std::to_string(res) + " fov " +
+                std::to_string(max_polar));
+      }
+    }
+  }
+}
+
+/// FNV-1a over every pixel probability, the peak and the 68%/90%
+/// credible radii of `make_map`'s maps of two seeded ring sets at 1
+/// and 2 degrees.
+template <class MakeMap>
+std::uint64_t seeded_map_digest(MakeMap&& make_map) {
   core::Fnv1a64 digest;
   const auto fold = [&digest](double v) { digest.update(&v, sizeof v); };
   for (const std::uint64_t seed : {41u, 42u}) {
@@ -410,7 +532,7 @@ TEST(SkyMapDigest, SeededRingsAtOneAndTwoDegrees) {
     for (const double res : {1.0, 2.0}) {
       SkyMapConfig config;
       config.resolution_deg = res;
-      const SkyMap map = SkyMap::compute(rings, config);
+      const SkyMap map = make_map(rings, config);
       for (std::size_t i = 0; i < map.n_pixels(); ++i)
         fold(map.probability_at(map.grid().pixel_center(i)));
       const core::Vec3 peak = map.peak();
@@ -421,7 +543,26 @@ TEST(SkyMapDigest, SeededRingsAtOneAndTwoDegrees) {
       fold(map.credible_radius_deg(0.9));
     }
   }
-  EXPECT_EQ(digest.digest(), 0x83750f1d93913909ull) << std::hex << digest.digest();
+  return digest.digest();
+}
+
+TEST(SkyMapDigest, SeededRingsAtOneAndTwoDegrees) {
+  // The test-local full scan against the value SkyMap::compute gave
+  // while it was that scan: the oracle is the code it replaced, bit for
+  // bit.  Recorded before the pixel centres moved into a shared
+  // per-geometry table, so it also pins the table's centre bits.
+  const std::uint64_t digest = seeded_map_digest(full_scan_skymap);
+  EXPECT_EQ(digest, 0x83750f1d93913909ull) << std::hex << digest;
+}
+
+TEST(SkyMapDigest, BandFoldMaps) {
+  // SkyMap::compute, the band fold plus snapshot(), on the same rings.
+  // Its sums associate per ring, not per pixel, so its bits differ from
+  // the scan's (BandFoldMatchesFullScan bounds by how much); this pins
+  // them, and moves with any change to a fold residual, add order or
+  // cut order.
+  const std::uint64_t digest = seeded_map_digest(SkyMap::compute);
+  EXPECT_EQ(digest, 0xce66f590e99b2236ull) << std::hex << digest;
 }
 
 }  // namespace

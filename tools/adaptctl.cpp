@@ -56,7 +56,7 @@
 #include "eval/reject_gate.hpp"
 #include "fault/matrix.hpp"
 #include "scenario/config.hpp"
-#include "loc/grid_search.hpp"
+#include "loc/localizer.hpp"
 #include "loc/skymap.hpp"
 #include "trigger/rate_trigger.hpp"
 #include "core/units.hpp"
@@ -147,20 +147,22 @@ int cmd_localize(const CliArgs& args) {
               o.rings_total, o.rings_grb, o.rings_background, o.rings_kept,
               o.timings.total_ms);
 
-  // Exhaustive grid-search cross-check on the same window (same seed
-  // reproduces the exact ring set): when the fast localizer and the
-  // brute-force reference disagree wildly, the burst geometry — not
-  // the optimizer — is the suspect.  --no-grid skips it.
+  // Posterior cross-check on the same window (same seed reproduces the
+  // exact ring set): the sky map's peak, polished by the robust
+  // refinement.  When the fast localizer and the posterior disagree
+  // wildly, the burst geometry — not the optimizer — is the suspect.
+  // --no-grid skips it.
   if (!args.has("no-grid")) {
     core::Rng check_rng(seed);
     core::Vec3 truth;
     const auto rings = runner.reconstruct_window(check_rng, &truth);
-    const loc::LocalizationResult grid = loc::grid_search_localize(rings);
-    if (grid.valid) {
-      std::printf("grid-search cross-check: error %.3f deg (%zu rings)\n",
+    const loc::LocalizationResult polished = loc::Localizer{}.refine(
+        rings, loc::SkyMap::compute(rings).peak());
+    if (polished.valid) {
+      std::printf("posterior cross-check: error %.3f deg (%zu rings)\n",
                   core::rad_to_deg(
-                      core::angle_between(grid.direction, truth)),
-                  grid.rings_used);
+                      core::angle_between(polished.direction, truth)),
+                  polished.rings_used);
     }
   }
   return 0;
