@@ -13,7 +13,8 @@
 ///     at every resolution (a machine-independent structural check).
 ///     `batch_res<r>` times the per-pixel scan SkyMap::compute ran
 ///     before it became the band fold, kept here as the timed
-///     reference (full_scan() below);
+///     reference (the serial tests/loc/full_scan_oracle.hpp, the
+///     oracle SkyMap's tests hold the fold to);
 ///   * `map_res<r>` times SkyMap::compute itself — the band fold of
 ///     the whole stream plus snapshot() — and is not gated;
 ///   * `touched/ring`, the candidate pixels a ring tests, is a count
@@ -22,7 +23,7 @@
 ///     sub-microsecond update time moves past the timer floor;
 ///   * the 68% credible radius shrinks monotonically-ish with ring
 ///     count, which is what makes the serve-layer early alert
-///     (`adaptctl serve-bench --alert-deg`) useful;
+///     (`adaptctl flood --alert-deg`) useful;
 ///   * the serve-cadence row replays the serve path's load on one
 ///     thread: 256 localizers on the 2 deg grid fed interleaved, each
 ///     with a 68% radius check and a peak every 64 of its rings.  Its
@@ -41,16 +42,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
-#include <span>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/parallel.hpp"
 #include "core/rng.hpp"
 #include "core/telemetry.hpp"
 #include "core/units.hpp"
 #include "loc/incremental.hpp"
-#include "loc/likelihood.hpp"
+#include "loc/full_scan_oracle.hpp"
 #include "loc/skymap.hpp"
 
 using namespace adapt;
@@ -58,8 +57,8 @@ using namespace adapt;
 namespace {
 
 /// Source-consistent cone stream with a background admixture — the
-/// same construction the serve-bench alert mode feeds the streaming
-/// localizer (throughput.cpp), minus the detector-side fields the
+/// same construction the flood alert mode feeds the streaming
+/// localizer (flood.cpp), minus the detector-side fields the
 /// localizer never reads.
 std::vector<recon::ComptonRing> make_rings(std::size_t n) {
   core::Rng rng(0x10c);
@@ -103,25 +102,6 @@ std::vector<recon::ComptonRing> serve_stream(std::uint64_t seed,
   return rings;
 }
 
-/// The per-pixel batch recompute: every usable ring's truncated NLL at
-/// every pixel centre (what SkyMap::compute did before it became the
-/// band fold).
-loc::SkyMap full_scan(std::span<const recon::ComptonRing> rings,
-                      const loc::SkyMapConfig& config) {
-  std::vector<recon::ComptonRing> storage;
-  const auto usable = loc::usable_rings(rings, storage);
-  const loc::SkyGrid grid(config.resolution_deg, config.max_polar_deg);
-  std::vector<double> log_post(grid.n_pixels());
-  core::parallel_for(
-      log_post.size(),
-      [&](std::size_t i) {
-        log_post[i] = -loc::truncated_neg_log_likelihood(
-            usable, grid.pixel_center(i), config.truncation_sigma);
-      },
-      /*grain=*/64);
-  return loc::SkyMap::from_log_posterior(grid, log_post, config);
-}
-
 double ms_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - t0)
@@ -155,7 +135,7 @@ int main() {
     double batch_radius = 0.0;
     for (std::size_t r = 0; r < reps; ++r) {
       const auto t0 = std::chrono::steady_clock::now();
-      const loc::SkyMap batch_map = full_scan(rings, bc);
+      const loc::SkyMap batch_map = loc::full_scan_skymap(rings, bc);
       batch_ms += ms_since(t0);
       batch_radius = batch_map.credible_radius_deg(0.68);
     }

@@ -1,14 +1,18 @@
 /// \file bench_serve_multistream.cpp
-/// Aggregate throughput, tail latency, and fairness of the multi-stream
-/// serving layer (`serve::StreamRouter`) under the flood harness.
+/// Throughput, tail latency, and fairness of the serving layer
+/// (`serve::StreamRouter`) under the flood harness, against the
+/// per-ring loop it replaces.
 ///
 /// Setup: a seeded Zipf-skewed event stream over K logical streams is
-/// pushed through the router (paper-dimension synthetic networks, the
-/// same models as bench_serve_throughput so the streams_1 row is
-/// directly comparable to that bench's batch_64 row).  Rows:
-///   * streams_1        — parity config (1 stream / 1 shard / 1 worker):
-///                        the engine shape of bench_serve_throughput's
-///                        batch_64 row, on the flood event stream;
+/// pushed through the router (paper-dimension synthetic networks,
+/// seeds 0x5EB7E / 0x5EB7D).  Rows:
+///   * per_ring         — the streams_1 events, one single-ring forward
+///                        pair per event, no queue, no batching: the
+///                        cost the serving layer amortizes;
+///   * batch_1 .. batch_32 — the streams_1 config with only the
+///                        micro-batch size changed;
+///   * streams_1        — 1 stream / 1 shard / 1 worker at batch 64:
+///                        the single-stream service;
 ///   * streams_10_uniform — 10 equal streams over 2 shards;
 ///   * streams_100_skew1  — 100 streams at Zipf skew 1.0 over 4 shards,
 ///                        the fleet-scale headline row;
@@ -21,7 +25,8 @@
 ///
 /// The final CSV block is what tools/check_timing_regression.sh gates
 /// on: per-config events/s floor, shed == 0 for non-saturated rows,
-/// and Jain fairness >= the baseline's min_fairness column.
+/// Jain fairness >= the baseline's min_fairness column, and the best
+/// of batch_8/16/32/streams_1 faster than per_ring.
 
 #include <cstdio>
 #include <iostream>
@@ -37,8 +42,8 @@ using namespace adapt;
 namespace {
 
 struct Row {
-  const char* label;
-  const char* csv;
+  std::string label;
+  std::string csv;
   serve::FloodReport report;
 };
 
@@ -52,6 +57,12 @@ void print_row(core::TextTable& table, const Row& row) {
                  core::TextTable::num(row.report.fairness, 4)});
 }
 
+double events_per_s(const std::vector<Row>& rows, const std::string& csv) {
+  for (const Row& row : rows)
+    if (row.csv == csv) return row.report.events_per_s;
+  return 0.0;
+}
+
 }  // namespace
 
 int main() {
@@ -63,9 +74,9 @@ int main() {
   auto deta = serve::synthetic_deta_net(0x5EB7D);
   const pipeline::Models models{&background, &deta};
 
-  // Protocol matches bench_serve_throughput: 20000 events, queues deep
-  // enough to hold the whole stream (shed == 0 below saturation), two
-  // producers, zero flush deadline (flush what is visible).
+  // 20000 events, queues deep enough to hold the whole stream
+  // (shed == 0 below saturation), two producers, zero flush deadline
+  // (flush what is visible).
   serve::FloodConfig base;
   base.events = 20000;
   base.producers = 2;
@@ -84,7 +95,17 @@ int main() {
   // One stream carries the whole 20000-event load: its per-stream cap
   // must hold the full stream for the shed == 0 invariant to apply.
   one.per_stream_cap = one.shard_capacity;
-  rows.push_back({"1 stream (parity, 1 shard)", "streams_1",
+  rows.push_back({"per-ring loop (no batching)", "per_ring",
+                  serve::measure_per_ring(models, one)});
+  const std::size_t batch_sizes[] = {1, 2, 4, 8, 16, 32};
+  for (const std::size_t b : batch_sizes) {
+    serve::FloodConfig batched = one;
+    batched.max_batch = b;
+    rows.push_back({"1 stream, batch " + std::to_string(b),
+                    "batch_" + std::to_string(b),
+                    serve::measure_flood(models, batched)});
+  }
+  rows.push_back({"1 stream, batch 64 (1 shard)", "streams_1",
                   serve::measure_flood(models, one)});
 
   serve::FloodConfig ten = base;
@@ -123,16 +144,20 @@ int main() {
   for (const Row& row : rows) print_row(table, row);
   table.print(std::cout);
 
-  std::cout << "\n100-stream aggregate vs 1-stream parity: "
-            << core::TextTable::num(rows[2].report.events_per_s /
-                                        rows[0].report.events_per_s,
+  std::cout << "\nbatched (8) vs per-ring speedup: "
+            << core::TextTable::num(events_per_s(rows, "batch_8") /
+                                        events_per_s(rows, "per_ring"),
+                                    2)
+            << "x\n100-stream aggregate vs 1-stream: "
+            << core::TextTable::num(events_per_s(rows, "streams_100_skew1") /
+                                        events_per_s(rows, "streams_1"),
                                     2)
             << "x\n";
 
   // Machine-readable block for the timing-regression gate.
   std::printf("\nCSV,config,events_per_s,p50_ms,p99_ms,shed,fairness\n");
   for (const Row& row : rows) {
-    std::printf("CSV,%s,%.0f,%.4f,%.4f,%llu,%.4f\n", row.csv,
+    std::printf("CSV,%s,%.0f,%.4f,%.4f,%llu,%.4f\n", row.csv.c_str(),
                 row.report.events_per_s, row.report.p50_latency_ms,
                 row.report.p99_latency_ms,
                 static_cast<unsigned long long>(row.report.shed),

@@ -4,7 +4,7 @@
 /// Deterministic stand-in networks and event streams for serving
 /// benches and tests.
 ///
-/// The throughput bench and the serve test suite need real forward
+/// The serve bench and the serve test suite need real forward
 /// passes at the paper's layer dimensions, but training the actual
 /// networks takes minutes — far too slow for a unit test or a bench
 /// warm-up.  These builders produce networks with seeded random

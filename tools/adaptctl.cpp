@@ -66,7 +66,6 @@
 #include "pipeline/features.hpp"
 #include "serve/flood.hpp"
 #include "serve/synthetic_models.hpp"
-#include "serve/throughput.hpp"
 
 using namespace adapt;
 
@@ -288,62 +287,6 @@ int cmd_skymap(const CliArgs& args) {
   return 0;
 }
 
-int cmd_serve_bench(const CliArgs& args) {
-  // Strict parsing + range validation (serve/flood.hpp): a malformed
-  // flag throws CliError here and exits 2 with usage, instead of
-  // tripping an ADAPT_REQUIRE (exit 1) inside the serve layer.
-  const serve::ThroughputConfig cfg =
-      serve::throughput_config_from_args(args);
-
-  // Synthetic paper-dimension networks (INT8 background + FP32 dEta):
-  // identical compute shape to the deployed models, no training wait.
-  auto background = serve::synthetic_background_net_int8(cfg.seed ^ 0xB6);
-  auto deta = serve::synthetic_deta_net(cfg.seed ^ 0xDE);
-  const pipeline::Models models{&background, &deta};
-
-  const auto baseline = serve::measure_per_ring_baseline(models, cfg);
-  const auto batched = serve::measure_serve_throughput(models, cfg);
-
-  core::TextTable table({"mode", "kevents/s", "p50 [ms]", "p99 [ms]",
-                         "batches", "shed", "degraded"});
-  table.add_row({"per-ring loop", core::TextTable::num(
-                                      baseline.events_per_s / 1e3, 1),
-                 core::TextTable::num(baseline.p50_latency_ms, 3),
-                 core::TextTable::num(baseline.p99_latency_ms, 3),
-                 std::to_string(baseline.batches), "0", "0"});
-  table.add_row({"serve, batch " + std::to_string(cfg.max_batch),
-                 core::TextTable::num(batched.events_per_s / 1e3, 1),
-                 core::TextTable::num(batched.p50_latency_ms, 3),
-                 core::TextTable::num(batched.p99_latency_ms, 3),
-                 std::to_string(batched.batches),
-                 std::to_string(batched.shed),
-                 std::to_string(batched.degraded)});
-  table.print(std::cout);
-  std::printf("speedup: %.2fx over the per-ring loop (%zu events, %zu "
-              "producer(s), queue %zu)\n",
-              batched.events_per_s / baseline.events_per_s, cfg.events,
-              cfg.producers, cfg.queue_capacity);
-  if (cfg.alert_deg > 0.0) {
-    std::printf("streaming localization: %llu rings fed, %llu "
-                "background-vetoed, last checked %.0f%% radius %.2f deg\n",
-                static_cast<unsigned long long>(batched.loc_rings),
-                static_cast<unsigned long long>(batched.loc_skipped),
-                cfg.alert_content * 100.0, batched.last_radius_deg);
-    if (batched.alert_fired) {
-      std::printf("early alert: radius %.2f deg <= %.2f deg after %llu "
-                  "rings, %.1f ms after start\n",
-                  batched.alert_radius_deg, cfg.alert_deg,
-                  static_cast<unsigned long long>(batched.alert_rings),
-                  batched.alert_wall_ms);
-    } else {
-      std::printf("early alert: NOT fired (threshold %.2f deg; last "
-                  "checked radius %.2f deg)\n",
-                  cfg.alert_deg, batched.last_radius_deg);
-    }
-  }
-  return 0;
-}
-
 int cmd_flood(const CliArgs& args) {
   const serve::FloodConfig cfg = serve::flood_config_from_args(args);
 
@@ -378,31 +321,46 @@ int cmd_flood(const CliArgs& args) {
 
   // Per-stream table: all streams when small, the hottest head plus
   // the coldest tail row otherwise (the interesting fairness story is
-  // hot-vs-cold, not 100 near-identical middle rows).
+  // hot-vs-cold, not 100 near-identical middle rows).  With alerting
+  // on, each row also says how far its localizer got.
+  const bool alerting = cfg.alert_deg > 0.0;
   std::vector<serve::StreamFloodReport> by_load = report.streams;
   std::sort(by_load.begin(), by_load.end(),
             [](const auto& a, const auto& b) {
               return a.submitted > b.submitted;
             });
-  const std::size_t shown = std::min<std::size_t>(by_load.size(), 10);
-  core::TextTable table({"stream", "submitted", "processed", "shed",
-                         "p50 [ms]", "p99 [ms]", "alert"});
-  for (std::size_t i = 0; i < shown; ++i) {
-    const auto& s = by_load[i];
-    table.add_row({std::to_string(s.stream_id), std::to_string(s.submitted),
-                   std::to_string(s.processed), std::to_string(s.shed),
-                   core::TextTable::num(s.p50_latency_ms, 3),
-                   core::TextTable::num(s.p99_latency_ms, 3),
-                   s.alert_fired ? "yes" : "-"});
+  std::vector<std::string> header{"stream",   "submitted", "processed",
+                                  "shed",     "p50 [ms]",  "p99 [ms]"};
+  if (alerting) {
+    header.insert(header.end(), {"loc rings", "vetoed", "alert",
+                                 "at ring", "radius [deg]", "alert [ms]"});
   }
+  core::TextTable table(header);
+  const auto add_row = [&](const std::string& label,
+                           const serve::StreamFloodReport& s) {
+    std::vector<std::string> row{
+        label, std::to_string(s.submitted), std::to_string(s.processed),
+        std::to_string(s.shed), core::TextTable::num(s.p50_latency_ms, 3),
+        core::TextTable::num(s.p99_latency_ms, 3)};
+    if (alerting) {
+      row.insert(row.end(), {std::to_string(s.loc_rings),
+                             std::to_string(s.loc_skipped)});
+      if (s.alert_fired) {
+        row.insert(row.end(), {"yes", std::to_string(s.alert_rings),
+                               core::TextTable::num(s.alert_radius_deg, 2),
+                               core::TextTable::num(s.alert_ms, 1)});
+      } else {
+        row.insert(row.end(), {"-", "-", "-", "-"});
+      }
+    }
+    table.add_row(row);
+  };
+  const std::size_t shown = std::min<std::size_t>(by_load.size(), 10);
+  for (std::size_t i = 0; i < shown; ++i)
+    add_row(std::to_string(by_load[i].stream_id), by_load[i]);
   if (by_load.size() > shown) {
-    const auto& s = by_load.back();
-    table.add_row({"... " + std::to_string(s.stream_id) + " (coldest)",
-                   std::to_string(s.submitted), std::to_string(s.processed),
-                   std::to_string(s.shed),
-                   core::TextTable::num(s.p50_latency_ms, 3),
-                   core::TextTable::num(s.p99_latency_ms, 3),
-                   s.alert_fired ? "yes" : "-"});
+    add_row("... " + std::to_string(by_load.back().stream_id) + " (coldest)",
+            by_load.back());
   }
   table.print(std::cout, "Per-stream (hottest first)");
   return 0;
@@ -552,24 +510,26 @@ void usage() {
       "  fpga        --bits B   (2-8, or 32 for FP32)\n"
       "  trigger     --fluence F --polar P --seed S\n"
       "  skymap      --fluence F --polar P --seed S [--out map.csv]\n"
-      "  serve-bench --events N --batch B --producers P --queue Q"
-      " --deadline-us D\n"
-      "              [--alert-deg X [--alert-content C]"
-      " [--background-fraction F]]\n"
-      "              (--alert-deg: stream a synthetic burst, localize "
-      "incrementally per\n"
-      "              batch, report when the credible radius first "
-      "shrinks below X deg)\n"
       "  flood       --streams K --events N --skew Z [--shards S"
       " --workers W]\n"
       "              [--shard-cap C --stream-cap P --quantum Q --batch B"
       " --deadline-us D]\n"
-      "              [--producers P] [--no-degrade] [--alert-deg X]\n"
-      "              (multi-stream load generator: Zipf(Z)-skewed K-stream"
-      " flood through\n"
-      "              the sharded StreamRouter; reports per-stream p50/p99,"
-      " shed rate, and\n"
-      "              the Jain fairness index)\n"
+      "              [--producers P] [--watermark W] [--no-degrade]"
+      " [--seed S]\n"
+      "              [--alert-deg X [--alert-content C]"
+      " [--background-fraction F]\n"
+      "               [--loc-resolution R]]\n"
+      "              (load generator: Zipf(Z)-skewed K-stream flood"
+      " through the sharded\n"
+      "              StreamRouter; reports per-stream p50/p99, shed rate,"
+      " and the Jain\n"
+      "              fairness index.  --streams 1 --shards 1 --workers 1"
+      " is the single-\n"
+      "              stream service.  --alert-deg: the events become one"
+      " synthetic burst,\n"
+      "              each stream localizes incrementally and reports when"
+      " its credible\n"
+      "              radius first shrinks below X deg)\n"
       "  campaign    --matrix [--seed S] [--config-dir DIR]"
       " [--report-dir DIR] [--row R]\n"
       "              | --config FILE [--seed S] [--row R]\n"
@@ -632,7 +592,6 @@ int main(int argc, char** argv) {
     else if (cmd == "fpga") rc = cmd_fpga(args);
     else if (cmd == "trigger") rc = cmd_trigger(args);
     else if (cmd == "skymap") rc = cmd_skymap(args);
-    else if (cmd == "serve-bench") rc = cmd_serve_bench(args);
     else if (cmd == "flood") rc = cmd_flood(args);
     else if (cmd == "campaign") rc = cmd_campaign(args);
     else if (cmd == "cpu-features" || cmd == "--cpu-features")

@@ -184,7 +184,7 @@ if want tsan-serve; then
   stage "TSan serve+fault focus (shards + router + supervised router + fault matrix, repeated)"
   build_tsan_tree
   run_focus "${build_root}/tsan/tests/adapt_serve_tests" \
-    'ShardQueue.*:StreamRouter.*:SupervisedRouter.*:ConcurrentInference.*' 3 \
+    'ShardQueue.*:StreamRouter.*:SupervisedRouter.*:ConcurrentInference.*:FloodHarness.*' 3 \
     || fail "serve tests failed under TSan"
   run_focus "${build_root}/tsan/tests/adapt_fault_tests" '*' 2 \
     || fail "fault-injection tests failed under TSan"

@@ -158,97 +158,22 @@ else
   exit "$status"
 fi
 
-# ---- serving-layer throughput gate --------------------------------
-# bench_serve_throughput prints a machine-readable `CSV,` block; this
-# gate checks three things against
-# tools/bench_serve_throughput.baseline.csv:
+# ---- serving-layer gate -------------------------------------------
+# bench_serve_multistream prints a machine-readable `CSV,` block
+# (config,events_per_s,p50_ms,p99_ms,shed,fairness); this gate checks,
+# against tools/bench_serve_multistream.baseline.csv (config,
+# events_per_s,min_fairness rows):
 #   * throughput per config has not fallen below baseline / tolerance
 #     (events/s — higher is better, so the tolerance divides);
 #   * shed count is exactly 0 for every non-saturated config (the
-#     queue is sized to hold the whole stream, so any shed is a bug);
-#   * the best batched config (batch >= 8) still beats the per-ring
-#     loop — the reason the serving layer exists.
-serve_bench="$build_dir/bench/bench_serve_throughput"
-serve_baseline="$repo_root/tools/bench_serve_throughput.baseline.csv"
-if [ ! -x "$serve_bench" ]; then
-  echo "error: $serve_bench not built (cmake --build $build_dir --target bench_serve_throughput)" >&2
-  exit 2
-fi
-validate_baseline "$serve_baseline"
-"$serve_bench" >"$scratch/serve.log" 2>&1 || {
-  cat "$scratch/serve.log" >&2
-  echo "error: serve throughput bench failed" >&2
-  exit 2
-}
-grep '^CSV,' "$scratch/serve.log" >"$scratch/serve.csv" || {
-  echo "error: serve bench produced no CSV block" >&2
-  exit 2
-}
-if [ -n "${ADAPT_BENCH_CSV_DIR:-}" ]; then
-  cp "$scratch/serve.csv" "$ADAPT_BENCH_CSV_DIR/bench_serve_throughput.csv"
-fi
-
-serve_status=0
-awk -F, -v tol="$tolerance" '
-  NR == FNR { if (FNR > 1) base[$1] = $2; next }
-  $2 == "config" { next }  # header line: CSV,config,events_per_s,...
-  {
-    cfg = $2; eps = $3 + 0; shed = $6 + 0
-    current[cfg] = eps
-    if (cfg != "saturated" && shed != 0) {
-      printf "FAIL  %-12s shed %d events (must be 0 below saturation)\n",
-             cfg, shed
-      failed = 1
-    }
-    if (cfg in base) {
-      floor = base[cfg] / tol
-      if (eps < floor) {
-        printf "FAIL  %-12s %8.0f events/s < floor %8.0f (baseline %s)\n",
-               cfg, eps, floor, base[cfg]
-        failed = 1
-      } else {
-        printf "ok    %-12s %8.0f events/s (baseline %s, floor %8.0f)\n",
-               cfg, eps, base[cfg], floor
-      }
-    }
-  }
-  END {
-    best = 0
-    for (cfg in current)
-      if (cfg ~ /^batch_(8|16|32|64)$/ && current[cfg] > best)
-        best = current[cfg]
-    if (best <= current["per_ring"]) {
-      printf "FAIL  batched path (best %8.0f events/s) no faster than per-ring (%8.0f)\n",
-             best, current["per_ring"]
-      failed = 1
-    }
-    exit failed ? 1 : 0
-  }
-' "$serve_baseline" "$scratch/serve.csv" || serve_status=$?
-
-if [ "$serve_status" -eq 0 ]; then
-  echo "serve throughput check passed (tolerance ${tolerance}x)"
-elif [ "$check_only" -eq 1 ]; then
-  echo "serve throughput below floor but --check-only set: reported, not gated"
-else
-  echo "serve throughput check FAILED — if the slowdown is intentional," >&2
-  echo "refresh tools/bench_serve_throughput.baseline.csv from a quiet machine" >&2
-  exit "$serve_status"
-fi
-
-# ---- multi-stream serving gate ------------------------------------
-# bench_serve_multistream prints the same kind of `CSV,` block with a
-# trailing Jain-fairness column; this gate checks, against
-# tools/bench_serve_multistream.baseline.csv (config,events_per_s,
-# min_fairness rows):
-#   * aggregate throughput per config has not fallen below
-#     baseline / tolerance;
-#   * shed count is exactly 0 for every non-saturated config (the
-#     queues are sized to hold the whole stream);
+#     queues are sized to hold the whole stream, so any shed is a bug);
 #   * Jain fairness >= the baseline's min_fairness column — an
 #     absolute floor, NOT scaled by the tolerance: fairness measures
 #     the round-robin fill and per-stream admission control, which
-#     machine noise does not excuse.
+#     machine noise does not excuse;
+#   * the best one-stream batched config (batch_8/16/32, streams_1 at
+#     batch 64) still beats the per-ring loop — the reason the serving
+#     layer exists.
 multi_bench="$build_dir/bench/bench_serve_multistream"
 multi_baseline="$repo_root/tools/bench_serve_multistream.baseline.csv"
 if [ ! -x "$multi_bench" ]; then
@@ -258,7 +183,7 @@ fi
 validate_baseline "$multi_baseline"
 "$multi_bench" >"$scratch/multi.log" 2>&1 || {
   cat "$scratch/multi.log" >&2
-  echo "error: multi-stream serve bench failed" >&2
+  echo "error: serve bench failed" >&2
   exit 2
 }
 grep '^CSV,' "$scratch/multi.log" >"$scratch/multi.csv" || {
@@ -275,6 +200,7 @@ awk -F, -v tol="$tolerance" '
   $2 == "config" { next }  # header: CSV,config,events_per_s,...,fairness
   {
     cfg = $2; eps = $3 + 0; shed = $6 + 0; fair = $7 + 0
+    current[cfg] = eps
     if (cfg != "saturated" && shed != 0) {
       printf "FAIL  %-20s shed %d events (must be 0 below saturation)\n",
              cfg, shed
@@ -298,15 +224,26 @@ awk -F, -v tol="$tolerance" '
       failed = 1
     }
   }
-  END { exit failed ? 1 : 0 }
+  END {
+    best = 0
+    for (cfg in current)
+      if (cfg ~ /^(batch_(8|16|32)|streams_1)$/ && current[cfg] > best)
+        best = current[cfg]
+    if (best <= current["per_ring"]) {
+      printf "FAIL  batched path (best %8.0f events/s) no faster than per-ring (%8.0f)\n",
+             best, current["per_ring"]
+      failed = 1
+    }
+    exit failed ? 1 : 0
+  }
 ' "$multi_baseline" "$scratch/multi.csv" || multi_status=$?
 
 if [ "$multi_status" -eq 0 ]; then
-  echo "multi-stream serving check passed (tolerance ${tolerance}x)"
+  echo "serving check passed (tolerance ${tolerance}x)"
 elif [ "$check_only" -eq 1 ]; then
-  echo "multi-stream serving below floor but --check-only set: reported, not gated"
+  echo "serving below floor but --check-only set: reported, not gated"
 else
-  echo "multi-stream serving check FAILED — if the slowdown is intentional," >&2
+  echo "serving check FAILED — if the slowdown is intentional," >&2
   echo "refresh tools/bench_serve_multistream.baseline.csv from a quiet machine" >&2
   exit "$multi_status"
 fi
