@@ -284,23 +284,16 @@ TEST(FloodCli, ParsesValidFlags) {
   const FloodConfig cfg = flood_config_from_args(
       make({"--streams", "50", "--events", "10000", "--skew", "1.5",
             "--shards", "4", "--workers", "2", "--batch", "32",
-            "--shard-cap", "64", "--stream-cap", "64", "--deadline-us",
-            "0", "--no-degrade", "--alert-deg", "5", "--alert-content",
-            "0.9", "--background-fraction", "0"}));
+            "--deadline-us", "0", "--no-degrade"}));
   EXPECT_EQ(cfg.streams, 50u);
   EXPECT_EQ(cfg.events, 10000u);
   EXPECT_DOUBLE_EQ(cfg.skew, 1.5);
   EXPECT_EQ(cfg.shards, 4u);
   EXPECT_EQ(cfg.workers, 2u);
   EXPECT_EQ(cfg.max_batch, 32u);
-  EXPECT_EQ(cfg.shard_capacity, 64u);
-  EXPECT_EQ(cfg.per_stream_cap, 64u);
   // Zero deadline is legal now: "flush whatever is visible".
   EXPECT_EQ(cfg.flush_deadline.count(), 0);
   EXPECT_FALSE(cfg.degrade_when_saturated);
-  EXPECT_DOUBLE_EQ(cfg.alert_deg, 5.0);
-  EXPECT_DOUBLE_EQ(cfg.alert_content, 0.9);
-  EXPECT_DOUBLE_EQ(cfg.background_fraction, 0.0);
 }
 
 TEST(FloodCli, RejectsOutOfRangeFlags) {
@@ -332,15 +325,51 @@ TEST(FloodCli, RejectsOutOfRangeFlags) {
   EXPECT_THROW(
       flood_config_from_args(make({"--background-fraction", "1.5"})),
       core::CliError);
-  EXPECT_THROW(flood_config_from_args(make({"--alert-content", "1.5"})),
+}
+
+// The old one-stream serving bench is `adaptctl flood --streams 1`: its
+// flags (queue -> shard-cap + stream-cap) parse and reject through the
+// flood parser.
+
+TEST(ServeBenchCli, ParsesValidFlags) {
+  const FloodConfig cfg = flood_config_from_args(
+      make({"--streams", "1", "--events", "1000", "--batch", "16",
+            "--shard-cap", "64", "--stream-cap", "64", "--deadline-us",
+            "0", "--alert-deg", "5", "--alert-content", "0.9",
+            "--background-fraction", "0"}));
+  EXPECT_EQ(cfg.streams, 1u);
+  EXPECT_EQ(cfg.events, 1000u);
+  EXPECT_EQ(cfg.max_batch, 16u);
+  EXPECT_EQ(cfg.shard_capacity, 64u);
+  EXPECT_EQ(cfg.per_stream_cap, 64u);
+  EXPECT_EQ(cfg.flush_deadline.count(), 0);
+  EXPECT_DOUBLE_EQ(cfg.alert_deg, 5.0);
+  EXPECT_DOUBLE_EQ(cfg.alert_content, 0.9);
+  EXPECT_DOUBLE_EQ(cfg.background_fraction, 0.0);
+}
+
+TEST(ServeBenchCli, RejectsOutOfRangeFlags) {
+  // A CliError (exit 2) before any serving machinery spins up, not an
+  // ADAPT_REQUIRE abort (exit 1) inside the router.
+  EXPECT_THROW(flood_config_from_args(
+                   make({"--streams", "1", "--batch", "100", "--shard-cap",
+                         "50", "--stream-cap", "50"})),
                core::CliError);
   EXPECT_THROW(
-      flood_config_from_args(make({"--background-fraction", "-0.1"})),
+      flood_config_from_args(make({"--streams", "1", "--alert-deg", "-3"})),
       core::CliError);
-  EXPECT_THROW(flood_config_from_args(make({"--deadline-us", "0.5"})),
+  EXPECT_THROW(flood_config_from_args(
+                   make({"--streams", "1", "--alert-content", "1.5"})),
                core::CliError);
-  EXPECT_THROW(flood_config_from_args(make({"--events", "none"})),
+  EXPECT_THROW(flood_config_from_args(make(
+                   {"--streams", "1", "--background-fraction", "-0.1"})),
                core::CliError);
+  EXPECT_THROW(flood_config_from_args(
+                   make({"--streams", "1", "--deadline-us", "0.5"})),
+               core::CliError);
+  EXPECT_THROW(
+      flood_config_from_args(make({"--streams", "1", "--events", "none"})),
+      core::CliError);
 }
 
 }  // namespace
