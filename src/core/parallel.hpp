@@ -64,9 +64,10 @@ namespace adapt::core {
 
 namespace detail {
 
-/// Set while a std-backend worker (or the caller participating as one)
-/// is inside a parallel region; mirrors omp_in_parallel().
-inline bool& std_backend_in_parallel() {
+/// Set while the calling thread must run parallel_for serially: a
+/// std-backend worker (or the caller participating as one) inside a
+/// region, or a thread inside a SerialScope.  Read by both backends.
+inline bool& serial_context() {
   thread_local bool flag = false;
   return flag;
 }
@@ -130,15 +131,34 @@ inline int max_threads() {
 #endif
 }
 
-/// True when called from inside a parallel region (used to avoid
-/// nesting, which would oversubscribe or deadlock either backend).
+/// True when called from inside a parallel region or a SerialScope
+/// (used to avoid nesting, which would oversubscribe or deadlock either
+/// backend).
 inline bool in_parallel_region() {
 #if ADAPT_PARALLEL_BACKEND_OMP
-  return omp_in_parallel();
+  return detail::serial_context() || omp_in_parallel();
 #else
-  return detail::std_backend_in_parallel();
+  return detail::serial_context();
 #endif
 }
+
+/// Marks the calling thread as a serial context for the scope's
+/// lifetime: every parallel_for it reaches runs inline on it.  A thread
+/// that is already one of several concurrent workers (a
+/// serve::StreamRouter worker) holds one for its whole life, so its
+/// forward never opens a nested thread team per batch.
+class SerialScope {
+ public:
+  SerialScope() : saved_(detail::serial_context()) {
+    detail::serial_context() = true;
+  }
+  ~SerialScope() { detail::serial_context() = saved_; }
+  SerialScope(const SerialScope&) = delete;
+  SerialScope& operator=(const SerialScope&) = delete;
+
+ private:
+  bool saved_;
+};
 
 /// Positive-integer environment knob with a fallback, for tile sizes
 /// and similar tuning parameters.  Malformed or non-positive values
@@ -194,9 +214,7 @@ void parallel_for(std::size_t n, Fn&& fn, std::size_t grain = 1) {
     std::atomic<std::size_t> next{0};
     detail::ErrorSlot err;
     auto worker = [&]() noexcept {
-      bool& in_par = detail::std_backend_in_parallel();
-      const bool saved = in_par;
-      in_par = true;
+      const SerialScope serial;
       for (;;) {
         if (err.stop.load(std::memory_order_relaxed)) break;
         const std::size_t chunk = next.fetch_add(1, std::memory_order_relaxed);
@@ -209,7 +227,6 @@ void parallel_for(std::size_t n, Fn&& fn, std::size_t grain = 1) {
           err.capture();
         }
       }
-      in_par = saved;
     };
     std::vector<std::thread> threads;
     threads.reserve(n_workers - 1);

@@ -126,8 +126,8 @@ double accuracy_of(pipeline::BackgroundNet& net, const GeneratedRings& data) {
   const auto logits = net.logits_for_features(features);
   std::size_t correct = 0;
   for (std::size_t i = 0; i < data.size(); ++i) {
-    const double thr = net.thresholds().logit_threshold(data.polar_degs[i]);
-    const bool predicted_bkg = static_cast<double>(logits[i]) >= thr;
+    const bool predicted_bkg =
+        net.thresholds().is_background(logits[i], data.polar_degs[i]);
     const bool is_bkg =
         data.rings[i].origin == detector::Origin::kBackground;
     if (predicted_bkg == is_bkg) ++correct;

@@ -151,18 +151,16 @@ MlLocalizationResult MlLocalizer::run(std::span<const recon::ComptonRing> rings,
   m.bkg_rings_rejected.add(result.rings_in - result.rings_kept);
 
   // --- Step 3: replace the survivors' propagated d_eta with the dEta
-  // network's estimate at the final polar angle, through the same
-  // batched entry point the serving layer calls (one feature Tensor,
-  // one forward — bit-identical to per-ring predict() at this guess).
+  // network's estimate at the final polar angle (one feature Tensor,
+  // one forward over every survivor).
   if (models.deta != nullptr && !kept.empty()) {
     const double polar_deg = core::rad_to_deg(core::polar_of(s_hat));
     std::vector<double> d_eta;
     {
       const tm::ScopedTimer t(m.deta_nn_ms,
                               timings ? &timings->deta_inference_ms : nullptr);
-      const std::vector<double> polar_per_ring(kept.size(), polar_deg);
-      d_eta = models.predict_deta_batch(kept, polar_per_ring,
-                                        config_.deta_floor, config_.deta_cap);
+      d_eta = models.deta->predict(kept, polar_deg, config_.deta_floor,
+                                   config_.deta_cap);
     }
     for (std::size_t i = 0; i < kept.size(); ++i) kept[i].d_eta = d_eta[i];
     m.deta_reassigned.add(kept.size());

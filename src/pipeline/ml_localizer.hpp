@@ -71,10 +71,8 @@ class MlLocalizer {
   /// Run the full Fig. 6 pipeline.  Either network in `models` may be
   /// null: a null background net skips rejection (step 2), a null dEta
   /// net skips the d_eta update (step 3) — giving the paper's "without
-  /// ML" baseline when both are null.  The dEta update routes through
-  /// Models::predict_deta_batch — the same batched entry point the
-  /// serving layer uses — so offline localization and streaming
-  /// inference share one forward path.
+  /// ML" baseline when both are null.  The dEta update is one
+  /// DEtaNet::predict over every survivor at the final polar guess.
   MlLocalizationResult run(std::span<const recon::ComptonRing> rings,
                            const Models& models, core::Rng& rng,
                            StageTimings* timings = nullptr) const;

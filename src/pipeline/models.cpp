@@ -5,7 +5,6 @@
 
 #include "core/checksum.hpp"
 #include "core/contract.hpp"
-#include "nn/activations.hpp"
 #include "nn/serialize.hpp"
 
 namespace adapt::pipeline {
@@ -69,57 +68,18 @@ std::vector<float> BackgroundNet::logits_prepared(const nn::Tensor& prepared,
 std::vector<std::uint8_t> BackgroundNet::classify_prepared(
     const nn::Tensor& prepared, double polar_deg_guess) {
   const auto l = logits_prepared(prepared, polar_deg_guess);
-  const double thr = thresholds_.logit_threshold(polar_deg_guess);
   std::vector<std::uint8_t> out(l.size());
   for (std::size_t i = 0; i < l.size(); ++i)
-    out[i] = static_cast<double>(l[i]) >= thr ? 1 : 0;
-  return out;
-}
-
-std::vector<float> BackgroundNet::probabilities(
-    std::span<const recon::ComptonRing> rings, double polar_deg_guess) {
-  auto out = logits(rings, polar_deg_guess);
-  for (float& v : out) {
-    v = nn::sigmoid(v);
-    // sigmoid maps every finite logit into [0, 1]; anything else means
-    // a NaN escaped the model (bad weights or features).
-    ADAPT_CHECK_PROB(static_cast<double>(v), "background probability");
-  }
+    out[i] = thresholds_.is_background(l[i], polar_deg_guess) ? 1 : 0;
   return out;
 }
 
 std::vector<std::uint8_t> BackgroundNet::classify(
     std::span<const recon::ComptonRing> rings, double polar_deg_guess) {
   const auto l = logits(rings, polar_deg_guess);
-  const double thr = thresholds_.logit_threshold(polar_deg_guess);
   std::vector<std::uint8_t> out(l.size());
   for (std::size_t i = 0; i < l.size(); ++i)
-    out[i] = static_cast<double>(l[i]) >= thr ? 1 : 0;
-  return out;
-}
-
-std::vector<float> BackgroundNet::logits_batch(
-    std::span<const recon::ComptonRing> rings,
-    std::span<const double> polar_deg_per_ring) {
-  ADAPT_REQUIRE(polar_deg_per_ring.size() == rings.size(),
-                "per-ring polar guess count mismatch");
-  if (rings.empty()) return {};
-  // Without the polar feature the per-ring guesses are irrelevant and
-  // the matrix is the 12-column form the model expects.
-  nn::Tensor x = uses_polar_ ? feature_matrix(rings, polar_deg_per_ring)
-                             : feature_matrix(rings, false, 0.0);
-  return logits_for_features(x);
-}
-
-std::vector<std::uint8_t> BackgroundNet::classify_batch(
-    std::span<const recon::ComptonRing> rings,
-    std::span<const double> polar_deg_per_ring) {
-  const auto l = logits_batch(rings, polar_deg_per_ring);
-  std::vector<std::uint8_t> out(l.size());
-  for (std::size_t i = 0; i < l.size(); ++i) {
-    const double thr = thresholds_.logit_threshold(polar_deg_per_ring[i]);
-    out[i] = static_cast<double>(l[i]) >= thr ? 1 : 0;
-  }
+    out[i] = thresholds_.is_background(l[i], polar_deg_guess) ? 1 : 0;
   return out;
 }
 
@@ -209,18 +169,6 @@ std::vector<double> DEtaNet::predict_for_features(nn::Tensor raw_features,
   return predict_from_features(std::move(raw_features), floor, cap);
 }
 
-std::vector<double> DEtaNet::predict_batch(
-    std::span<const recon::ComptonRing> rings,
-    std::span<const double> polar_deg_per_ring, double floor, double cap) {
-  ADAPT_REQUIRE(floor > 0.0 && cap > floor, "invalid d_eta bounds");
-  ADAPT_REQUIRE(polar_deg_per_ring.size() == rings.size(),
-                "per-ring polar guess count mismatch");
-  if (rings.empty()) return {};
-  nn::Tensor x = uses_polar_ ? feature_matrix(rings, polar_deg_per_ring)
-                             : feature_matrix(rings, false, 0.0);
-  return predict_from_features(std::move(x), floor, cap);
-}
-
 bool DEtaNet::save(const std::string& path) {
   std::map<std::string, double> meta;
   meta["uses_polar"] = uses_polar_ ? 1.0 : 0.0;
@@ -241,34 +189,6 @@ std::optional<DEtaNet> DEtaNet::load(const std::string& path) {
                  uses_polar, calibration);
 }
 
-std::vector<std::uint8_t> Models::classify_background_batch(
-    std::span<const recon::ComptonRing> rings,
-    std::span<const double> polar_deg_per_ring) const {
-  ADAPT_REQUIRE(polar_deg_per_ring.size() == rings.size(),
-                "per-ring polar guess count mismatch");
-  if (background == nullptr)
-    return std::vector<std::uint8_t>(rings.size(), 0);
-  return background->classify_batch(rings, polar_deg_per_ring);
-}
-
-std::vector<double> Models::predict_deta_batch(
-    std::span<const recon::ComptonRing> rings,
-    std::span<const double> polar_deg_per_ring, double floor,
-    double cap) const {
-  ADAPT_REQUIRE(floor > 0.0 && cap > floor, "invalid d_eta bounds");
-  ADAPT_REQUIRE(polar_deg_per_ring.size() == rings.size(),
-                "per-ring polar guess count mismatch");
-  if (deta == nullptr) {
-    // Analytic passthrough: the propagated ring width, bounded the same
-    // way the network prediction would be.
-    std::vector<double> d(rings.size());
-    for (std::size_t i = 0; i < rings.size(); ++i)
-      d[i] = std::clamp(rings[i].d_eta, floor, cap);
-    return d;
-  }
-  return deta->predict_batch(rings, polar_deg_per_ring, floor, cap);
-}
-
 Models::BatchInference Models::infer_batch(
     std::span<const recon::ComptonRing> rings,
     std::span<const double> polar_deg_per_ring, double floor, double cap,
@@ -282,9 +202,9 @@ Models::BatchInference Models::infer_batch(
   // Assemble each feature layout at most once per flush, shared
   // between the networks.  Two layouts can coexist (a polar-aware
   // background net beside a polar-free dEta net); each is built
-  // lazily on first use with exactly the same feature_matrix calls
-  // the individual *_batch entry points make, which is what keeps
-  // this path bit-identical to them.
+  // lazily on first use.  Both feature_matrix overloads write the
+  // same static_cast<float>(polar) column the per-ring calls write,
+  // which is what keeps this path bit-identical to them.
   nn::Tensor with_polar;
   nn::Tensor without_polar;
   const auto features_for = [&](bool uses_polar) -> const nn::Tensor& {
@@ -302,12 +222,10 @@ Models::BatchInference Models::infer_batch(
     const std::vector<float> logits =
         background->logits_for_features(features_for(background->uses_polar()));
     out.is_background.resize(logits.size());
-    for (std::size_t i = 0; i < logits.size(); ++i) {
-      const double thr =
-          background->thresholds().logit_threshold(polar_deg_per_ring[i]);
+    const PolarThresholds& thresholds = background->thresholds();
+    for (std::size_t i = 0; i < logits.size(); ++i)
       out.is_background[i] =
-          static_cast<double>(logits[i]) >= thr ? 1 : 0;
-    }
+          thresholds.is_background(logits[i], polar_deg_per_ring[i]) ? 1 : 0;
   } else {
     out.is_background.assign(rings.size(), 0);
   }

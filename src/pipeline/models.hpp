@@ -58,33 +58,12 @@ class BackgroundNet {
   std::vector<std::uint8_t> classify_prepared(const nn::Tensor& prepared,
                                               double polar_deg_guess);
 
-  /// Background probabilities (sigmoid of the logits).
-  std::vector<float> probabilities(std::span<const recon::ComptonRing> rings,
-                                   double polar_deg_guess);
-
   /// Classification with the bin's dynamic threshold: 1 = background.
   std::vector<std::uint8_t> classify(std::span<const recon::ComptonRing> rings,
                                      double polar_deg_guess);
 
-  /// Batched forward with an independent polar guess per ring: one
-  /// feature Tensor, one forward() through the FP32 stack or the INT8
-  /// engine — the serving layer's entry point (each queued request
-  /// carries the localization estimate current when it was enqueued).
-  /// Bit-identical to calling logits()/classify() once per ring: the
-  /// GEMM kernels accumulate each output row in plain ascending-k
-  /// order regardless of batch size, and the INT8 path is integer
-  /// arithmetic throughout (see tests/serve/batch_equivalence_test).
-  std::vector<float> logits_batch(std::span<const recon::ComptonRing> rings,
-                                  std::span<const double> polar_deg_per_ring);
-
-  /// Batched classification; the dynamic threshold is selected per
-  /// ring from that ring's own polar guess.
-  std::vector<std::uint8_t> classify_batch(
-      std::span<const recon::ComptonRing> rings,
-      std::span<const double> polar_deg_per_ring);
-
   /// Logits for an externally assembled (unstandardized) feature
-  /// matrix — used by threshold fitting and tests.
+  /// matrix — used by infer_batch, threshold fitting and tests.
   std::vector<float> logits_for_features(const nn::Tensor& raw_features);
 
   /// Persist / restore (FP32 variant only; the INT8 engine is
@@ -132,16 +111,9 @@ class DEtaNet {
                               double polar_deg_guess, double floor = 1e-4,
                               double cap = 2.0);
 
-  /// Batched prediction with an independent polar guess per ring (one
-  /// feature Tensor, one forward — the serving layer's entry point).
-  /// Bit-identical to per-ring predict() calls at the same guesses.
-  std::vector<double> predict_batch(std::span<const recon::ComptonRing> rings,
-                                    std::span<const double> polar_deg_per_ring,
-                                    double floor = 1e-4, double cap = 2.0);
-
-  /// Batched prediction from an externally assembled (unstandardized)
-  /// feature matrix — the fused serve path builds the matrix once per
-  /// flush and shares it between the networks.  The tensor is taken by
+  /// Prediction from an externally assembled (unstandardized) feature
+  /// matrix — infer_batch builds the matrix once per flush and shares
+  /// it between the networks.  The tensor is taken by
   /// value because standardization happens in place on it.
   std::vector<double> predict_for_features(nn::Tensor raw_features,
                                            double floor, double cap);
@@ -173,26 +145,13 @@ class DEtaNet {
 /// (propagated) d_eta through — which is also exactly the degraded
 /// behavior the server falls back to under overload.
 ///
-/// Thread-safety: both batch calls are safe from concurrent threads on
-/// the same underlying nets — inference forward passes write no model
+/// Thread-safety: infer_batch is safe from concurrent threads on the
+/// same underlying nets — inference forward passes write no model
 /// state (enforced by tests/serve/concurrent tests under the TSan
 /// gate).
 struct Models {
   BackgroundNet* background = nullptr;
   DEtaNet* deta = nullptr;
-
-  /// One fused forward over the batch: 1 = background, per-ring
-  /// dynamic threshold.  All-zero when no background net is loaded.
-  std::vector<std::uint8_t> classify_background_batch(
-      std::span<const recon::ComptonRing> rings,
-      std::span<const double> polar_deg_per_ring) const;
-
-  /// One fused forward over the batch; falls back to each ring's
-  /// propagated d_eta (clamped to [floor, cap]) without a dEta net.
-  std::vector<double> predict_deta_batch(
-      std::span<const recon::ComptonRing> rings,
-      std::span<const double> polar_deg_per_ring, double floor = 1e-4,
-      double cap = 2.0) const;
 
   /// Outputs of one fused batch inference (see infer_batch).
   struct BatchInference {
@@ -201,15 +160,21 @@ struct Models {
     bool used_deta_net = false;  ///< false = analytic passthrough.
   };
 
-  /// Structure-of-arrays fused path for the serving layer: assembles
-  /// the ring-feature matrix ONCE per flush and runs both networks
-  /// from it, instead of each batch call re-walking the rings.  With
-  /// the INT8 background engine that means one quantization of the
-  /// panel and one quantized GEMM per layer for the whole batch.
-  /// `allow_deta = false` (the server's degraded mode) skips the dEta
-  /// forward and applies the same analytic clamp a null dEta net gets.
-  /// Bit-identical to classify_background_batch + predict_deta_batch
-  /// on the same inputs (asserted by tests/serve/batch_equivalence).
+  /// The one batched forward, with an independent polar guess per
+  /// ring (each queued request carries the localization estimate
+  /// current when it was enqueued): assembles the ring-feature matrix
+  /// ONCE per flush and runs both networks from it.  With the INT8
+  /// background engine that means one quantization of the panel and
+  /// one quantized GEMM per layer for the whole batch.  The serving
+  /// layer's entry point (serve::StreamRouter calls it per batch).
+  /// Null nets: no ring is background, and d_eta is each ring's
+  /// propagated width clamped to [floor, cap].  `allow_deta = false`
+  /// (the server's degraded mode) skips the dEta forward and applies
+  /// that same analytic clamp.
+  /// Bit-identical to per-ring classify() / predict() calls at the same
+  /// guesses: the GEMM kernels accumulate each output row in plain
+  /// ascending-k order regardless of batch size, and the INT8 path is
+  /// integer arithmetic throughout (tests/serve/batch_equivalence).
   BatchInference infer_batch(std::span<const recon::ComptonRing> rings,
                              std::span<const double> polar_deg_per_ring,
                              double floor = 1e-4, double cap = 2.0,

@@ -29,6 +29,13 @@ class PolarThresholds {
   static int bin_of(double polar_deg);
 
   double logit_threshold(double polar_deg) const;
+
+  /// The background decision: a ring is background when its logit
+  /// reaches the threshold of its polar bin.  Every classifier path
+  /// (per-ring, prepared, batched, accuracy) decides through this.
+  bool is_background(float logit, double polar_deg) const {
+    return static_cast<double>(logit) >= logit_threshold(polar_deg);
+  }
   void set_logit_threshold(int bin, double threshold);
 
   /// Fit: for each bin, pick the logit threshold minimizing the 0/1

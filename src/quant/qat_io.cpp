@@ -2,15 +2,13 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstring>
-#include <fstream>
 #include <memory>
 #include <sstream>
 
-#include "core/checksum.hpp"
 #include "core/contract.hpp"
 #include "core/telemetry.hpp"
 #include "nn/activations.hpp"
+#include "nn/byte_io.hpp"
 #include "quant/fake_quant.hpp"
 #include "quant/qat_linear.hpp"
 
@@ -30,57 +28,7 @@ enum class Tag : std::uint32_t {
   kReLU = 3,
 };
 
-void write_u32(std::ostream& os, std::uint32_t v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void write_f32(std::ostream& os, float v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void write_f64(std::ostream& os, double v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void write_floats(std::ostream& os, const std::vector<float>& v) {
-  write_u32(os, static_cast<std::uint32_t>(v.size()));
-  os.write(reinterpret_cast<const char*>(v.data()),
-           static_cast<std::streamsize>(v.size() * sizeof(float)));
-}
-bool read_u32(std::istream& is, std::uint32_t& v) {
-  is.read(reinterpret_cast<char*>(&v), sizeof(v));
-  return static_cast<bool>(is);
-}
-bool read_f32(std::istream& is, float& v) {
-  is.read(reinterpret_cast<char*>(&v), sizeof(v));
-  return static_cast<bool>(is);
-}
-bool read_f64(std::istream& is, double& v) {
-  is.read(reinterpret_cast<char*>(&v), sizeof(v));
-  return static_cast<bool>(is);
-}
-/// Bytes between the stream's current position and its end.  Header
-/// counts and dimensions are untrusted (same hardening as
-/// eval::load_rings and nn::load_model): every claimed element count
-/// is validated against this budget BEFORE any allocation is sized
-/// from it.
-std::uint64_t bytes_left(std::istream& is) {
-  const std::istream::pos_type pos = is.tellg();
-  if (pos < 0) return 0;
-  is.seekg(0, std::ios::end);
-  const std::istream::pos_type end = is.tellg();
-  is.seekg(pos);
-  if (end < pos) return 0;
-  return static_cast<std::uint64_t>(end - pos);
-}
-
-bool read_floats(std::istream& is, std::vector<float>& v) {
-  std::uint32_t n = 0;
-  if (!read_u32(is, n)) return false;
-  if (static_cast<std::uint64_t>(n) * sizeof(float) > bytes_left(is))
-    return false;
-  v.resize(n);
-  is.read(reinterpret_cast<char*>(v.data()),
-          static_cast<std::streamsize>(n * sizeof(float)));
-  return static_cast<bool>(is);
-}
+using namespace nn::byte_io;
 
 }  // namespace
 
@@ -94,17 +42,7 @@ bool save_qat_model(nn::Sequential& model,
   os.write(kMagic, sizeof(kMagic));
   write_u32(os, kVersion);
 
-  if (standardizer.fitted()) {
-    write_u32(os, static_cast<std::uint32_t>(standardizer.mean().size()));
-    os.write(reinterpret_cast<const char*>(standardizer.mean().data()),
-             static_cast<std::streamsize>(standardizer.mean().size() *
-                                          sizeof(float)));
-    os.write(reinterpret_cast<const char*>(standardizer.inv_std().data()),
-             static_cast<std::streamsize>(standardizer.inv_std().size() *
-                                          sizeof(float)));
-  } else {
-    write_u32(os, 0);
-  }
+  write_standardizer(os, standardizer);
 
   write_u32(os, static_cast<std::uint32_t>(model.n_layers()));
   for (std::size_t i = 0; i < model.n_layers(); ++i) {
@@ -130,28 +68,17 @@ bool save_qat_model(nn::Sequential& model,
 
   write_u32(os, static_cast<std::uint32_t>(metadata.size()));
   for (const auto& [key, value] : metadata) {
-    write_u32(os, static_cast<std::uint32_t>(key.size()));
-    os.write(key.data(), static_cast<std::streamsize>(key.size()));
+    write_string(os, key);
     write_f64(os, value);
   }
   if (!os) return false;
-
-  const std::string body = os.str();
-  const std::uint64_t digest = core::fnv1a64(body.data(), body.size());
-  std::ofstream file(path, std::ios::binary);
-  if (!file) return false;
-  file.write(body.data(), static_cast<std::streamsize>(body.size()));
-  file.write(reinterpret_cast<const char*>(&digest), sizeof(digest));
-  return static_cast<bool>(file);
+  return write_with_footer(os.str(), path);
 }
 
 std::optional<SavedQatModel> load_qat_model(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) return std::nullopt;
-  std::ostringstream raw;
-  raw << file.rdbuf();
-  const std::string data = raw.str();
-  return load_qat_model_from_bytes(data);
+  const auto data = read_file(path);
+  if (!data) return std::nullopt;
+  return load_qat_model_from_bytes(*data);
 }
 
 std::optional<SavedQatModel> load_qat_model_from_bytes(
@@ -163,50 +90,17 @@ std::optional<SavedQatModel> load_qat_model_from_bytes(
   static core::telemetry::Counter& checksum_failures =
       core::telemetry::counter("quant.qat_checksum_failures");
 
-  std::string bytes(in_bytes);
-
   const auto reject = [&]() -> std::optional<SavedQatModel> {
     files_rejected.add();
     return std::nullopt;
   };
-  constexpr std::size_t kHeaderBytes = sizeof(kMagic) + sizeof(std::uint32_t);
-  if (bytes.size() < kHeaderBytes ||
-      std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0)
+  std::istringstream is(std::ios::binary);
+  if (!open_body(in_bytes, {kMagic, sizeof(kMagic)}, kMinVersion, kVersion,
+                 checksum_failures, is))
     return reject();
-  std::uint32_t version = 0;
-  std::memcpy(&version, bytes.data() + sizeof(kMagic), sizeof(version));
-  if (version < kMinVersion || version > kVersion) return reject();
-  if (version >= 2) {
-    // Verify the whole-file digest before parsing a single field.
-    if (bytes.size() < kHeaderBytes + sizeof(std::uint64_t)) return reject();
-    std::uint64_t stored = 0;
-    std::memcpy(&stored, bytes.data() + bytes.size() - sizeof(stored),
-                sizeof(stored));
-    if (stored != core::fnv1a64(bytes.data(), bytes.size() - sizeof(stored))) {
-      checksum_failures.add();
-      return reject();
-    }
-    bytes.resize(bytes.size() - sizeof(std::uint64_t));
-  }
-  std::istringstream is(bytes, std::ios::binary);
-  is.seekg(static_cast<std::streamoff>(kHeaderBytes));
 
   SavedQatModel out;
-  std::uint32_t std_dim = 0;
-  if (!read_u32(is, std_dim)) return reject();
-  if (std_dim > 0) {
-    if (static_cast<std::uint64_t>(std_dim) * 2 * sizeof(float) >
-        bytes_left(is))
-      return reject();
-    std::vector<float> mean(std_dim);
-    std::vector<float> inv_std(std_dim);
-    is.read(reinterpret_cast<char*>(mean.data()),
-            static_cast<std::streamsize>(std_dim * sizeof(float)));
-    is.read(reinterpret_cast<char*>(inv_std.data()),
-            static_cast<std::streamsize>(std_dim * sizeof(float)));
-    if (!is) return reject();
-    out.standardizer.set(std::move(mean), std::move(inv_std));
-  }
+  if (!read_standardizer(is, out.standardizer)) return reject();
 
   std::uint32_t n_layers = 0;
   if (!read_u32(is, n_layers) || n_layers > 1024) return reject();
@@ -262,13 +156,9 @@ std::optional<SavedQatModel> load_qat_model_from_bytes(
   std::uint32_t n_meta = 0;
   if (!read_u32(is, n_meta) || n_meta > 4096) return reject();
   for (std::uint32_t i = 0; i < n_meta; ++i) {
-    std::uint32_t len = 0;
-    if (!read_u32(is, len) || len > 4096 || len > bytes_left(is))
-      return reject();
-    std::string key(len, '\0');
-    is.read(key.data(), static_cast<std::streamsize>(len));
+    std::string key;
     double value = 0.0;
-    if (!is || !read_f64(is, value)) return reject();
+    if (!read_string(is, key) || !read_f64(is, value)) return reject();
     out.metadata.emplace(std::move(key), value);
   }
   return out;

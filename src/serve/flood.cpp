@@ -286,8 +286,7 @@ FloodReport measure_per_ring(pipeline::Models models,
     const auto e0 = std::chrono::steady_clock::now();
     const std::span<const recon::ComptonRing> ring(&e.ring, 1);
     const std::span<const double> polar(&e.polar_deg, 1);
-    (void)models.classify_background_batch(ring, polar);
-    (void)models.predict_deta_batch(ring, polar);
+    (void)models.infer_batch(ring, polar);
     log[i] = {ms_between(e0, std::chrono::steady_clock::now()), e.stream_id};
   }
   const auto t1 = std::chrono::steady_clock::now();

@@ -106,8 +106,9 @@ struct FloodReport {
 /// Replay a Zipf-skewed multi-stream flood through a StreamRouter.
 FloodReport measure_flood(pipeline::Models models, const FloodConfig& config);
 
-/// The same events, one single-ring forward pair per event on the
-/// calling thread: no queue, no batching, nothing shed.  Reads
+/// The same events, one one-ring Models::infer_batch per event on the
+/// calling thread (the call a router worker makes per batch): no
+/// queue, no batching, nothing shed.  Reads
 /// `streams`, `events`, `skew`, `seed` and the alert-mode event shape
 /// from `config`; `batches` counts one per event.
 FloodReport measure_per_ring(pipeline::Models models,

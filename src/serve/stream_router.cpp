@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "core/contract.hpp"
+#include "core/parallel.hpp"
 #include "core/require.hpp"
 #include "core/telemetry.hpp"
 
@@ -192,6 +193,11 @@ void StreamRouter::worker_loop(std::size_t worker_index) {
   static tm::Counter& delivered_metric =
       tm::counter("serve.supervisor.delivered");
   static tm::Histogram& depth_metric = tm::histogram("serve.stream.shard_depth");
+
+  // The workers already run one forward per thread: a batch's GEMM
+  // stays on this thread instead of opening a nested thread team, whose
+  // first entry after an idle spell costs far more than the batch.
+  const core::SerialScope serial;
 
   // The shards this worker owns, in index order.
   std::vector<std::size_t> my_shards;

@@ -103,7 +103,9 @@
 /// router lock is held across a sink call or an alert callback; the
 /// forward hook and the quiesce callback run under `models_mutex_`,
 /// like the forward they stand in for, and must not re-enter the
-/// router.
+/// router.  Each worker thread is a core::SerialScope for its whole
+/// life: a `core::parallel_for` reached from a forward (the GEMMs) or
+/// an engine runs inline on the worker, never as a nested team.
 
 #include <atomic>
 #include <chrono>

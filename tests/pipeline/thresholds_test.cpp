@@ -33,6 +33,16 @@ TEST(Thresholds, SetAndGetPerBin) {
   EXPECT_THROW(t.set_logit_threshold(-1, 0.0), std::invalid_argument);
 }
 
+TEST(Thresholds, BackgroundWhenLogitReachesItsBinThreshold) {
+  PolarThresholds t;
+  t.set_logit_threshold(3, -1.5);
+  EXPECT_TRUE(t.is_background(-1.5f, 35.0));  // At the threshold.
+  EXPECT_FALSE(t.is_background(-1.6f, 35.0));
+  // Same logit, other bin (neutral threshold 0): kept.
+  EXPECT_FALSE(t.is_background(-1.5f, 25.0));
+  EXPECT_TRUE(t.is_background(0.0f, 25.0));
+}
+
 TEST(Thresholds, FitSeparatesCleanBins) {
   // Bin at 15 deg: GRB logits near -2, background near +2 -> any
   // threshold in between is optimal; check classification is perfect.

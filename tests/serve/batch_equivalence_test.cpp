@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/contract.hpp"
+#include "pipeline/features.hpp"
 #include "pipeline/models.hpp"
 #include "serve/synthetic_models.hpp"
 
@@ -34,93 +35,117 @@ Stream make_stream(std::size_t n, std::uint64_t seed) {
   return s;
 }
 
-void expect_background_batch_matches_loop(pipeline::BackgroundNet& net,
-                                          const Stream& s) {
-  const auto batch_logits = net.logits_batch(s.rings, s.polar);
-  const auto batch_cls = net.classify_batch(s.rings, s.polar);
-  ASSERT_EQ(batch_logits.size(), s.rings.size());
-  ASSERT_EQ(batch_cls.size(), s.rings.size());
+/// Models::infer_batch over the whole mixed-polar stream against a
+/// per-ring classify() / predict() loop at each ring's own guess.
+/// Either net may be null; a null dEta net's loop value is the
+/// analytic clamp.
+void expect_batch_matches_loop(const pipeline::Models& models,
+                               const Stream& s, double floor = 1e-4,
+                               double cap = 2.0) {
+  const auto batch = models.infer_batch(s.rings, s.polar, floor, cap);
+  ASSERT_EQ(batch.is_background.size(), s.rings.size());
+  ASSERT_EQ(batch.d_eta.size(), s.rings.size());
+  EXPECT_EQ(batch.used_deta_net, models.deta != nullptr);
   for (std::size_t i = 0; i < s.rings.size(); ++i) {
     const std::span<const recon::ComptonRing> one(&s.rings[i], 1);
-    const auto loop_logit = net.logits(one, s.polar[i]);
-    const auto loop_cls = net.classify(one, s.polar[i]);
-    ASSERT_EQ(loop_logit.size(), 1u);
-    // Bitwise float equality, deliberately.
-    EXPECT_EQ(batch_logits[i], loop_logit[0]) << "ring " << i;
-    EXPECT_EQ(batch_cls[i], loop_cls[0]) << "ring " << i;
+    std::uint8_t loop_cls = 0;
+    if (models.background != nullptr) {
+      const auto cls = models.background->classify(one, s.polar[i]);
+      ASSERT_EQ(cls.size(), 1u);
+      loop_cls = cls[0];
+    }
+    double loop_d_eta = std::clamp(s.rings[i].d_eta, floor, cap);
+    if (models.deta != nullptr) {
+      const auto d = models.deta->predict(one, s.polar[i], floor, cap);
+      ASSERT_EQ(d.size(), 1u);
+      loop_d_eta = d[0];
+    }
+    EXPECT_EQ(batch.is_background[i], loop_cls) << "ring " << i;
+    // Bitwise double equality, deliberately.
+    EXPECT_EQ(batch.d_eta[i], loop_d_eta) << "ring " << i;
   }
 }
 
-void expect_deta_batch_matches_loop(pipeline::DEtaNet& net, const Stream& s) {
-  const auto batch = net.predict_batch(s.rings, s.polar);
+/// The background logits behind the decision, bit for bit: the batch
+/// logits through the same feature layout infer_batch assembles.
+void expect_background_logits_match_loop(pipeline::BackgroundNet& net,
+                                         const Stream& s) {
+  const auto batch = net.logits_for_features(
+      pipeline::feature_matrix(s.rings, std::span<const double>(s.polar)));
   ASSERT_EQ(batch.size(), s.rings.size());
   for (std::size_t i = 0; i < s.rings.size(); ++i) {
     const std::span<const recon::ComptonRing> one(&s.rings[i], 1);
-    const auto loop = net.predict(one, s.polar[i]);
-    ASSERT_EQ(loop.size(), 1u);
-    EXPECT_EQ(batch[i], loop[0]) << "ring " << i;
+    const auto loop_logit = net.logits(one, s.polar[i]);
+    ASSERT_EQ(loop_logit.size(), 1u);
+    // Bitwise float equality, deliberately.
+    EXPECT_EQ(batch[i], loop_logit[0]) << "ring " << i;
   }
 }
 
 TEST(BatchEquivalence, FloatBackgroundNetBitIdentical) {
   auto net = synthetic_background_net(101);
-  expect_background_batch_matches_loop(net, make_stream(33, 1));
+  const Stream s = make_stream(33, 1);
+  expect_background_logits_match_loop(net, s);
+  expect_batch_matches_loop(pipeline::Models{&net, nullptr}, s);
 }
 
 TEST(BatchEquivalence, Int8BackgroundNetBitIdentical) {
   auto net = synthetic_background_net_int8(102);
-  expect_background_batch_matches_loop(net, make_stream(33, 2));
+  const Stream s = make_stream(33, 2);
+  expect_background_logits_match_loop(net, s);
+  expect_batch_matches_loop(pipeline::Models{&net, nullptr}, s);
 }
 
 TEST(BatchEquivalence, DEtaNetBitIdentical) {
   auto net = synthetic_deta_net(103);
-  expect_deta_batch_matches_loop(net, make_stream(33, 3));
+  expect_batch_matches_loop(pipeline::Models{nullptr, &net},
+                            make_stream(33, 3));
 }
 
 TEST(BatchEquivalence, SingleRingBatch) {
   auto background = synthetic_background_net(104);
   auto deta = synthetic_deta_net(105);
-  const Stream s = make_stream(1, 4);
-  expect_background_batch_matches_loop(background, s);
-  expect_deta_batch_matches_loop(deta, s);
+  expect_batch_matches_loop(pipeline::Models{&background, &deta},
+                            make_stream(1, 4));
 }
 
 TEST(BatchEquivalence, EmptyBatch) {
   auto background = synthetic_background_net(106);
   auto deta = synthetic_deta_net(107);
-  EXPECT_TRUE(background.logits_batch({}, {}).empty());
-  EXPECT_TRUE(background.classify_batch({}, {}).empty());
-  EXPECT_TRUE(deta.predict_batch({}, {}).empty());
+  const pipeline::Models models{&background, &deta};
+  const auto out = models.infer_batch({}, {});
+  EXPECT_TRUE(out.is_background.empty());
+  EXPECT_TRUE(out.d_eta.empty());
 }
 
 TEST(BatchEquivalence, ModelsBundleMatchesDirectCalls) {
   auto background = synthetic_background_net(108);
   auto deta = synthetic_deta_net(109);
-  const pipeline::Models models{&background, &deta};
-  const Stream s = make_stream(17, 5);
-
-  EXPECT_EQ(models.classify_background_batch(s.rings, s.polar),
-            background.classify_batch(s.rings, s.polar));
-  EXPECT_EQ(models.predict_deta_batch(s.rings, s.polar),
-            deta.predict_batch(s.rings, s.polar));
+  expect_batch_matches_loop(pipeline::Models{&background, &deta},
+                            make_stream(17, 5));
+  // The INT8 engine beside the dEta net, at non-default bounds.
+  auto int8 = synthetic_background_net_int8(111);
+  expect_batch_matches_loop(pipeline::Models{&int8, &deta},
+                            make_stream(17, 8), 0.01, 0.3);
 }
 
 TEST(BatchEquivalence, NullModelsFallBackToAnalytic) {
   const pipeline::Models models{};
   const Stream s = make_stream(9, 6);
-  const auto cls = models.classify_background_batch(s.rings, s.polar);
-  for (const auto c : cls) EXPECT_EQ(c, 0);
-  const auto d = models.predict_deta_batch(s.rings, s.polar, 0.01, 0.3);
-  ASSERT_EQ(d.size(), s.rings.size());
-  for (std::size_t i = 0; i < d.size(); ++i)
-    EXPECT_EQ(d[i], std::clamp(s.rings[i].d_eta, 0.01, 0.3));
+  const auto out = models.infer_batch(s.rings, s.polar, 0.01, 0.3);
+  for (const auto c : out.is_background) EXPECT_EQ(c, 0);
+  EXPECT_FALSE(out.used_deta_net);
+  ASSERT_EQ(out.d_eta.size(), s.rings.size());
+  for (std::size_t i = 0; i < out.d_eta.size(); ++i)
+    EXPECT_EQ(out.d_eta[i], std::clamp(s.rings[i].d_eta, 0.01, 0.3));
 }
 
 TEST(BatchEquivalence, MismatchedPolarSpanRejected) {
   auto net = synthetic_background_net(110);
+  const pipeline::Models models{&net, nullptr};
   const Stream s = make_stream(4, 7);
   const std::vector<double> short_polar(3, 10.0);
-  EXPECT_THROW(net.logits_batch(s.rings, short_polar),
+  EXPECT_THROW(models.infer_batch(s.rings, short_polar),
                core::ContractViolation);
 }
 

@@ -4,6 +4,7 @@
 #include <thread>
 #include <vector>
 
+#include "pipeline/models.hpp"
 #include "quant/qat_linear.hpp"
 #include "serve/synthetic_models.hpp"
 
@@ -37,6 +38,18 @@ Stream make_stream(std::size_t n, std::uint64_t seed) {
   return s;
 }
 
+using Outputs = pipeline::Models::BatchInference;
+
+/// The router workers' call: one fused forward over the batch.
+Outputs infer(const pipeline::Models& models, const Stream& s) {
+  return models.infer_batch(s.rings, s.polar);
+}
+
+void expect_same(const Outputs& a, const Outputs& b) {
+  EXPECT_EQ(a.is_background, b.is_background);
+  EXPECT_EQ(a.d_eta, b.d_eta);
+}
+
 template <typename Fn>
 void run_concurrently(Fn&& fn) {
   std::vector<std::thread> threads;
@@ -47,46 +60,49 @@ void run_concurrently(Fn&& fn) {
 
 TEST(ConcurrentInference, SharedFp32BackgroundNetWithBatchNorm) {
   // build_mlp's default blocks start with BatchNorm1d — the layer
-  // whose inference scratch used to be a member.  Each thread cycles
+  // whose inference scratch used to be a member.  The dEta net beside
+  // it is the same FP32 stack with a continuous output, so a bled
+  // activation shows in d_eta even where no decision flips.  Each
+  // thread cycles
   // through batch widths 1, 24 and 617 (from a different starting
   // width per thread), so the fused forward's thread_local ping/pong
   // panels grow and get reused at other widths while other threads
   // do the same — the cross-width guard QuantizedMlp's panels have.
   auto net = synthetic_background_net(61);
+  auto deta = synthetic_deta_net(66);
+  const pipeline::Models models{&net, &deta};
   const std::vector<Stream> widths = {make_stream(1, 1), make_stream(24, 11),
                                       make_stream(617, 21)};
-  std::vector<std::vector<float>> references;
-  for (const Stream& s : widths)
-    references.push_back(net.logits_batch(s.rings, s.polar));
+  std::vector<Outputs> references;
+  for (const Stream& s : widths) references.push_back(infer(models, s));
 
   run_concurrently([&](std::size_t t) {
     for (int i = 0; i < kRepeats; ++i) {
       const std::size_t w = (t + static_cast<std::size_t>(i)) % widths.size();
-      EXPECT_EQ(net.logits_batch(widths[w].rings, widths[w].polar),
-                references[w]);
+      expect_same(infer(models, widths[w]), references[w]);
     }
   });
 }
 
 TEST(ConcurrentInference, SharedInt8Engine) {
   auto net = synthetic_background_net_int8(62);
+  const pipeline::Models models{&net, nullptr};
   const Stream s = make_stream(24, 2);
-  const auto reference = net.logits_batch(s.rings, s.polar);
+  const Outputs reference = infer(models, s);
 
   run_concurrently([&](std::size_t) {
-    for (int i = 0; i < kRepeats; ++i)
-      EXPECT_EQ(net.logits_batch(s.rings, s.polar), reference);
+    for (int i = 0; i < kRepeats; ++i) expect_same(infer(models, s), reference);
   });
 }
 
 TEST(ConcurrentInference, SharedDEtaNet) {
   auto net = synthetic_deta_net(63);
+  const pipeline::Models models{nullptr, &net};
   const Stream s = make_stream(24, 3);
-  const auto reference = net.predict_batch(s.rings, s.polar);
+  const Outputs reference = infer(models, s);
 
   run_concurrently([&](std::size_t) {
-    for (int i = 0; i < kRepeats; ++i)
-      EXPECT_EQ(net.predict_batch(s.rings, s.polar), reference);
+    for (int i = 0; i < kRepeats; ++i) expect_same(infer(models, s), reference);
   });
 }
 
@@ -113,33 +129,35 @@ TEST(ConcurrentInference, SharedQatLinearInferenceForward) {
 // shared scratch buffer produces).
 // Each thread also interleaves batch widths 1, 24 and 617, so one
 // thread's panel resize never lands in another thread's activations.
+// The polar-aware dEta net turns a bled polar column into a d_eta
+// change.
 TEST(ConcurrentInference, DistinctInputsDoNotBleed) {
   auto net = synthetic_background_net(65);
+  auto deta = synthetic_deta_net(67);
+  const pipeline::Models models{&net, &deta};
   const std::vector<std::size_t> kWidths = {1, 24, 617};
   const Stream s = make_stream(kWidths.back(), 4);
 
   // references[t][w]: thread t's polar guess on the first kWidths[w]
   // rings.
-  std::vector<std::vector<std::vector<float>>> references(kThreads);
+  std::vector<std::vector<Outputs>> references(kThreads);
   std::vector<std::vector<double>> polar_sets(kThreads);
-  const auto prefix = [&](std::size_t w) {
-    return std::span<const recon::ComptonRing>(s.rings).first(kWidths[w]);
+  const auto run = [&](std::size_t t, std::size_t w) {
+    return models.infer_batch(
+        std::span<const recon::ComptonRing>(s.rings).first(kWidths[w]),
+        std::span<const double>(polar_sets[t]).first(kWidths[w]));
   };
   for (std::size_t t = 0; t < kThreads; ++t) {
     polar_sets[t].assign(s.rings.size(),
                          5.0 + 20.0 * static_cast<double>(t));
     for (std::size_t w = 0; w < kWidths.size(); ++w)
-      references[t].push_back(net.logits_batch(
-          prefix(w), std::span<const double>(polar_sets[t]).first(kWidths[w])));
+      references[t].push_back(run(t, w));
   }
 
   run_concurrently([&](std::size_t t) {
     for (int i = 0; i < kRepeats; ++i) {
       const std::size_t w = (t + static_cast<std::size_t>(i)) % kWidths.size();
-      EXPECT_EQ(net.logits_batch(prefix(w), std::span<const double>(
-                                                polar_sets[t])
-                                                .first(kWidths[w])),
-                references[t][w]);
+      expect_same(run(t, w), references[t][w]);
     }
   });
 }

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/contract.hpp"
+#include "core/parallel.hpp"
 #include "core/rng.hpp"
 #include "core/units.hpp"
 #include "serve/synthetic_models.hpp"
@@ -274,6 +275,52 @@ TEST(StreamRouter, ThrowingEngineFallsBackFlagged) {
     EXPECT_EQ(collected.results[i].d_eta,
               std::clamp(rings[i].d_eta, rc.d_eta_floor, rc.d_eta_cap));
   }
+}
+
+// A worker thread is a serial context for its whole life: a
+// parallel_for reached from a forward runs every index on the worker
+// itself instead of opening a nested thread team per batch (whose
+// first entry after an idle spell cost ~1 s on a shared host).
+TEST(StreamRouter, WorkersRunParallelForInline) {
+  RouterConfig rc;
+  rc.num_shards = 2;
+  rc.num_workers = 2;
+  rc.shard_capacity = 1024;
+  rc.per_stream_cap = 1024;
+  rc.max_batch = 32;
+  StreamRouter router(pipeline::Models{}, rc,
+                      [](std::span<const ServeResult>) {});
+  std::atomic<std::size_t> batches{0};
+  std::atomic<std::size_t> foreign_indices{0};
+  std::atomic<std::size_t> outside_serial_scope{0};
+  router.set_engine([&](std::span<const recon::ComptonRing> rings,
+                        std::span<const double>, bool) {
+    if (!core::in_parallel_region()) outside_serial_scope.fetch_add(1);
+    const std::thread::id worker = std::this_thread::get_id();
+    std::vector<std::thread::id> ran_on(256);
+    core::parallel_for(ran_on.size(), [&](std::size_t i) {
+      ran_on[i] = std::this_thread::get_id();
+    });
+    for (const std::thread::id id : ran_on)
+      if (id != worker) foreign_indices.fetch_add(1);
+    batches.fetch_add(1);
+    BatchOutputs out;
+    out.is_background.assign(rings.size(), 0);
+    out.d_eta.assign(rings.size(), 0.1);
+    return out;
+  });
+  core::Rng rng(23);
+  for (std::uint32_t i = 0; i < 256; ++i)
+    router.submit(i % 4, synthetic_ring(rng), 30.0);
+  router.start();
+  router.stop();
+
+  EXPECT_EQ(router.stats().processed, 256u);
+  EXPECT_GT(batches.load(), 0u);
+  EXPECT_EQ(outside_serial_scope.load(), 0u);
+  EXPECT_EQ(foreign_indices.load(), 0u);
+  // The scope ends with the worker: this thread still forks.
+  EXPECT_FALSE(core::in_parallel_region());
 }
 
 // Satellite regression: skewed arrivals.  One hot stream floods while

@@ -44,6 +44,13 @@ Run from anywhere; exits non-zero when any rule fires:
      golden-only commit is someone silencing a red gate.  Inspects the
      HEAD commit via git (best-effort: skipped outside a git
      checkout).
+  9. one-serve-forward: src/serve/ reaches the networks only through
+     pipeline::Models::infer_batch, the one batched forward (one
+     feature matrix per flush, both networks, per-ring thresholds).
+     The per-ring logits / classify / predict calls, the prepared
+     burst path (*_prepared) and the raw-feature entry points
+     (*_for_features) are banned there: a second forward in the
+     serving layer is a second path to keep bit-identical.
 
 Usage: tools/adapt_lint.py [--repo DIR]
 """
@@ -101,6 +108,10 @@ FLOAT_LITERAL = re.compile(r"[0-9.]([eE][-+]?[0-9]+)?[fF]\b")
 # An x86 intrinsic call or vector type (SSE/AVX/AVX-512 families).
 INTRINSIC = re.compile(r"\b(?:_mm(?:256|512)?_[a-z0-9_]+|__m(?:64|128|256|512)[di]?)\b")
 BATCH_SKYMAP = re.compile(r"\bSkyMap::compute\s*\(")
+# A network call other than Models::infer_batch (rule 9).
+SIDE_FORWARD = re.compile(
+    r"(?:\.|->)(?:logits|classify|predict)\s*\("
+    r"|\b\w+_(?:prepared|for_features)\s*\(")
 # A raw std synchronization primitive (type use or header include) —
 # everything the core::sync capability layer wraps.
 NAKED_MUTEX = re.compile(
@@ -216,6 +227,12 @@ def main() -> int:
                     "hot path — stream rings through "
                     "loc::IncrementalLocalizer instead "
                     "[no-batch-skymap-in-serve]")
+            if rel.startswith("src/serve/") and SIDE_FORWARD.search(line):
+                findings.append(
+                    f"{rel}:{ln}: network call outside "
+                    "Models::infer_batch in the serving layer — batch "
+                    "through infer_batch, the one serve forward "
+                    "[one-serve-forward]")
             if rel not in MUTEX_ALLOWLIST and NAKED_MUTEX.search(line):
                 findings.append(
                     f"{rel}:{ln}: raw std sync primitive — use the "
