@@ -61,7 +61,7 @@ std::uint64_t cell_seed(std::uint64_t matrix_seed, std::size_t scenario_idx,
   return core::splitmix64(state);
 }
 
-/// Stream-localizer knobs shared by the clean row: cheap grid, short
+/// Stream-localizer knobs shared by every row: cheap grid, short
 /// cadence (max_batch = 1 makes the cadence exact in ring count).
 serve::StreamLocalizerConfig localizer_template(double alert_radius_deg) {
   serve::StreamLocalizerConfig cfg;
@@ -83,13 +83,22 @@ double angle_deg(const core::Vec3& a, const core::Vec3& b) {
   return std::acos(c) * 180.0 / kPi;
 }
 
+/// One scenario ring in submission order (burst by burst), bound for
+/// its own burst's stream.
+struct Submission {
+  std::uint32_t stream;
+  std::size_t ring_index;
+  double polar_guess;
+};
+
 /// Row-independent scenario lines (sim accounting, trigger scoring,
 /// per-burst offline localization) shared verbatim by every cell in
 /// the scenario's row — the comparator sees identical physics text
-/// across the column.
+/// across the column — and the rings every row submits.
 struct ScenarioSummary {
   std::string text;
-  std::vector<std::vector<std::size_t>> burst_rings;  ///< Ring indices.
+  std::vector<std::size_t> burst_rings;  ///< Ring count per burst.
+  std::vector<Submission> order;         ///< Every burst's rings.
 };
 
 ScenarioSummary summarize_scenario(const scenario::ScenarioData& data) {
@@ -132,120 +141,47 @@ ScenarioSummary summarize_scenario(const scenario::ScenarioData& data) {
            " rings=" + std::to_string(indices.size()) +
            " loc_error_deg=" + fmt(error_deg, 2) +
            " radius68_deg=" + fmt(radius68, 2) + "\n";
-    summary.burst_rings.push_back(std::move(indices));
+    summary.burst_rings.push_back(indices.size());
+    for (const std::size_t idx : indices)
+      summary.order.push_back(Submission{static_cast<std::uint32_t>(b), idx,
+                                         data.config.bursts[b].polar_deg});
   }
   return summary;
 }
 
 // ---------------------------------------------------------------------------
-// Clean row: the full multi-stream serve path with streaming
-// localization and early alerts — one router stream per burst.
-// ---------------------------------------------------------------------------
-
-std::string run_clean_row(const scenario::ScenarioData& data,
-                          const ScenarioSummary& summary,
-                          std::uint64_t seed, std::string& errors) {
-  pipeline::BackgroundNet background =
-      serve::synthetic_background_net_int8(seed ^ 0xB16B00B5ULL);
-  pipeline::DEtaNet deta = serve::synthetic_deta_net(seed ^ 0xD37AULL);
-
-  std::size_t total_rings = 0;
-  for (const auto& indices : summary.burst_rings)
-    total_rings += indices.size();
-
-  serve::RouterConfig cfg;
-  cfg.num_shards = std::max<std::size_t>(1, summary.burst_rings.size());
-  cfg.num_workers = 1;
-  cfg.shard_capacity = total_rings + 64;
-  cfg.per_stream_cap = total_rings + 64;
-  cfg.max_batch = 1;  // Every ring its own batch: schedule-independent.
-  cfg.degrade_when_saturated = false;
-  cfg.localize = true;
-  cfg.localizer_template = localizer_template(data.config.alert_radius_deg);
-
-  serve::StreamRouter router(pipeline::Models{&background, &deta}, cfg,
-                             [](std::span<const serve::ServeResult>) {});
-  router.start();
-  for (std::size_t b = 0; b < summary.burst_rings.size(); ++b) {
-    const double polar_guess = data.config.bursts[b].polar_deg;
-    for (const std::size_t idx : summary.burst_rings[b]) {
-      if (router.submit(static_cast<std::uint32_t>(b), data.rings[idx],
-                        polar_guess) == 0) {
-        if (!errors.empty()) errors += "; ";
-        errors += "router rejected a clean ring";
-      }
-    }
-  }
-  router.stop();  // Drains every admitted request.
-
-  std::string out;
-  for (std::size_t b = 0; b < summary.burst_rings.size(); ++b) {
-    const auto status = router.localizer_status(static_cast<std::uint32_t>(b));
-    out += "stream " + std::to_string(b + 1) + ": fed=" +
-           std::to_string(summary.burst_rings[b].size());
-    if (!status) {
-      out += " localizer=absent\n";
-      if (summary.burst_rings[b].empty()) continue;
-      if (!errors.empty()) errors += "; ";
-      errors += "missing localizer status for stream " + std::to_string(b);
-      continue;
-    }
-    out += " accepted=" + std::to_string(status->rings_accepted) +
-           " checks=" + std::to_string(status->radius_checks) +
-           " last_radius_deg=" + fmt(status->last_radius_deg, 2);
-    if (status->alert_fired) {
-      out += " alert=yes alert_rings=" + std::to_string(status->alert_rings) +
-             " alert_radius_deg=" + fmt(status->alert_radius_deg, 2);
-      // Alert latency on the SCENARIO clock: the alert fired once the
-      // localizer had folded `alert_rings` rings, i.e. at the arrival
-      // time of that ring in the stream — no wall clock involved.
-      const auto& indices = summary.burst_rings[b];
-      if (status->alert_rings >= 1 && status->alert_rings <= indices.size()) {
-        const double t_alert =
-            data.ring_times[indices[status->alert_rings - 1]];
-        out += " alert_t_s=" + fmt(t_alert, 3) + " alert_latency_s=" +
-               fmt(t_alert - data.bursts[b].t_start, 3);
-      }
-    } else {
-      out += " alert=no";
-    }
-    out += "\n";
-  }
-
-  const auto stats = router.stats();
-  out += "serve counters:\n";
-  append_counter(out, "submitted", stats.submitted);
-  append_counter(out, "processed", stats.processed);
-  append_counter(out, "batches", stats.batches);
-  append_counter(out, "shed", stats.shed);
-  append_counter(out, "rejected", stats.rejected);
-  append_counter(out, "degraded", stats.degraded);
-  append_counter(out, "background", stats.background);
-  append_counter(out, "fallback", stats.fallback);
-  append_counter(out, "streams", stats.streams);
-  if (stats.shed != 0) {
-    if (!errors.empty()) errors += "; ";
-    errors += "clean row shed events";
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// Fault rows: the scenario ring stream through a StreamRouter with the
-// row's fault class injected.  One CellRun per cell owns the cell's
-// Injector and the count of admitted rings the drains wait for.
+// One cell driver for every row: the scenario's rings through a
+// StreamRouter with one stream and one shard per burst and streaming
+// localization.  The clean row feeds the rings as they are; a fault row
+// injects its fault class through the router's queue-fault and forward
+// hooks.  One CellRun per cell owns the cell's Injector, the count of
+// admitted rings the drains wait for, and the ring indices each burst
+// stream was actually fed.
 // ---------------------------------------------------------------------------
 
 struct CellRun {
   Injector injector;
   serve::StreamRouter& router;
+  const scenario::ScenarioData& data;
   core::Rng probe_rng;
+  /// Synthetic probe rings ride a stream past the last burst's, so no
+  /// burst localizer ever folds one.
+  std::uint32_t probe_stream;
   std::atomic<bool> queue_faults_active{false};
   std::uint64_t admitted = 0;
+  /// Per burst stream: the scenario ring indices the router admitted,
+  /// in order — the scenario-clock timeline of that stream's folds.
+  std::vector<std::vector<std::size_t>> fed;
   std::string errors;
 
-  CellRun(std::uint64_t seed, serve::StreamRouter& served)
-      : injector(seed), router(served), probe_rng(seed ^ 0x5eedBULL) {}
+  CellRun(std::uint64_t seed, serve::StreamRouter& served,
+          const scenario::ScenarioData& scenario, std::size_t bursts)
+      : injector(seed),
+        router(served),
+        data(scenario),
+        probe_rng(seed ^ 0x5eedBULL),
+        probe_stream(static_cast<std::uint32_t>(bursts)),
+        fed(bursts) {}
 
   void note(const std::string& msg) {
     if (!errors.empty()) errors += "; ";
@@ -270,20 +206,29 @@ struct CellRun {
     }
   }
 
-  /// Submit one scenario ring (clean) and count the admission.
-  void feed(const recon::ComptonRing& ring, double polar_guess) {
-    if (router.submit(0, ring, polar_guess) == 0) {
-      note("clean scenario ring rejected");
-      return;
+  /// Submit `ring` for `item`'s stream; counts and records an admission.
+  std::uint64_t submit(const Submission& item,
+                       const recon::ComptonRing& ring) {
+    const std::uint64_t seq =
+        router.submit(item.stream, ring, item.polar_guess);
+    if (seq != 0) {
+      ++admitted;
+      fed[item.stream].push_back(item.ring_index);
     }
-    ++admitted;
+    return seq;
+  }
+
+  /// Submit one scenario ring unmodified.
+  void feed(const Submission& item) {
+    if (submit(item, data.rings[item.ring_index]) == 0)
+      note("clean scenario ring rejected");
   }
 
   /// One synthetic probe ring, drained through as its own batch.
   bool probe() {
     recon::ComptonRing ring = serve::synthetic_ring(probe_rng);
     const double polar = probe_rng.uniform(5.0, 85.0);
-    if (router.submit(0, ring, polar) == 0) {
+    if (router.submit(probe_stream, ring, polar) == 0) {
       note("probe ring rejected");
       return false;
     }
@@ -292,38 +237,18 @@ struct CellRun {
   }
 };
 
-/// Flat (ring index, polar guess) stream over all burst windows.
-struct StreamItem {
-  std::size_t ring_index;
-  double polar_guess;
-};
-
-std::vector<StreamItem> flatten_stream(const scenario::ScenarioData& data,
-                                       const ScenarioSummary& summary) {
-  std::vector<StreamItem> stream;
-  for (std::size_t b = 0; b < summary.burst_rings.size(); ++b)
-    for (const std::size_t idx : summary.burst_rings[b])
-      stream.push_back(StreamItem{idx, data.config.bursts[b].polar_deg});
-  return stream;
-}
-
-void run_events_row(CellRun& run, const scenario::ScenarioData& data,
-                    const std::vector<StreamItem>& stream) {
+void run_events_row(CellRun& run, const std::vector<Submission>& order) {
   run.queue_faults_active.store(true, std::memory_order_release);
-  for (const StreamItem& item : stream) {
-    recon::ComptonRing ring = data.rings[item.ring_index];
+  for (const Submission& item : order) {
+    recon::ComptonRing ring = run.data.rings[item.ring_index];
     const bool corrupted =
         run.injector.maybe_corrupt_ring(ring, kRingFaultRate);
-    const std::uint64_t seq = run.router.submit(0, ring, item.polar_guess);
+    const std::uint64_t seq = run.submit(item, ring);
     if (corrupted) {
-      if (seq == 0) {
+      if (seq == 0)
         run.injector.count_detected(FaultClass::kRingField);
-      } else {
+      else
         run.note("corrupt ring admitted by ingress validation");
-        ++run.admitted;
-      }
-    } else if (seq != 0) {
-      ++run.admitted;
     }
     // seq == 0 on a clean ring is an injected queue drop, credited
     // from the router counter after the drain.
@@ -338,21 +263,19 @@ void run_events_row(CellRun& run, const scenario::ScenarioData& data,
   run.router.health_tick();
 }
 
-void run_forward_row(CellRun& run, const scenario::ScenarioData& data,
-                     const std::vector<StreamItem>& stream) {
+void run_forward_row(CellRun& run, const std::vector<Submission>& order) {
   // Transients spread through the stream: every kArmStride-th ring is
   // drained to a batch boundary, armed, and drained through alone, so
   // the armed fault lands on exactly that ring's batch.
   constexpr std::size_t kArmStride = 64;
-  for (std::size_t i = 0; i < stream.size(); ++i) {
-    const StreamItem& item = stream[i];
+  for (std::size_t i = 0; i < order.size(); ++i) {
     if (i % kArmStride == kArmStride - 1) {
       run.drain();
       run.injector.arm_transient(1);
-      run.feed(data.rings[item.ring_index], item.polar_guess);
+      run.feed(order[i]);
       run.drain();
     } else {
-      run.feed(data.rings[item.ring_index], item.polar_guess);
+      run.feed(order[i]);
     }
   }
   run.drain();
@@ -382,13 +305,11 @@ void run_forward_row(CellRun& run, const scenario::ScenarioData& data,
       run.router.stats().watchdog_stalls - stalls_before);
 }
 
-void run_seu_row(CellRun& run, const scenario::ScenarioData& data,
-                 const std::vector<StreamItem>& stream,
+void run_seu_row(CellRun& run, const std::vector<Submission>& order,
                  pipeline::BackgroundNet& background) {
   constexpr std::size_t kDegradedWindow = 16;
-  const std::size_t half = stream.size() / 2;
-  for (std::size_t i = 0; i < half; ++i)
-    run.feed(data.rings[stream[i].ring_index], stream[i].polar_guess);
+  const std::size_t half = order.size() / 2;
+  for (std::size_t i = 0; i < half; ++i) run.feed(order[i]);
   run.drain();
 
   Injector::BitFlip flip;
@@ -401,9 +322,8 @@ void run_seu_row(CellRun& run, const scenario::ScenarioData& data,
 
   // Flagged-but-served window while quarantined.
   const std::size_t window_end = std::min(half + kDegradedWindow,
-                                          stream.size());
-  for (std::size_t i = half; i < window_end; ++i)
-    run.feed(data.rings[stream[i].ring_index], stream[i].polar_guess);
+                                          order.size());
+  for (std::size_t i = half; i < window_end; ++i) run.feed(order[i]);
   run.drain();
 
   run.router.with_models_quiesced([&](pipeline::Models& models) {
@@ -411,9 +331,8 @@ void run_seu_row(CellRun& run, const scenario::ScenarioData& data,
   });
   run.router.restore_background(&background);
 
-  for (std::size_t i = window_end; i < stream.size(); ++i)
-    run.feed(data.rings[stream[i].ring_index], stream[i].polar_guess);
-  if (stream.empty() || window_end == stream.size()) run.probe();
+  for (std::size_t i = window_end; i < order.size(); ++i) run.feed(order[i]);
+  if (order.empty() || window_end == order.size()) run.probe();
   run.drain();
   run.router.health_tick();
   if (run.router.stats().state != serve::HealthState::kHealthy)
@@ -435,14 +354,12 @@ bool write_file(const fs::path& path, const std::string& bytes) {
   return static_cast<bool>(os);
 }
 
-void run_model_bytes_row(CellRun& run, const scenario::ScenarioData& data,
-                         const std::vector<StreamItem>& stream,
+void run_model_bytes_row(CellRun& run, const std::vector<Submission>& order,
                          pipeline::DEtaNet& deta,
                          const std::string& scratch_dir,
                          std::uint64_t seed) {
   constexpr std::size_t kRounds = 4;
-  for (const StreamItem& item : stream)
-    run.feed(data.rings[item.ring_index], item.polar_guess);
+  for (const Submission& item : order) run.feed(item);
   run.drain();
 
   fs::path dir;
@@ -488,34 +405,75 @@ void run_model_bytes_row(CellRun& run, const scenario::ScenarioData& data,
   if (scratch_dir.empty()) fs::remove(dir, ec);
 }
 
-std::string run_fault_row(const scenario::ScenarioData& data,
-                          const ScenarioSummary& summary, MatrixRow row,
-                          std::uint64_t seed, const std::string& scratch_dir,
-                          Ledger& ledger, std::string& errors) {
+/// One `stream N:` line per burst: what the burst's localizer folded,
+/// its radius checks, and whether (and when, on the scenario clock)
+/// it alerted.
+std::string stream_lines(CellRun& run, const ScenarioSummary& summary) {
+  std::string out;
+  for (std::size_t b = 0; b < summary.burst_rings.size(); ++b) {
+    const auto status =
+        run.router.localizer_status(static_cast<std::uint32_t>(b));
+    out += "stream " + std::to_string(b + 1) + ": fed=" +
+           std::to_string(summary.burst_rings[b]);
+    if (!status) {
+      out += " localizer=absent\n";
+      if (run.fed[b].empty()) continue;
+      run.note("missing localizer status for stream " + std::to_string(b));
+      continue;
+    }
+    out += " accepted=" + std::to_string(status->rings_accepted) +
+           " checks=" + std::to_string(status->radius_checks) +
+           " last_radius_deg=" + fmt(status->last_radius_deg, 2);
+    if (status->alert_fired) {
+      out += " alert=yes alert_rings=" + std::to_string(status->alert_rings) +
+             " alert_radius_deg=" + fmt(status->alert_radius_deg, 2);
+      // Alert latency on the SCENARIO clock: the alert fired once the
+      // localizer had folded `alert_rings` rings, i.e. at the arrival
+      // time of that admitted ring in the stream — no wall clock.
+      const auto& indices = run.fed[b];
+      if (status->alert_rings >= 1 && status->alert_rings <= indices.size()) {
+        const double t_alert =
+            run.data.ring_times[indices[status->alert_rings - 1]];
+        out += " alert_t_s=" + fmt(t_alert, 3) + " alert_latency_s=" +
+               fmt(t_alert - run.data.bursts[b].t_start, 3);
+      }
+    } else {
+      out += " alert=no";
+    }
+    out += "\n";
+  }
+  return out;
+}
+
+std::string run_cell(const scenario::ScenarioData& data,
+                     const ScenarioSummary& summary, MatrixRow row,
+                     std::uint64_t seed, const std::string& scratch_dir,
+                     Ledger& ledger, std::string& errors) {
   pipeline::BackgroundNet background =
       serve::synthetic_background_net_int8(seed ^ 0xB16B00B5ULL);
   pipeline::DEtaNet deta = serve::synthetic_deta_net(seed ^ 0xD37AULL);
-  pipeline::Models models{&background, &deta};
 
-  const std::vector<StreamItem> stream = flatten_stream(data, summary);
+  const std::vector<Submission>& order = summary.order;
+  const std::size_t bursts = summary.burst_rings.size();
 
   serve::RouterConfig cfg;
-  // One stream on one shard and one worker: both caps must hold the
-  // whole stream.
-  cfg.num_shards = 1;
+  cfg.num_shards = std::max<std::size_t>(1, bursts);
   cfg.num_workers = 1;
-  cfg.shard_capacity =
-      std::max<std::size_t>(cfg.shard_capacity, stream.size() + 256);
+  // Both caps hold every ring, each possible duplicate copy, and the
+  // probes, so nothing is ever shed.
+  cfg.shard_capacity = 2 * order.size() + 64;
   cfg.per_stream_cap = cfg.shard_capacity;
   cfg.max_batch = 1;  // Every ring its own batch (see matrix.hpp).
   cfg.degrade_when_saturated = false;
+  cfg.localize = true;
+  cfg.localizer_template = localizer_template(data.config.alert_radius_deg);
 
-  serve::StreamRouter router(models, cfg,
+  serve::StreamRouter router(pipeline::Models{&background, &deta}, cfg,
                              [](std::span<const serve::ServeResult>) {});
   std::string out;
   serve::StreamRouter::Stats stats;
   {
-    CellRun run(seed, router);
+    CellRun run(seed, router, data, bursts);
     router.set_queue_fault_hook([&run] {
       if (!run.queue_faults_active.load(std::memory_order_acquire))
         return serve::QueueFault::kNone;
@@ -527,28 +485,31 @@ std::string run_fault_row(const scenario::ScenarioData& data,
     router.start();
 
     switch (row) {
+      case MatrixRow::kNone:
+        for (const Submission& item : order) run.feed(item);
+        break;
       case MatrixRow::kEvents:
-        run_events_row(run, data, stream);
+        run_events_row(run, order);
         break;
       case MatrixRow::kForward:
-        run_forward_row(run, data, stream);
+        run_forward_row(run, order);
         break;
       case MatrixRow::kSeu:
-        run_seu_row(run, data, stream, background);
+        run_seu_row(run, order, background);
         break;
       case MatrixRow::kModelBytes:
-        run_model_bytes_row(run, data, stream, deta, scratch_dir, seed);
+        run_model_bytes_row(run, order, deta, scratch_dir, seed);
         break;
-      case MatrixRow::kNone:
-        break;  // Handled by run_clean_row.
     }
 
     run.drain();
     router.health_tick();
     router.stop();
 
+    out = stream_lines(run, summary);
     ledger = run.injector.ledger();
     stats = router.stats();
+    if (stats.shed != 0) run.note("router shed events");
     if (stats.state != serve::HealthState::kHealthy)
       run.note("cell ended in state " +
                std::string(serve::to_string(stats.state)));
@@ -557,6 +518,17 @@ std::string run_fault_row(const scenario::ScenarioData& data,
 
   out += "serve counters:\n";
   append_counter(out, "submitted", stats.submitted);
+  if (row == MatrixRow::kNone) {
+    append_counter(out, "processed", stats.processed);
+    append_counter(out, "batches", stats.batches);
+    append_counter(out, "shed", stats.shed);
+    append_counter(out, "rejected", stats.rejected);
+    append_counter(out, "degraded", stats.degraded);
+    append_counter(out, "background", stats.background);
+    append_counter(out, "fallback", stats.fallback);
+    append_counter(out, "streams", stats.streams);
+    return out;
+  }
   append_counter(out, "input_rejected", stats.input_rejected);
   append_counter(out, "queue_drops", stats.queue_drops);
   append_counter(out, "duplicates_suppressed", stats.duplicates_suppressed);
@@ -620,15 +592,11 @@ MatrixResult run_matrix(const MatrixSpec& spec) {
       cell.row = row;
       cell.seed = cell_seed(spec.seed, s, r);
 
-      std::string body;
-      if (row == MatrixRow::kNone) {
-        body = run_clean_row(data, summary, cell.seed, cell.errors);
-        // No injector in the clean row: the ledger stays all-zero,
-        // which is balanced by definition.
-      } else {
-        body = run_fault_row(data, summary, row, cell.seed, spec.scratch_dir,
-                             cell.ledger, cell.errors);
-      }
+      // No fault is injected in the clean row: its ledger stays
+      // all-zero, which is balanced by definition.
+      const std::string body = run_cell(data, summary, row, cell.seed,
+                                        spec.scratch_dir, cell.ledger,
+                                        cell.errors);
 
       cell.ok = cell.errors.empty() && cell.ledger.balanced();
       cell.report = "=== cell scenario=" + cell.scenario +

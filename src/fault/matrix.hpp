@@ -20,11 +20,17 @@
 ///                health tick, serve flagged, restore, finish clean
 ///   model_bytes  garbled serialized-model loads after the stream
 ///
-/// Every fault row serves through the same StreamRouter as the clean
-/// row — its checksum quarantine, retry, ingress hygiene, duplicate
-/// suppression and stall watchdog — at one stream, one shard and one
-/// worker, with the row's faults injected through the router's
-/// queue-fault and forward hooks.
+/// Every row runs through one cell driver on one topology: a
+/// StreamRouter with one stream, one shard and one streaming localizer
+/// per burst, on one worker.  Each scenario ring goes to its own
+/// burst's stream, burst by burst; a fault row injects its faults
+/// through the router's queue-fault and forward hooks and exercises its
+/// recovery policies (checksum quarantine, retry, ingress hygiene,
+/// duplicate suppression, stall watchdog), while synthetic probe rings
+/// ride a stream of their own so no burst localizer folds one.  So
+/// every cell reports each burst's `stream N:` line (rings folded,
+/// radius checks, last radius, alert and its scenario-clock latency);
+/// the row picks only which serve-counter block follows.
 ///
 /// Determinism contract: every cell derives its seed from (matrix
 /// seed, scenario index, row index); serving uses max_batch = 1 so

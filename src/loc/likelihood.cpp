@@ -70,9 +70,9 @@ constexpr std::size_t kLanes = 8;
 /// divide on baseline x86-64) with the same IEEE operations lane by
 /// lane — `r2 < cap2 ? r2 : cap2` is exactly minpd, and no lane's sum
 /// is reassociated — so the sums do not depend on how it vectorizes.
-template <std::size_t W>
-void truncated_nll_lanes(std::span<const recon::ComptonRing> rings,
-                         const core::Vec3* dirs, double cap2, double* out) {
+template <std::size_t W, typename Ring>
+void truncated_nll_lanes(std::span<const Ring> rings, const core::Vec3* dirs,
+                         double cap2, double* out) {
   double x[W], y[W], z[W], nll[W];
   for (std::size_t k = 0; k < W; ++k) {
     x[k] = dirs[k].x;
@@ -94,11 +94,11 @@ void truncated_nll_lanes(std::span<const recon::ComptonRing> rings,
   for (std::size_t k = 0; k < W; ++k) out[k] = nll[k];
 }
 
-}  // namespace
-
-void truncated_neg_log_likelihood(std::span<const recon::ComptonRing> rings,
-                                  std::span<const core::Vec3> dirs,
-                                  double cap_sigma, std::span<double> out) {
+/// The many-candidate scorer over either ring layout.
+template <typename Ring>
+void score_candidates(std::span<const Ring> rings,
+                      std::span<const core::Vec3> dirs, double cap_sigma,
+                      std::span<double> out) {
   ADAPT_REQUIRE(cap_sigma > 0.0, "cap must be positive");
   ADAPT_REQUIRE(out.size() == dirs.size(), "one output per candidate");
   const double cap2 = cap_sigma * cap_sigma;
@@ -119,6 +119,28 @@ void truncated_neg_log_likelihood(std::span<const recon::ComptonRing> rings,
     truncated_nll_lanes<kLanes>(rings, block, cap2, block_out);
     for (std::size_t i = 0; i < tail; ++i) out[k + i] = block_out[i];
   }
+}
+
+}  // namespace
+
+void truncated_neg_log_likelihood(std::span<const recon::ComptonRing> rings,
+                                  std::span<const core::Vec3> dirs,
+                                  double cap_sigma, std::span<double> out) {
+  score_candidates(rings, dirs, cap_sigma, out);
+}
+
+std::vector<ScoringRing> scoring_table(
+    std::span<const recon::ComptonRing> rings) {
+  std::vector<ScoringRing> table(rings.size());
+  for (std::size_t i = 0; i < rings.size(); ++i)
+    table[i] = ScoringRing{rings[i].axis, rings[i].eta, rings[i].d_eta};
+  return table;
+}
+
+void truncated_neg_log_likelihood(std::span<const ScoringRing> rings,
+                                  std::span<const core::Vec3> dirs,
+                                  double cap_sigma, std::span<double> out) {
+  score_candidates(rings, dirs, cap_sigma, out);
 }
 
 double truncated_neg_log_likelihood(std::span<const recon::ComptonRing> rings,

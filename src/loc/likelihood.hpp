@@ -65,6 +65,24 @@ void truncated_neg_log_likelihood(std::span<const recon::ComptonRing> rings,
                                   std::span<const core::Vec3> dirs,
                                   double cap_sigma, std::span<double> out);
 
+/// The three ring fields the likelihood reads, packed: a scorer that
+/// walks the rings once per candidate block streams 40 bytes per ring
+/// instead of the whole ComptonRing.
+struct ScoringRing {
+  core::Vec3 axis;
+  double eta = 0.0;
+  double d_eta = 0.0;
+};
+
+std::vector<ScoringRing> scoring_table(
+    std::span<const recon::ComptonRing> rings);
+
+/// The many-candidate form over a packed table: the same sums, bit for
+/// bit, as over the rings it was packed from.
+void truncated_neg_log_likelihood(std::span<const ScoringRing> rings,
+                                  std::span<const core::Vec3> dirs,
+                                  double cap_sigma, std::span<double> out);
+
 /// Per-ring Gaussian weight w = 1 / d_eta^2 used by the least-squares
 /// normal equations.
 double ring_weight(const recon::ComptonRing& ring);

@@ -60,23 +60,38 @@ std::vector<Vec3> Localizer::approximate_candidates(
       cfg.score_against_all ? rings
                             : std::span<const recon::ComptonRing>(sample);
 
+  // Every ring's candidates sit at the same azimuth steps, and each
+  // ring's cone basis is built once: the same expression, term for
+  // term, as core::rotate_about_axis(axis, acos(eta), phi).
+  const std::size_t per_ring =
+      static_cast<std::size_t>(cfg.candidates_per_ring);
+  std::vector<double> cos_phi(per_ring), sin_phi(per_ring);
+  for (std::size_t k = 0; k < per_ring; ++k) {
+    const double phi = core::kTwoPi * static_cast<double>(k) /
+                       static_cast<double>(cfg.candidates_per_ring);
+    cos_phi[k] = std::cos(phi);
+    sin_phi[k] = std::sin(phi);
+  }
   std::vector<Vec3> candidates;
-  candidates.reserve(m * static_cast<std::size_t>(cfg.candidates_per_ring));
+  candidates.reserve(m * per_ring);
   for (const auto& ring : sample) {
-    const double eta = std::clamp(ring.eta, -1.0, 1.0);
-    const double theta = std::acos(eta);
-    for (int k = 0; k < cfg.candidates_per_ring; ++k) {
-      const double phi =
-          core::kTwoPi * static_cast<double>(k) /
-          static_cast<double>(cfg.candidates_per_ring);
-      const Vec3 candidate = core::rotate_about_axis(ring.axis, theta, phi);
+    const double theta = std::acos(std::clamp(ring.eta, -1.0, 1.0));
+    const double cos_theta = std::cos(theta);
+    const double sin_theta = std::sin(theta);
+    const Vec3 u = ring.axis.normalized();
+    const Vec3 e1 = core::any_orthogonal(u);
+    const Vec3 e2 = u.cross(e1);
+    for (std::size_t k = 0; k < per_ring; ++k) {
+      const Vec3 candidate =
+          u * cos_theta + (e1 * cos_phi[k] + e2 * sin_phi[k]) * sin_theta;
       if (cfg.restrict_to_upper_sky && candidate.z < 0.0) continue;
       candidates.push_back(candidate);
     }
   }
   std::vector<double> nll(candidates.size());
-  truncated_neg_log_likelihood(scoring_set, candidates, cfg.truncation_sigma,
-                               nll);
+  truncated_neg_log_likelihood(
+      std::span<const ScoringRing>(scoring_table(scoring_set)), candidates,
+      cfg.truncation_sigma, nll);
 
   struct Scored {
     double nll;
@@ -87,23 +102,24 @@ std::vector<Vec3> Localizer::approximate_candidates(
     scored[i] = Scored{nll[i], candidates[i]};
   static tm::Counter& candidates_scored = tm::counter("loc.candidates_scored");
   candidates_scored.add(scored.size());
-  std::sort(scored.begin(), scored.end(),
-            [](const Scored& a, const Scored& b) { return a.nll < b.nll; });
 
   // Keep the top n_starts candidates, skipping near-duplicates so the
-  // starts actually explore distinct likelihood modes.
+  // starts actually explore distinct likelihood modes.  A min-heap
+  // hands them out best first; only the few popped are ever ordered.
+  const auto worse = [](const Scored& a, const Scored& b) {
+    return a.nll > b.nll;
+  };
+  std::make_heap(scored.begin(), scored.end(), worse);
   constexpr double kMinSeparationCos = 0.995;  // ~5.7 degrees.
   std::vector<Vec3> seeds;
-  for (const Scored& s : scored) {
-    if (static_cast<int>(seeds.size()) >= cfg.n_starts) break;
-    bool duplicate = false;
-    for (const Vec3& kept : seeds) {
-      if (kept.dot(s.dir) > kMinSeparationCos) {
-        duplicate = true;
-        break;
-      }
-    }
-    if (!duplicate) seeds.push_back(s.dir);
+  while (!scored.empty() && static_cast<int>(seeds.size()) < cfg.n_starts) {
+    std::pop_heap(scored.begin(), scored.end(), worse);
+    const Vec3 dir = scored.back().dir;
+    scored.pop_back();
+    const auto near = [&dir](const Vec3& kept) {
+      return kept.dot(dir) > kMinSeparationCos;
+    };
+    if (std::none_of(seeds.begin(), seeds.end(), near)) seeds.push_back(dir);
   }
   return seeds;
 }

@@ -67,17 +67,11 @@ MlLocalizationResult MlLocalizer::run(std::span<const recon::ComptonRing> rings,
   const loc::Localizer localizer(config_.localizer);
 
   // --- Setup: copy the ring set we will edit (d_eta updates and
-  // background removal operate on the working copy) and precompute the
-  // classifier's polar-independent feature columns once — the loop
-  // re-classifies every iteration but only the polar guess changes.
+  // background removal operate on the working copy).
   std::vector<recon::ComptonRing> working;
-  nn::Tensor prepared_features;
   {
     const tm::ScopedTimer t(m.setup_ms, timings ? &timings->setup_ms : nullptr);
     working.assign(rings.begin(), rings.end());
-    if (background_net != nullptr) {
-      prepared_features = background_net->prepare_features(working);
-    }
   }
 
   // --- Initial (no-ML) localization: multi-start approximation plus
@@ -112,8 +106,7 @@ MlLocalizationResult MlLocalizer::run(std::span<const recon::ComptonRing> rings,
         const tm::ScopedTimer t(
             m.bkg_nn_ms,
             timings ? &timings->background_inference_ms : nullptr);
-        is_background =
-            background_net->classify_prepared(prepared_features, polar_deg);
+        is_background = background_net->classify(working, polar_deg);
       }
       kept.clear();
       for (std::size_t i = 0; i < working.size(); ++i)

@@ -47,7 +47,7 @@ struct MlLocalizerConfig {
 /// localization); the rest accumulate inside run().
 struct StageTimings {
   double reconstruction_ms = 0.0;
-  double setup_ms = 0.0;            ///< Feature assembly + likelihood prep.
+  double setup_ms = 0.0;            ///< Copy of the working ring set.
   double deta_inference_ms = 0.0;
   double background_inference_ms = 0.0;
   double approx_refine_ms = 0.0;

@@ -49,31 +49,6 @@ std::vector<float> BackgroundNet::logits(
       feature_matrix(rings, uses_polar_, polar_deg_guess));
 }
 
-nn::Tensor BackgroundNet::prepare_features(
-    std::span<const recon::ComptonRing> rings) const {
-  return feature_matrix(rings, uses_polar_, 0.0);
-}
-
-std::vector<float> BackgroundNet::logits_prepared(const nn::Tensor& prepared,
-                                                  double polar_deg_guess) {
-  if (prepared.rows() == 0) return {};
-  nn::Tensor x = prepared;
-  if (uses_polar_) {
-    for (std::size_t r = 0; r < x.rows(); ++r)
-      x(r, kBaseFeatureCount) = static_cast<float>(polar_deg_guess);
-  }
-  return logits_for_features(x);
-}
-
-std::vector<std::uint8_t> BackgroundNet::classify_prepared(
-    const nn::Tensor& prepared, double polar_deg_guess) {
-  const auto l = logits_prepared(prepared, polar_deg_guess);
-  std::vector<std::uint8_t> out(l.size());
-  for (std::size_t i = 0; i < l.size(); ++i)
-    out[i] = thresholds_.is_background(l[i], polar_deg_guess) ? 1 : 0;
-  return out;
-}
-
 std::vector<std::uint8_t> BackgroundNet::classify(
     std::span<const recon::ComptonRing> rings, double polar_deg_guess) {
   const auto l = logits(rings, polar_deg_guess);

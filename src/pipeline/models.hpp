@@ -43,21 +43,6 @@ class BackgroundNet {
   std::vector<float> logits(std::span<const recon::ComptonRing> rings,
                             double polar_deg_guess);
 
-  /// Precompute the (unstandardized) feature matrix for a ring set.
-  /// The 12 base features do not depend on the polar guess, so the
-  /// Fig. 6 loop assembles them once during localization setup and
-  /// re-classifies per iteration by rewriting only the polar column.
-  nn::Tensor prepare_features(
-      std::span<const recon::ComptonRing> rings) const;
-
-  /// Logits from a prepared matrix at the given polar guess.
-  std::vector<float> logits_prepared(const nn::Tensor& prepared,
-                                     double polar_deg_guess);
-
-  /// Classification from a prepared matrix (1 = background).
-  std::vector<std::uint8_t> classify_prepared(const nn::Tensor& prepared,
-                                              double polar_deg_guess);
-
   /// Classification with the bin's dynamic threshold: 1 = background.
   std::vector<std::uint8_t> classify(std::span<const recon::ComptonRing> rings,
                                      double polar_deg_guess);

@@ -32,7 +32,7 @@ class PolarThresholds {
 
   /// The background decision: a ring is background when its logit
   /// reaches the threshold of its polar bin.  Every classifier path
-  /// (per-ring, prepared, batched, accuracy) decides through this.
+  /// (per-ring, batched, accuracy) decides through this.
   bool is_background(float logit, double polar_deg) const {
     return static_cast<double>(logit) >= logit_threshold(polar_deg);
   }

@@ -1,4 +1,5 @@
 #include "core/table.hpp"
+#include "temp_path.hpp"
 
 #include <gtest/gtest.h>
 
@@ -45,7 +46,7 @@ TEST(TextTable, CsvRoundTrip) {
   t.add_row({"plain", "1"});
   t.add_row({"with,comma", "2"});
   t.add_row({"with\"quote", "3"});
-  const std::string path = "/tmp/adaptml_table_test.csv";
+  const std::string path = test::temp_path("adaptml_table_test", ".csv");
   ASSERT_TRUE(t.write_csv(path));
 
   std::ifstream f(path);

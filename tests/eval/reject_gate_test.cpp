@@ -10,6 +10,7 @@
 #include "core/contract.hpp"
 #include "core/telemetry.hpp"
 #include "eval/ring_io.hpp"
+#include "temp_path.hpp"
 
 namespace adapt::eval {
 namespace {
@@ -79,7 +80,7 @@ TEST(RejectGate, ThresholdOutsideUnitIntervalIsAContractViolation) {
 TEST(RejectGate, EndToEndThroughRingLoaderTelemetry) {
   // Drive the real loader over a file with one poisoned record and
   // evaluate the gate on live telemetry, exactly as adaptctl does.
-  const std::string path = "/tmp/adaptml_reject_gate_test.adrg";
+  const std::string path = test::temp_path("adaptml_reject_gate_test", ".adrg");
   TrialSetup setup;
   DatasetGenConfig cfg;
   cfg.polar_angles_deg = {0.0, 50.0};

@@ -10,6 +10,7 @@
 #include <iterator>
 
 #include "core/telemetry.hpp"
+#include "temp_path.hpp"
 
 namespace adapt::eval {
 namespace {
@@ -26,7 +27,7 @@ GeneratedRings small_set() {
 class RingIoTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
-  const std::string path_ = "/tmp/adaptml_ring_io_test.adrg";
+  const std::string path_ = test::temp_path("adaptml_ring_io_test", ".adrg");
 };
 
 TEST_F(RingIoTest, RoundTripPreservesEverything) {
@@ -74,7 +75,8 @@ TEST_F(RingIoTest, DatasetsBuiltFromLoadedRingsAreIdentical) {
 }
 
 TEST_F(RingIoTest, MissingFileReturnsNullopt) {
-  EXPECT_FALSE(load_rings("/tmp/definitely_missing.adrg").has_value());
+  EXPECT_FALSE(
+      load_rings(test::temp_path("definitely_missing", ".adrg")).has_value());
 }
 
 TEST_F(RingIoTest, CorruptHeaderRejected) {

@@ -17,6 +17,7 @@
 #include "quant/quantized_mlp.hpp"
 #include "serve/stream_router.hpp"
 #include "serve/synthetic_models.hpp"
+#include "temp_path.hpp"
 
 namespace adapt::fault {
 namespace {
@@ -90,8 +91,10 @@ nn::Sequential calibrated_qat_model(std::uint64_t seed) {
 TEST(Injector, GarbledModelBytesAlwaysRejectedByLoader) {
   // Both checksummed model formats: the FP32 ADNN stack (nn::serialize)
   // and a calibrated ADQT QAT stack (quant::qat_io).
-  const std::string adnn_path = "/tmp/adaptml_injector_garble_test.adnn";
-  const std::string adqt_path = "/tmp/adaptml_injector_garble_test.adqt";
+  const std::string adnn_path =
+      test::temp_path("adaptml_injector_garble_test", ".adnn");
+  const std::string adqt_path =
+      test::temp_path("adaptml_injector_garble_test", ".adqt");
   pipeline::DEtaNet net = serve::synthetic_deta_net(5);
   ASSERT_TRUE(net.save(adnn_path));
   ASSERT_TRUE(nn::load_model(adnn_path).has_value());

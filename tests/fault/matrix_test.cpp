@@ -188,6 +188,46 @@ TEST(FaultMatrix, FaultRowServeCountersArePinned) {
   }
 }
 
+// Every row serves on the clean row's topology: one stream, shard and
+// localizer per burst.  The forward, seu and model_bytes faults never
+// touch a scenario ring's fold: transients are retried, the persistent
+// and stall probes ride their own stream, model bytes are garbled after
+// the stream, and the localizer folds every ring (feed_background) with
+// the ring's own width, so the SEU-quarantined window's fallback
+// results cannot move it.  The events row drops and corrupts rings, so
+// its burst localizer folds fewer.
+TEST(FaultMatrix, FaultRowBurstStreamLinesFollowTheirFaults) {
+  MatrixSpec spec;
+  spec.seed = 2026;
+  spec.scenarios.push_back(tiny_scenario());
+
+  const MatrixResult result = run_matrix(spec);
+  ASSERT_EQ(result.cells.size(), kMatrixRowCount);
+  const auto stream_lines = [&](MatrixRow row) {
+    const std::string& report =
+        result.cells[static_cast<std::size_t>(row)].report;
+    std::string lines;
+    for (std::size_t at = report.find("\nstream "); at != std::string::npos;
+         at = report.find("\nstream ", at + 1))
+      lines += report.substr(at + 1, report.find('\n', at + 1) - at);
+    return lines;
+  };
+  const std::string clean = stream_lines(MatrixRow::kNone);
+  ASSERT_NE(clean.find("stream 1: fed=747 accepted=747 "), std::string::npos)
+      << clean;
+  ASSERT_EQ(clean.find("stream 2:"), std::string::npos) << clean;
+  EXPECT_EQ(stream_lines(MatrixRow::kForward), clean);
+  EXPECT_EQ(stream_lines(MatrixRow::kSeu), clean);
+  EXPECT_EQ(stream_lines(MatrixRow::kModelBytes), clean);
+
+  // 747 rings less 34 corrupted and 22 dropped; suppressed duplicates
+  // never reach the fold.
+  const std::string events = stream_lines(MatrixRow::kEvents);
+  EXPECT_NE(events, clean);
+  EXPECT_NE(events.find("stream 1: fed=747 accepted=691 "), std::string::npos)
+      << events;
+}
+
 TEST(FaultMatrix, ReportIsByteIdenticalAcrossRuns) {
   MatrixSpec spec;
   spec.seed = 7;

@@ -12,6 +12,7 @@
 #include "eval/containment.hpp"
 #include "eval/model_provider.hpp"
 #include "fpga/hls_model.hpp"
+#include "temp_path.hpp"
 
 namespace adapt::eval {
 namespace {
@@ -20,10 +21,14 @@ namespace {
 /// isolated cache (never touching the benches' canonical cache).
 class IntegrationTest : public ::testing::Test {
  protected:
+  static std::string cache_dir() {
+    return test::temp_path("adaptml_integration_models");
+  }
+
   static void SetUpTestSuite() {
     setup_ = new TrialSetup();
     ModelProviderConfig cfg;
-    cfg.cache_dir = "/tmp/adaptml_integration_models";
+    cfg.cache_dir = cache_dir();
     std::filesystem::remove_all(cfg.cache_dir);
     cfg.dataset.rings_per_angle = 400;
     cfg.dataset.polar_angles_deg = {0, 20, 40, 60, 80};
@@ -35,7 +40,7 @@ class IntegrationTest : public ::testing::Test {
   static void TearDownTestSuite() {
     delete provider_;
     delete setup_;
-    std::filesystem::remove_all("/tmp/adaptml_integration_models");
+    std::filesystem::remove_all(cache_dir());
   }
 
   static TrialSetup* setup_;
@@ -142,7 +147,7 @@ TEST_F(IntegrationTest, ModelCacheRoundTripsThroughProvider) {
   // A second provider over the same cache directory must load rather
   // than retrain, and produce identical classifications.
   ModelProviderConfig cfg;
-  cfg.cache_dir = "/tmp/adaptml_integration_models";
+  cfg.cache_dir = cache_dir();
   cfg.dataset.rings_per_angle = 400;
   cfg.dataset.polar_angles_deg = {0, 20, 40, 60, 80};
   cfg.max_epochs = 8;

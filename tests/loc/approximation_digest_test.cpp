@@ -140,6 +140,24 @@ TEST(BlockedScorer, ManyCandidatesMatchOneAtATimeBitForBit) {
   }
 }
 
+TEST(BlockedScorer, PackedTableMatchesRingsBitForBit) {
+  const auto rings = seeded_rings(620, 7);
+  const std::vector<ScoringRing> table = scoring_table(rings);
+  ASSERT_EQ(table.size(), rings.size());
+  core::Rng rng(8);
+  for (const std::size_t n : {1u, 9u, 767u}) {
+    std::vector<Vec3> dirs(n);
+    for (Vec3& d : dirs) d = rng.isotropic_direction();
+    std::vector<double> from_rings(n), from_table(n);
+    truncated_neg_log_likelihood(rings, dirs, 3.0, from_rings);
+    truncated_neg_log_likelihood(std::span<const ScoringRing>(table), dirs,
+                                 3.0, from_table);
+    for (std::size_t k = 0; k < n; ++k)
+      ASSERT_EQ(bits(from_table[k]), bits(from_rings[k]))
+          << n << " candidates, candidate " << k;
+  }
+}
+
 TEST(BlockedScorer, EmptyInputs) {
   const auto rings = seeded_rings(30, 5);
   std::vector<double> none;

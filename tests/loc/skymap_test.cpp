@@ -16,6 +16,7 @@
 #include "core/units.hpp"
 #include "full_scan_oracle.hpp"
 #include "loc/localizer.hpp"
+#include "temp_path.hpp"
 
 namespace adapt::loc {
 namespace {
@@ -51,7 +52,7 @@ TEST(SkyMap, NormalizedToUnitMass) {
   const auto rings = rings_for(s, 100, 0.05, rng);
   const SkyMap map = SkyMap::compute(rings);
   // probability_at sums are awkward to reach; verify via the CSV dump.
-  const std::string path = "/tmp/adaptml_skymap_norm.csv";
+  const std::string path = test::temp_path("adaptml_skymap_norm", ".csv");
   ASSERT_TRUE(map.write_csv(path));
   std::ifstream f(path);
   std::string header;

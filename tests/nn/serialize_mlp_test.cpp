@@ -9,6 +9,7 @@
 #include "nn/linear.hpp"
 #include "nn/mlp.hpp"
 #include "nn/serialize.hpp"
+#include "temp_path.hpp"
 
 namespace adapt::nn {
 namespace {
@@ -80,7 +81,7 @@ TEST(MlpBuilder, RejectsEmptySpecs) {
 class SerializeTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
-  const std::string path_ = "/tmp/adaptml_serialize_test.adnn";
+  const std::string path_ = test::temp_path("adaptml_serialize_test", ".adnn");
 };
 
 TEST_F(SerializeTest, RoundTripPreservesOutputs) {
@@ -129,7 +130,8 @@ TEST_F(SerializeTest, RoundTripWithoutStandardizer) {
 }
 
 TEST_F(SerializeTest, MissingFileReturnsNullopt) {
-  EXPECT_FALSE(load_model("/tmp/definitely_missing_file.adnn").has_value());
+  EXPECT_FALSE(load_model(test::temp_path("definitely_missing_file", ".adnn"))
+                   .has_value());
 }
 
 TEST_F(SerializeTest, CorruptMagicRejected) {

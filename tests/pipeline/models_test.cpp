@@ -4,14 +4,11 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <vector>
 
-#include "nn/activations.hpp"
-#include "nn/batchnorm.hpp"
 #include "nn/linear.hpp"
-#include "serve/synthetic_models.hpp"
+#include "temp_path.hpp"
 
 namespace adapt::pipeline {
 namespace {
@@ -107,46 +104,8 @@ TEST(BackgroundNetWrapper, StandardizerAppliedBeforeModel) {
   EXPECT_NEAR(logits[0], 0.0f, 1e-6);  // (0.9 - 0.9) * 2.
 }
 
-TEST(BackgroundNetWrapper, PreparedPathEqualsRingPathBitForBit) {
-  // The Fig. 6 loop classifies from features prepared once per burst
-  // (classify_prepared); every other caller goes through classify.  At
-  // the same polar guess both must give the same logits bit for bit,
-  // through the fused FP32 forward, at paper-sized and odd batches.
-  auto net = serve::synthetic_background_net(71);
-  core::Rng rng(72);
-  nn::Sequential& model = *net.fp32_model();
-  for (std::size_t i = 0; i < model.n_layers(); ++i) {
-    auto* bn = dynamic_cast<nn::BatchNorm1d*>(&model.layer(i));
-    if (bn == nullptr) continue;
-    for (float& m : bn->running_mean())
-      m = static_cast<float>(rng.uniform(-0.5, 0.5));
-    for (float& v : bn->running_var())
-      v = static_cast<float>(rng.uniform(0.2, 2.0));
-  }
-  for (const std::size_t n : {std::size_t{1}, std::size_t{24},
-                              std::size_t{617}}) {
-    std::vector<recon::ComptonRing> rings;
-    for (std::size_t i = 0; i < n; ++i)
-      rings.push_back(serve::synthetic_ring(rng));
-    const nn::Tensor prepared = net.prepare_features(rings);
-    for (const double polar : {0.0, 17.5, 44.0, 80.0}) {
-      const auto direct = net.logits(rings, polar);
-      const auto via_prepared = net.logits_prepared(prepared, polar);
-      ASSERT_EQ(direct.size(), n);
-      ASSERT_EQ(via_prepared.size(), n);
-      EXPECT_EQ(std::memcmp(direct.data(), via_prepared.data(),
-                            n * sizeof(float)),
-                0)
-          << "n=" << n << " polar=" << polar;
-      EXPECT_EQ(net.classify_prepared(prepared, polar),
-                net.classify(rings, polar))
-          << "n=" << n << " polar=" << polar;
-    }
-  }
-}
-
 TEST(BackgroundNetWrapper, SaveLoadRoundTrip) {
-  const std::string path = "/tmp/adaptml_bkgnet_test.adnn";
+  const std::string path = test::temp_path("adaptml_bkgnet_test", ".adnn");
   PolarThresholds thresholds;
   thresholds.set_logit_threshold(0, -0.7);
   BackgroundNet net(constant_logit_model(13, 1.5f), {}, thresholds, true);
@@ -163,7 +122,8 @@ TEST(BackgroundNetWrapper, SaveLoadRoundTrip) {
 }
 
 TEST(BackgroundNetWrapper, LoadMissingFileFails) {
-  EXPECT_FALSE(BackgroundNet::load("/tmp/missing_net.adnn").has_value());
+  EXPECT_FALSE(
+      BackgroundNet::load(test::temp_path("missing_net", ".adnn")).has_value());
 }
 
 TEST(DEtaNetWrapper, PredictsExpOfOutput) {
@@ -189,7 +149,7 @@ TEST(DEtaNetWrapper, OutputClampedToBounds) {
 }
 
 TEST(DEtaNetWrapper, SaveLoadRoundTrip) {
-  const std::string path = "/tmp/adaptml_detanet_test.adnn";
+  const std::string path = test::temp_path("adaptml_detanet_test", ".adnn");
   DEtaNet net(constant_logit_model(13, std::log(0.1f)), {}, true);
   ASSERT_TRUE(net.save(path));
   auto loaded = DEtaNet::load(path);

@@ -10,6 +10,7 @@
 #include "quant/fuse.hpp"
 #include "quant/qat_io.hpp"
 #include "quant/qat_linear.hpp"
+#include "temp_path.hpp"
 
 namespace adapt::quant {
 namespace {
@@ -205,7 +206,7 @@ TEST(QatIo, RoundTripPreservesQuantizedBehaviour) {
   nn::Standardizer std_;
   nn::Tensor fitdata = random_batch(64, 13, 77);
   std_.fit(fitdata);
-  const std::string path = "/tmp/adaptml_qat_io_test.adqt";
+  const std::string path = test::temp_path("adaptml_qat_io_test", ".adqt");
   ASSERT_TRUE(save_qat_model(fixture.qat, std_,
                              {{"polar_thr_0", -0.4}, {"config_sig", 12.0}},
                              path));
@@ -225,7 +226,8 @@ TEST(QatIo, RoundTripPreservesQuantizedBehaviour) {
 }
 
 TEST(QatIo, MissingOrCorruptFileRejected) {
-  EXPECT_FALSE(load_qat_model("/tmp/nonexistent.adqt").has_value());
+  EXPECT_FALSE(
+      load_qat_model(test::temp_path("nonexistent", ".adqt")).has_value());
 }
 
 }  // namespace

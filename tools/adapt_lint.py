@@ -51,6 +51,11 @@ Run from anywhere; exits non-zero when any rule fires:
      burst path (*_prepared) and the raw-feature entry points
      (*_for_features) are banned there: a second forward in the
      serving layer is a second path to keep bit-identical.
+ 10. no-fixed-tmp-in-tests: a `"/tmp/` string literal is banned under
+     tests/.  ctest runs every TEST as its own process and `ctest -j`
+     runs them at once, so a fixed scratch path is written and removed
+     by concurrent tests; build scratch paths with
+     tests/temp_path.hpp's test::temp_path (TempDir + name + pid).
 
 Usage: tools/adapt_lint.py [--repo DIR]
 """
@@ -124,6 +129,8 @@ NAKED_MUTEX = re.compile(
 MUTEX_ALLOWLIST = {
     "src/core/sync.hpp",
 }
+# A string literal that starts a fixed /tmp path (rule 10).
+FIXED_TMP = re.compile(r'"/tmp/')
 LINE_COMMENT = re.compile(r"//.*$")
 STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
 
@@ -239,6 +246,18 @@ def main() -> int:
                     "core::sync capability types (core/sync.hpp) so the "
                     "thread-safety gate can check the lock discipline "
                     "[no-naked-mutex]")
+
+    # Rule 10: fixed /tmp paths in tests (read before strip_noise,
+    # which blanks string literals).
+    for path in iter_source(repo, "tests/**/*.cpp", "tests/**/*.hpp"):
+        rel = path.relative_to(repo).as_posix()
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for ln, raw in enumerate(lines, 1):
+            if FIXED_TMP.search(LINE_COMMENT.sub("", raw)):
+                findings.append(
+                    f"{rel}:{ln}: fixed /tmp path in a test — concurrent "
+                    "ctest processes share it; use test::temp_path "
+                    "(tests/temp_path.hpp) [no-fixed-tmp-in-tests]")
 
     # Rule 4: test coverage by stem.
     test_names = " ".join(
