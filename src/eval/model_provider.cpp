@@ -135,6 +135,27 @@ double accuracy_of(pipeline::BackgroundNet& net, const GeneratedRings& data) {
   return static_cast<double>(correct) / static_cast<double>(data.size());
 }
 
+/// The (swapped) background net's layer stack as the QAT net holds it:
+/// one FusedLayer per QatLinear (its float master weights), with the
+/// following ReLU folded in.  The trained and the cache-loaded provider
+/// both build it here, from the same QAT stack.
+std::vector<quant::FusedLayer> fused_from_qat(const nn::Sequential& qat) {
+  std::vector<quant::FusedLayer> fused;
+  for (std::size_t i = 0; i < qat.n_layers(); ++i) {
+    if (const auto* lin =
+            dynamic_cast<const quant::QatLinear*>(&qat.layer(i))) {
+      quant::FusedLayer f;
+      f.weight = lin->weight().value;
+      f.bias = lin->bias().value.vec();
+      fused.push_back(std::move(f));
+    } else if (dynamic_cast<const nn::ReLU*>(&qat.layer(i)) != nullptr &&
+               !fused.empty()) {
+      fused.back().relu = true;
+    }
+  }
+  return fused;
+}
+
 /// Configuration signature baked into cached files; a mismatch forces
 /// retraining so stale caches cannot poison experiments.
 double config_signature(const ModelProviderConfig& cfg,
@@ -189,24 +210,12 @@ ModelProvider::ModelProvider(const TrialSetup& setup,
         deta->metadata.count("calibration") ? deta->metadata.at("calibration")
                                             : 1.0;
     deta_ = std::make_unique<pipeline::DEtaNet>(
-        std::move(deta->model), std::move(deta->standardizer), true,
-        config_.calibrate_deta ? deta_calibration_ : 1.0);
+        std::move(deta->model), std::move(deta->standardizer), true);
 
     background_int8_ = std::make_unique<pipeline::BackgroundNet>(
         quant::export_quantized(qat->model), qat->standardizer,
         pipeline::PolarThresholds::from_metadata(qat->metadata), true);
-    for (std::size_t i = 0; i < qat->model.n_layers(); ++i) {
-      if (auto* lin =
-              dynamic_cast<quant::QatLinear*>(&qat->model.layer(i))) {
-        quant::FusedLayer f;
-        f.weight = lin->weight().value;
-        f.bias = lin->bias().value.vec();
-        fused_background_.push_back(std::move(f));
-      } else if (dynamic_cast<nn::ReLU*>(&qat->model.layer(i)) != nullptr &&
-                 !fused_background_.empty()) {
-        fused_background_.back().relu = true;
-      }
-    }
+    fused_background_ = fused_from_qat(qat->model);
   } while (false);
   if (loaded) return;
 
@@ -383,13 +392,11 @@ void ModelProvider::train_all(const TrialSetup& setup) {
         }
         calibration = std::max(core::quantile(std::move(ratios), 0.68), 0.1);
       }
-      // The deployed network applies the calibration only when asked
-      // (see ModelProviderConfig::calibrate_deta); the factor is
-      // always persisted in the cache metadata.
+      // The deployed network is the raw regression; the factor is
+      // persisted in the cache metadata (see deta_calibration()).
       deta_calibration_ = calibration;
-      deta_ = std::make_unique<pipeline::DEtaNet>(
-          std::move(*raw.model()), std_, true,
-          config_.calibrate_deta ? calibration : 1.0);
+      deta_ = std::make_unique<pipeline::DEtaNet>(std::move(*raw.model()),
+                                                  std_, true);
     }
   }
 
@@ -421,9 +428,9 @@ void ModelProvider::train_all(const TrialSetup& setup) {
       trainer.fit(train, val, fit_rng);
     }
 
-    fused_background_ = quant::fuse_bn(swapped);
     core::Rng qat_rng = rng.split();
-    nn::Sequential qat = quant::build_qat_model(fused_background_, qat_rng);
+    nn::Sequential qat =
+        quant::build_qat_model(quant::fuse_bn(swapped), qat_rng);
 
     // Calibrate the activation observers with a few training batches,
     // then fine-tune briefly (quantization-aware training).
@@ -464,6 +471,7 @@ void ModelProvider::train_all(const TrialSetup& setup) {
 
     background_int8_ = std::make_unique<pipeline::BackgroundNet>(
         quant::export_quantized(qat), std_, thresholds, true);
+    fused_background_ = fused_from_qat(qat);
 
     auto meta = thresholds.to_metadata();
     meta["config_sig"] = config_signature(config_, setup);

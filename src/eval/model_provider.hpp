@@ -35,15 +35,6 @@ struct ModelProviderConfig {
   std::size_t qat_epochs = 4;    ///< QAT fine-tuning epochs.
   std::uint64_t seed = 0x7ea1;
   bool verbose = false;
-
-  /// Apply the coverage calibration to the deployed dEta network.
-  /// The calibration makes the quoted widths statistically honest
-  /// (68% of rings within one width — what sky maps and credible radii
-  /// need) but uniformly inflates them, which loosens the robust
-  /// localizer's inlier cut and costs some containment; see
-  /// bench_ablation_deta for the measured trade-off.  Off by default:
-  /// the paper deploys the raw regression.
-  bool calibrate_deta = false;
 };
 
 /// Owns the trained model set.  Wrappers hand out non-owning pointers
@@ -63,8 +54,9 @@ class ModelProvider {
   pipeline::BackgroundNet& background_net_int8() { return *background_int8_; }
   pipeline::DEtaNet& deta_net() { return *deta_; }
 
-  /// The fused layer stack of the (swapped) background net — input to
-  /// the FPGA kernel model.
+  /// The layer stack of the (swapped) background net as its QAT net
+  /// holds it — input to the FPGA kernel model.  The same whether the
+  /// models were trained or loaded from the cache.
   const std::vector<quant::FusedLayer>& fused_background() const {
     return fused_background_;
   }
@@ -75,8 +67,12 @@ class ModelProvider {
   double deta_test_mse() const { return deta_mse_; }
 
   /// Coverage-calibration factor fitted on validation (1.0 when the
-  /// models came from a cache without one); applied to the deployed
-  /// dEta net only when ModelProviderConfig::calibrate_deta is set.
+  /// models came from a cache without one).  It makes the quoted widths
+  /// statistically honest (68% of rings within one width, what sky
+  /// maps and credible radii need) but uniformly inflates them, which
+  /// loosens the robust localizer's inlier cut; the deployed dEta net
+  /// is the raw regression, as in the paper, and bench_ablation_deta
+  /// measures the trade-off.
   double deta_calibration() const { return deta_calibration_; }
 
  private:

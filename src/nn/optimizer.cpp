@@ -1,7 +1,5 @@
 #include "nn/optimizer.hpp"
 
-#include <cmath>
-
 #include "core/require.hpp"
 
 namespace adapt::nn {
@@ -16,49 +14,6 @@ Sgd::Sgd(std::vector<Param*> params, const SgdConfig& config)
   for (Param* p : params_) {
     ADAPT_REQUIRE(p != nullptr, "null parameter");
     velocity_.emplace_back(p->value.size(), 0.0f);
-  }
-}
-
-Adam::Adam(std::vector<Param*> params, const AdamConfig& config)
-    : params_(std::move(params)), config_(config) {
-  ADAPT_REQUIRE(config.learning_rate > 0.0, "learning rate must be > 0");
-  ADAPT_REQUIRE(config.beta1 >= 0.0 && config.beta1 < 1.0, "beta1 in [0,1)");
-  ADAPT_REQUIRE(config.beta2 >= 0.0 && config.beta2 < 1.0, "beta2 in [0,1)");
-  ADAPT_REQUIRE(config.epsilon > 0.0, "epsilon must be > 0");
-  m_.reserve(params_.size());
-  v_.reserve(params_.size());
-  for (Param* p : params_) {
-    ADAPT_REQUIRE(p != nullptr, "null parameter");
-    m_.emplace_back(p->value.size(), 0.0f);
-    v_.emplace_back(p->value.size(), 0.0f);
-  }
-}
-
-void Adam::step() {
-  ++t_;
-  const double b1 = config_.beta1;
-  const double b2 = config_.beta2;
-  const double bias1 = 1.0 - std::pow(b1, static_cast<double>(t_));
-  const double bias2 = 1.0 - std::pow(b2, static_cast<double>(t_));
-  const double lr = config_.learning_rate;
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    Param* p = params_[i];
-    ADAPT_REQUIRE(p->grad.size() == p->value.size(),
-                  "gradient not allocated (zero_grad before backward?)");
-    auto& m = m_[i];
-    auto& v = v_[i];
-    for (std::size_t j = 0; j < m.size(); ++j) {
-      double g = p->grad.vec()[j];
-      if (config_.weight_decay > 0.0)
-        g += config_.weight_decay * static_cast<double>(p->value.vec()[j]);
-      m[j] = static_cast<float>(b1 * static_cast<double>(m[j]) + (1.0 - b1) * g);
-      v[j] =
-          static_cast<float>(b2 * static_cast<double>(v[j]) + (1.0 - b2) * g * g);
-      const double m_hat = static_cast<double>(m[j]) / bias1;
-      const double v_hat = static_cast<double>(v[j]) / bias2;
-      p->value.vec()[j] -= static_cast<float>(
-          lr * m_hat / (std::sqrt(v_hat) + config_.epsilon));
-    }
   }
 }
 

@@ -34,32 +34,4 @@ class Sgd {
   SgdConfig config_;
 };
 
-/// Adam optimizer (Kingma & Ba).  The paper trains with SGD; Adam is
-/// provided for the optimizer ablation in examples/train_models and
-/// for downstream users — small MLPs on standardized features often
-/// train in far fewer epochs with it.
-struct AdamConfig {
-  double learning_rate = 1e-3;
-  double beta1 = 0.9;
-  double beta2 = 0.999;
-  double epsilon = 1e-8;
-  double weight_decay = 0.0;
-};
-
-class Adam {
- public:
-  Adam(std::vector<Param*> params, const AdamConfig& config);
-
-  void step();
-
-  const AdamConfig& config() const { return config_; }
-
- private:
-  std::vector<Param*> params_;
-  std::vector<std::vector<float>> m_;
-  std::vector<std::vector<float>> v_;
-  long t_ = 0;
-  AdamConfig config_;
-};
-
 }  // namespace adapt::nn

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <limits>
-#include <optional>
 
 #include "core/require.hpp"
 
@@ -20,20 +19,7 @@ TrainReport Trainer::fit(const Dataset& train, const Dataset& val,
                          core::Rng& rng) {
   ADAPT_REQUIRE(!train.empty() && !val.empty(), "empty train/val set");
   TrainReport report;
-  std::optional<Sgd> sgd;
-  std::optional<Adam> adam;
-  if (config_.optimizer == TrainConfig::Optimizer::kSgd) {
-    sgd.emplace(model_->params(), config_.sgd);
-  } else {
-    adam.emplace(model_->params(), config_.adam);
-  }
-  const auto optimizer_step = [&] {
-    if (sgd) {
-      sgd->step();
-    } else {
-      adam->step();
-    }
-  };
+  Sgd sgd(model_->params(), config_.sgd);
   DataLoader loader(train, config_.batch_size, rng);
 
   double best_val = std::numeric_limits<double>::infinity();
@@ -54,7 +40,7 @@ TrainReport Trainer::fit(const Dataset& train, const Dataset& val,
       const Tensor pred = model_->forward(xb, /*training=*/true);
       const LossResult loss = loss_(pred, yb);
       model_->backward(loss.grad);
-      optimizer_step();
+      sgd.step();
       epoch_loss += loss.value;
       ++batches;
     }

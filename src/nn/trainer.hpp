@@ -23,14 +23,7 @@ struct TrainConfig {
   std::size_t batch_size = 256;
   std::size_t max_epochs = 120;  ///< Paper's cap.
   std::size_t patience = 10;     ///< Epochs without val improvement.
-
-  /// Optimizer selection.  The paper trains with SGD; Adam is offered
-  /// for the optimizer ablation and downstream use.
-  enum class Optimizer { kSgd, kAdam };
-  Optimizer optimizer = Optimizer::kSgd;
-  SgdConfig sgd;    ///< Used when optimizer == kSgd.
-  AdamConfig adam;  ///< Used when optimizer == kAdam.
-
+  SgdConfig sgd;
   bool verbose = false;          ///< Print per-epoch losses to stdout.
 };
 

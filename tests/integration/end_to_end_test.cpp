@@ -166,6 +166,16 @@ TEST_F(IntegrationTest, ModelCacheRoundTripsThroughProvider) {
   const auto da = provider_->deta_net().predict(rings, 10.0);
   const auto db = reloaded.deta_net().predict(rings, 10.0);
   for (std::size_t i = 0; i < da.size(); ++i) EXPECT_NEAR(da[i], db[i], 1e-6);
+
+  // The FPGA layer stack comes from the QAT net on both paths.
+  const auto& fa = provider_->fused_background();
+  const auto& fb = reloaded.fused_background();
+  ASSERT_EQ(fa.size(), fb.size());
+  for (std::size_t l = 0; l < fa.size(); ++l) {
+    EXPECT_EQ(fa[l].weight.vec(), fb[l].weight.vec()) << "layer " << l;
+    EXPECT_EQ(fa[l].bias, fb[l].bias) << "layer " << l;
+    EXPECT_EQ(fa[l].relu, fb[l].relu) << "layer " << l;
+  }
 }
 
 }  // namespace

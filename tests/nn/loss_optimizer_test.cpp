@@ -156,79 +156,5 @@ TEST(Sgd, RejectsBadConfig) {
   EXPECT_THROW(Sgd({&p}, cfg), std::invalid_argument);
 }
 
-
-TEST(AdamOpt, MinimizesQuadraticBowl) {
-  Param p;
-  p.value = Tensor(1, 1);
-  p.value(0, 0) = -5.0f;
-  AdamConfig cfg;
-  cfg.learning_rate = 0.2;
-  Adam opt({&p}, cfg);
-  for (int i = 0; i < 300; ++i) {
-    p.zero_grad();
-    p.grad(0, 0) = 2.0f * (p.value(0, 0) - 3.0f);
-    opt.step();
-  }
-  EXPECT_NEAR(p.value(0, 0), 3.0f, 1e-2);
-}
-
-TEST(AdamOpt, FirstStepIsLearningRateSized) {
-  // Bias correction makes the first update ~ lr * sign(grad).
-  Param p;
-  p.value = Tensor(1, 1);
-  p.value(0, 0) = 0.0f;
-  p.zero_grad();
-  p.grad(0, 0) = 0.37f;
-  AdamConfig cfg;
-  cfg.learning_rate = 0.01;
-  Adam opt({&p}, cfg);
-  opt.step();
-  EXPECT_NEAR(p.value(0, 0), -0.01f, 1e-4);
-}
-
-TEST(AdamOpt, AdaptsPerParameterScale) {
-  // Two coordinates with wildly different gradient magnitudes move at
-  // comparable speeds under Adam (unlike plain SGD).
-  Param p;
-  p.value = Tensor(1, 2);
-  p.value.vec() = {0.0f, 0.0f};
-  AdamConfig cfg;
-  cfg.learning_rate = 0.05;
-  Adam opt({&p}, cfg);
-  for (int i = 0; i < 50; ++i) {
-    p.zero_grad();
-    p.grad(0, 0) = 100.0f;
-    p.grad(0, 1) = 0.01f;
-    opt.step();
-  }
-  EXPECT_NEAR(p.value(0, 0) / p.value(0, 1), 1.0, 0.1);
-}
-
-TEST(AdamOpt, WeightDecayShrinks) {
-  Param p;
-  p.value = Tensor(1, 1);
-  p.value(0, 0) = 5.0f;
-  AdamConfig cfg;
-  cfg.learning_rate = 0.1;
-  cfg.weight_decay = 0.5;
-  Adam opt({&p}, cfg);
-  for (int i = 0; i < 100; ++i) {
-    p.zero_grad();  // Zero task gradient: only decay pulls to zero.
-    opt.step();
-  }
-  EXPECT_LT(std::abs(p.value(0, 0)), 1.0f);
-}
-
-TEST(AdamOpt, RejectsBadConfig) {
-  Param p;
-  p.value = Tensor(1, 1);
-  AdamConfig cfg;
-  cfg.beta1 = 1.0;
-  EXPECT_THROW(Adam({&p}, cfg), std::invalid_argument);
-  cfg = AdamConfig{};
-  cfg.epsilon = 0.0;
-  EXPECT_THROW(Adam({&p}, cfg), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace adapt::nn

@@ -159,62 +159,6 @@ TEST(Trainer, PaperArchitecturesTrainEndToEnd) {
   }
 }
 
-
-TEST(Trainer, AdamOptimizerLearnsRegression) {
-  core::Rng rng(20);
-  Sequential model;
-  model.add(std::make_unique<Linear>(2, 1, rng));
-  TrainConfig cfg;
-  cfg.batch_size = 32;
-  cfg.max_epochs = 40;
-  cfg.patience = 40;
-  cfg.optimizer = TrainConfig::Optimizer::kAdam;
-  cfg.adam.learning_rate = 0.02;
-  Trainer trainer(model, mse, cfg);
-  const TrainReport report =
-      trainer.fit(regression(500, 21), regression(100, 22), rng);
-  EXPECT_LT(report.best_val_loss, 0.01);
-}
-
-TEST(Trainer, AdamConvergesFasterThanSgdOnThisProblem) {
-  // The optimizer ablation the Adam implementation exists for: at a
-  // fixed small epoch budget, Adam reaches a lower validation loss on
-  // the ill-scaled toy regression below (feature scales differ 100x,
-  // which plain SGD struggles with at a single learning rate).
-  const auto make_illscaled = [](std::size_t n, std::uint64_t seed) {
-    core::Rng rng(seed);
-    Dataset ds;
-    ds.x = Tensor(n, 2);
-    for (std::size_t r = 0; r < n; ++r) {
-      const double a = rng.uniform(-1.0, 1.0);
-      const double b = rng.uniform(-0.01, 0.01);
-      ds.x(r, 0) = static_cast<float>(a);
-      ds.x(r, 1) = static_cast<float>(b);
-      ds.y.push_back(static_cast<float>(a + 100.0 * b));
-    }
-    return ds;
-  };
-  const auto best_val = [&](TrainConfig::Optimizer opt) {
-    core::Rng rng(23);
-    Sequential model;
-    model.add(std::make_unique<Linear>(2, 1, rng));
-    TrainConfig cfg;
-    cfg.batch_size = 32;
-    cfg.max_epochs = 12;
-    cfg.patience = 12;
-    cfg.optimizer = opt;
-    cfg.sgd.learning_rate = 0.05;
-    cfg.adam.learning_rate = 0.05;
-    Trainer trainer(model, mse, cfg);
-    core::Rng frng(24);
-    return trainer
-        .fit(make_illscaled(400, 25), make_illscaled(100, 26), frng)
-        .best_val_loss;
-  };
-  EXPECT_LT(best_val(TrainConfig::Optimizer::kAdam),
-            best_val(TrainConfig::Optimizer::kSgd));
-}
-
 TEST(Trainer, RejectsBatchSizeOne) {
   core::Rng rng(17);
   Sequential model;

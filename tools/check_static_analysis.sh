@@ -8,7 +8,8 @@
 #                        gcc-only CI image)
 #   3. WERROR build     (-Wall -Wextra -Wconversion -Wshadow
 #                        -Wdouble-promotion -Werror over src/)
-#   4. ASan+UBSan ctest (full suite under AddressSanitizer)
+#   4. ASan+UBSan ctest (full suite under AddressSanitizer, examples
+#                        built so example.quickstart runs under it too)
 #   5. TSan ctest       (full suite under ThreadSanitizer, std::thread
 #                        backend — see core/parallel.hpp for why the
 #                        TSan build swaps out libgomp)
@@ -26,8 +27,9 @@
 #
 # Exits non-zero on the first failing stage.  Budget: ~10 minutes on
 # a multicore dev box; the dominant costs are the sanitizer builds and
-# the TSan ctest pass, all of which parallelize (bench/examples are
-# excluded from the gate builds to keep them lean).
+# the TSan ctest pass, all of which parallelize (bench/ is excluded
+# from the gate builds, and examples/ from all but the ASan tree, to
+# keep them lean).
 #
 # NOTE: gate build trees (checked/sanitized/werror) are for
 # correctness only — never take timing baselines from them; see
@@ -59,7 +61,7 @@ while [ $# -gt 0 ]; do
       shift
       ;;
     -h|--help)
-      sed -n '2,40p' "${BASH_SOURCE[0]}"; exit 0 ;;
+      sed -n '2,45p' "${BASH_SOURCE[0]}"; exit 0 ;;
     *)
       [ -z "${build_root}" ] || { echo "error: unexpected arg $1" >&2; exit 2; }
       build_root="$1"
@@ -135,7 +137,7 @@ if want asan; then
   stage "AddressSanitizer ctest"
   cmake -B "${build_root}/asan" -S "${repo}" \
     -DADAPT_SANITIZE=address -DADAPT_CHECKED=ON \
-    -DADAPT_BUILD_BENCH=OFF -DADAPT_BUILD_EXAMPLES=OFF >/dev/null
+    -DADAPT_BUILD_BENCH=OFF -DADAPT_BUILD_EXAMPLES=ON >/dev/null
   cmake --build "${build_root}/asan" -j"${jobs}" >/dev/null \
     || fail "ASan build failed"
   (cd "${build_root}/asan" && \
