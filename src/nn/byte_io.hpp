@@ -81,32 +81,30 @@ inline std::optional<std::string> read_file(const std::string& path) {
 }
 
 /// Point `is` at the body of a model file: `magic`, a u32 version in
-/// [min_version, max_version], the body, and from version 2 on a u64
-/// FNV-1a footer over everything before it.  The footer is verified
-/// before a single field is parsed (a garbled upload must not reach
-/// the structural parser at all); a mismatch also bumps
-/// `checksum_failures`.  On success `is` reads the body, footer
-/// excluded.
+/// [min_version, max_version], the body, and a u64 FNV-1a footer over
+/// everything before it (every accepted version carries one).  The
+/// footer is verified before a single field is parsed (a garbled
+/// upload must not reach the structural parser at all); a mismatch
+/// also bumps `checksum_failures`.  On success `is` reads the body,
+/// footer excluded.
 inline bool open_body(std::string_view bytes, std::string_view magic,
                       std::uint32_t min_version, std::uint32_t max_version,
                       core::telemetry::Counter& checksum_failures,
                       std::istringstream& is) {
   const std::size_t header_bytes = magic.size() + sizeof(std::uint32_t);
-  if (bytes.size() < header_bytes || bytes.substr(0, magic.size()) != magic)
+  std::uint64_t stored = 0;
+  if (bytes.size() < header_bytes + sizeof(stored) ||
+      bytes.substr(0, magic.size()) != magic)
     return false;
   std::uint32_t version = 0;
   std::memcpy(&version, bytes.data() + magic.size(), sizeof(version));
   if (version < min_version || version > max_version) return false;
-  if (version >= 2) {
-    std::uint64_t stored = 0;
-    if (bytes.size() < header_bytes + sizeof(stored)) return false;
-    std::memcpy(&stored, bytes.data() + bytes.size() - sizeof(stored),
-                sizeof(stored));
-    bytes.remove_suffix(sizeof(stored));
-    if (stored != core::fnv1a64(bytes.data(), bytes.size())) {
-      checksum_failures.add();
-      return false;
-    }
+  std::memcpy(&stored, bytes.data() + bytes.size() - sizeof(stored),
+              sizeof(stored));
+  bytes.remove_suffix(sizeof(stored));
+  if (stored != core::fnv1a64(bytes.data(), bytes.size())) {
+    checksum_failures.add();
+    return false;
   }
   is.str(std::string(bytes));
   is.seekg(static_cast<std::streamoff>(header_bytes));

@@ -1,6 +1,7 @@
 #include "nn/linear.hpp"
 
 #include <sstream>
+#include <utility>
 
 #include "core/require.hpp"
 
@@ -8,15 +9,25 @@ namespace adapt::nn {
 
 Linear::Linear(std::size_t in_features, std::size_t out_features,
                core::Rng& rng)
+    : Linear(in_features, out_features,
+             std::vector<float>(in_features * out_features),
+             std::vector<float>(out_features)) {
+  weight_.value.he_init(in_, rng);
+}
+
+Linear::Linear(std::size_t in_features, std::size_t out_features,
+               std::vector<float> weight, std::vector<float> bias)
     : in_(in_features), out_(out_features) {
   ADAPT_REQUIRE(in_features > 0 && out_features > 0,
                 "linear layer dims must be positive");
+  ADAPT_REQUIRE(weight.size() == in_features * out_features,
+                "linear weight size must be in x out");
+  ADAPT_REQUIRE(bias.size() == out_features, "linear bias size must be out");
   weight_.name = "weight";
-  weight_.value = Tensor(out_, in_);
-  weight_.value.he_init(in_, rng);
+  weight_.value = Tensor(out_, in_, std::move(weight));
   weight_.zero_grad();
   bias_.name = "bias";
-  bias_.value = Tensor(1, out_);
+  bias_.value = Tensor(1, out_, std::move(bias));
   bias_.zero_grad();
 }
 

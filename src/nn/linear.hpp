@@ -11,7 +11,14 @@ namespace adapt::nn {
 
 class Linear final : public Layer {
  public:
+  /// He-initialized weights drawn from `rng`, zero bias: the training
+  /// constructor.
   Linear(std::size_t in_features, std::size_t out_features, core::Rng& rng);
+  /// Takes `weight` (out x in, row-major) and `bias` (out) as they are,
+  /// with no draw: the model loader's constructor.  Both sizes are
+  /// checked against the dims.
+  Linear(std::size_t in_features, std::size_t out_features,
+         std::vector<float> weight, std::vector<float> bias);
 
   Tensor forward(const Tensor& x, bool training) override;
   Tensor backward(const Tensor& grad_out) override;

@@ -16,10 +16,11 @@ namespace adapt::nn {
 namespace {
 
 constexpr char kMagic[4] = {'A', 'D', 'N', 'N'};
-// Version 2 appends a u64 FNV-1a checksum footer; version-1 files
-// (checked-in model caches predate the footer) still load.
+// Version 2 appends a u64 FNV-1a checksum footer.  Version 1 had no
+// footer and no longer loads: accepting it let a corrupt file skip the
+// checksum by rewriting its version word.
 constexpr std::uint32_t kVersion = 2;
-constexpr std::uint32_t kMinVersion = 1;
+constexpr std::uint32_t kMinVersion = 2;
 
 enum class LayerTag : std::uint32_t {
   kLinear = 1,
@@ -105,7 +106,6 @@ std::optional<SavedModel> load_model_from_bytes(std::string_view in_bytes) {
 
   std::uint32_t n_layers = 0;
   if (!read_u32(is, n_layers) || n_layers > 1024) return reject();
-  core::Rng dummy_rng(0);  // Weights are overwritten after construction.
   for (std::uint32_t i = 0; i < n_layers; ++i) {
     std::uint32_t tag = 0;
     if (!read_u32(is, tag)) return reject();
@@ -115,8 +115,8 @@ std::optional<SavedModel> load_model_from_bytes(std::string_view in_bytes) {
         std::uint32_t out_f = 0;
         if (!read_u32(is, in) || !read_u32(is, out_f)) return reject();
         // Validate the claimed shape (non-zero, product consistent with
-        // the size-checked payloads) BEFORE constructing the layer —
-        // Linear allocates in*out floats from these dims.
+        // the size-checked payloads) BEFORE constructing the layer, so
+        // its size contract never fires on file input.
         if (in == 0 || out_f == 0) return reject();
         std::vector<float> w;
         std::vector<float> b;
@@ -124,10 +124,8 @@ std::optional<SavedModel> load_model_from_bytes(std::string_view in_bytes) {
         if (w.size() != static_cast<std::size_t>(in) * out_f ||
             b.size() != out_f)
           return reject();
-        auto lin = std::make_unique<Linear>(in, out_f, dummy_rng);
-        lin->weight().value.vec() = std::move(w);
-        lin->bias().value.vec() = std::move(b);
-        out.model.add(std::move(lin));
+        out.model.add(
+            std::make_unique<Linear>(in, out_f, std::move(w), std::move(b)));
         break;
       }
       case LayerTag::kBatchNorm1d: {
@@ -172,6 +170,8 @@ std::optional<SavedModel> load_model_from_bytes(std::string_view in_bytes) {
     if (!read_string(is, key) || !read_f64(is, value)) return reject();
     out.metadata.emplace(std::move(key), value);
   }
+  // The metadata block ends the body: a byte after it is corruption.
+  if (bytes_left(is) != 0) return reject();
   return out;
 }
 

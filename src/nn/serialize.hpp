@@ -14,13 +14,13 @@
 ///   u32 n_layers, then per layer:
 ///     u32 tag (see LayerTag), payload per type
 ///   u32 n_metadata, then per entry: string key, f64 value
-///   u64 FNV-1a checksum of every preceding byte (since version 2)
+///   u64 FNV-1a checksum of every preceding byte
 ///
 /// The checksum footer exists for the flight link: a model garbled in
 /// transit (truncated upload, flipped bits) must be rejected at load,
-/// never silently deployed.  Version-1 files (no footer) still load —
-/// structural validation alone — so pre-existing model caches stay
-/// usable; rejected checksums are counted under
+/// never silently deployed.  Only version 2 loads: footerless
+/// version-1 files are rejected, as is any byte between the metadata
+/// block and the footer.  Rejected checksums are counted under
 /// `nn.model_checksum_failures` on top of `nn.model_files_rejected`.
 
 #include <cstdint>
@@ -46,7 +46,7 @@ bool save_model(Sequential& model, const Standardizer& standardizer,
                 const std::string& path);
 
 /// Deserialize from `path`.  Returns nullopt on missing/corrupt file
-/// (structural damage or a version-2 checksum mismatch).
+/// (structural damage or a checksum mismatch).
 std::optional<SavedModel> load_model(const std::string& path);
 
 /// Parse a serialized model from an in-memory buffer — the actual

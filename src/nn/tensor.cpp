@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "core/parallel.hpp"
 #include "core/require.hpp"
@@ -11,6 +12,11 @@ namespace adapt::nn {
 
 Tensor::Tensor(std::size_t rows, std::size_t cols, float fill)
     : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
+
+Tensor::Tensor(std::size_t rows, std::size_t cols, std::vector<float> data)
+    : rows_(rows), cols_(cols), data_(std::move(data)) {
+  ADAPT_REQUIRE(data_.size() == rows * cols, "tensor data size mismatch");
+}
 
 void Tensor::fill(float v) { std::fill(data_.begin(), data_.end(), v); }
 

@@ -20,6 +20,9 @@ class Tensor {
  public:
   Tensor() = default;
   Tensor(std::size_t rows, std::size_t cols, float fill = 0.0f);
+  /// Adopts `data` as the (rows x cols) row-major values; its size
+  /// must be rows * cols.
+  Tensor(std::size_t rows, std::size_t cols, std::vector<float> data);
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }

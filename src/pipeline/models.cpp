@@ -108,13 +108,10 @@ std::uint64_t DEtaNet::weight_checksum() {
 }
 
 DEtaNet::DEtaNet(nn::Sequential model, nn::Standardizer standardizer,
-                 bool uses_polar, double calibration)
+                 bool uses_polar)
     : model_(std::move(model)),
       standardizer_(std::move(standardizer)),
-      uses_polar_(uses_polar),
-      calibration_(calibration) {
-  ADAPT_REQUIRE(calibration > 0.0, "calibration must be positive");
-}
+      uses_polar_(uses_polar) {}
 
 std::vector<double> DEtaNet::predict_from_features(nn::Tensor x, double floor,
                                                    double cap) {
@@ -123,8 +120,7 @@ std::vector<double> DEtaNet::predict_from_features(nn::Tensor x, double floor,
   ADAPT_REQUIRE(out.cols() == 1, "dEta net must output one value");
   std::vector<double> d(out.rows());
   for (std::size_t i = 0; i < d.size(); ++i)
-    d[i] = std::clamp(
-        calibration_ * std::exp(static_cast<double>(out(i, 0))), floor, cap);
+    d[i] = std::clamp(std::exp(static_cast<double>(out(i, 0))), floor, cap);
   return d;
 }
 
@@ -147,7 +143,6 @@ std::vector<double> DEtaNet::predict_for_features(nn::Tensor raw_features,
 bool DEtaNet::save(const std::string& path) {
   std::map<std::string, double> meta;
   meta["uses_polar"] = uses_polar_ ? 1.0 : 0.0;
-  meta["calibration"] = calibration_;
   return nn::save_model(model_, standardizer_, meta, path);
 }
 
@@ -157,11 +152,8 @@ std::optional<DEtaNet> DEtaNet::load(const std::string& path) {
   const bool uses_polar =
       saved->metadata.count("uses_polar") == 0 ||
       saved->metadata.at("uses_polar") > 0.5;
-  const double calibration = saved->metadata.count("calibration")
-                                 ? saved->metadata.at("calibration")
-                                 : 1.0;
   return DEtaNet(std::move(saved->model), std::move(saved->standardizer),
-                 uses_polar, calibration);
+                 uses_polar);
 }
 
 Models::BatchInference Models::infer_batch(

@@ -75,20 +75,15 @@ class BackgroundNet {
 };
 
 /// dEta regression network: predicts ln(d_eta); exposed as d_eta with
-/// sane bounds.
-///
-/// A scalar coverage calibration multiplies the prediction so the
-/// quoted width is statistically honest: it is fit on validation data
-/// as the 68th percentile of |true error| / predicted width, making
-/// "within 1 d_eta" mean 68% by construction (see
-/// bench_ablation_deta for the before/after coverage numbers).
+/// sane bounds.  The deployed net is the raw regression: the coverage
+/// factor fitted on validation lives in eval::ModelProvider
+/// (deta_calibration()), not here, so one file gives one net.
 class DEtaNet {
  public:
   DEtaNet(nn::Sequential model, nn::Standardizer standardizer,
-          bool uses_polar = true, double calibration = 1.0);
+          bool uses_polar = true);
 
   bool uses_polar() const { return uses_polar_; }
-  double calibration() const { return calibration_; }
 
   /// Predicted d_eta for each ring (exp of the network output,
   /// clamped to [floor, cap]).
@@ -120,7 +115,6 @@ class DEtaNet {
   nn::Sequential model_;
   nn::Standardizer standardizer_;
   bool uses_polar_ = true;
-  double calibration_ = 1.0;
 };
 
 /// Non-owning bundle of the deployed networks: the handle the

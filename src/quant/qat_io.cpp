@@ -18,9 +18,10 @@ namespace {
 
 constexpr char kMagic[4] = {'A', 'D', 'Q', 'T'};
 // Version 2 appends a u64 FNV-1a checksum footer (same rationale and
-// layout as nn::serialize); version-1 files still load.
+// layout as nn::serialize).  Footerless version-1 files no longer
+// load, for the same reason as there.
 constexpr std::uint32_t kVersion = 2;
-constexpr std::uint32_t kMinVersion = 1;
+constexpr std::uint32_t kMinVersion = 2;
 
 enum class Tag : std::uint32_t {
   kQatLinear = 1,
@@ -104,7 +105,6 @@ std::optional<SavedQatModel> load_qat_model_from_bytes(
 
   std::uint32_t n_layers = 0;
   if (!read_u32(is, n_layers) || n_layers > 1024) return reject();
-  core::Rng dummy_rng(0);
   for (std::uint32_t i = 0; i < n_layers; ++i) {
     std::uint32_t tag = 0;
     if (!read_u32(is, tag)) return reject();
@@ -115,7 +115,7 @@ std::optional<SavedQatModel> load_qat_model_from_bytes(
         if (!read_u32(is, in) || !read_u32(is, out_f)) return reject();
         // Validate the claimed shape (non-zero, product consistent
         // with the size-checked payloads) BEFORE constructing the
-        // layer — QatLinear allocates in*out floats from these dims.
+        // layer, so its size contract never fires on file input.
         if (in == 0 || out_f == 0) return reject();
         std::vector<float> w;
         std::vector<float> b;
@@ -123,11 +123,8 @@ std::optional<SavedQatModel> load_qat_model_from_bytes(
         if (w.size() != static_cast<std::size_t>(in) * out_f ||
             b.size() != out_f)
           return reject();
-        auto lin = std::make_unique<QatLinear>(in, out_f, dummy_rng);
-        nn::Tensor weight(out_f, in);
-        weight.vec() = std::move(w);
-        lin->load_weights(weight, b);
-        out.model.add(std::move(lin));
+        out.model.add(std::make_unique<QatLinear>(in, out_f, std::move(w),
+                                                  std::move(b)));
         break;
       }
       case Tag::kFakeQuant: {
@@ -161,6 +158,8 @@ std::optional<SavedQatModel> load_qat_model_from_bytes(
     if (!read_string(is, key) || !read_f64(is, value)) return reject();
     out.metadata.emplace(std::move(key), value);
   }
+  // The metadata block ends the body: a byte after it is corruption.
+  if (bytes_left(is) != 0) return reject();
   return out;
 }
 

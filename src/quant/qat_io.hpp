@@ -10,11 +10,11 @@
 ///
 /// Format: magic "ADQT", version, standardizer block, layer list with
 /// per-type payloads (QatLinear: dims + weights + bias; FakeQuant:
-/// observed range; ReLU: nothing), metadata key/value block, and since
-/// version 2 a u64 FNV-1a checksum footer over every preceding byte —
-/// the same conventions as nn::serialize.  A checksum mismatch rejects
-/// the file (counted under `quant.qat_checksum_failures`); version-1
-/// files without a footer still load.
+/// observed range; ReLU: nothing), metadata key/value block, and a u64
+/// FNV-1a checksum footer over every preceding byte — the same
+/// conventions as nn::serialize.  A checksum mismatch rejects the file
+/// (counted under `quant.qat_checksum_failures`), and so do a
+/// footerless version-1 file and a byte left after the metadata.
 
 #include <map>
 #include <optional>

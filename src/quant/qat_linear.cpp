@@ -1,6 +1,7 @@
 #include "quant/qat_linear.hpp"
 
 #include <sstream>
+#include <utility>
 
 #include "core/require.hpp"
 
@@ -8,15 +9,26 @@ namespace adapt::quant {
 
 QatLinear::QatLinear(std::size_t in_features, std::size_t out_features,
                      core::Rng& rng)
+    : QatLinear(in_features, out_features,
+                std::vector<float>(in_features * out_features),
+                std::vector<float>(out_features)) {
+  weight_.value.he_init(in_, rng);
+}
+
+QatLinear::QatLinear(std::size_t in_features, std::size_t out_features,
+                     std::vector<float> weight, std::vector<float> bias)
     : in_(in_features), out_(out_features) {
   ADAPT_REQUIRE(in_features > 0 && out_features > 0,
                 "qat linear dims must be positive");
+  ADAPT_REQUIRE(weight.size() == in_features * out_features,
+                "qat linear weight size must be in x out");
+  ADAPT_REQUIRE(bias.size() == out_features,
+                "qat linear bias size must be out");
   weight_.name = "weight";
-  weight_.value = nn::Tensor(out_, in_);
-  weight_.value.he_init(in_, rng);
+  weight_.value = nn::Tensor(out_, in_, std::move(weight));
   weight_.zero_grad();
   bias_.name = "bias";
-  bias_.value = nn::Tensor(1, out_);
+  bias_.value = nn::Tensor(1, out_, std::move(bias));
   bias_.zero_grad();
 }
 

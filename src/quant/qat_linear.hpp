@@ -17,8 +17,14 @@ namespace adapt::quant {
 
 class QatLinear : public nn::Layer {
  public:
+  /// He-initialized weights drawn from `rng`, zero bias.
   QatLinear(std::size_t in_features, std::size_t out_features,
             core::Rng& rng);
+  /// Takes `weight` (out x in, row-major) and `bias` (out) as they are,
+  /// with no draw: the QAT loader's constructor.  Both sizes are
+  /// checked against the dims.
+  QatLinear(std::size_t in_features, std::size_t out_features,
+            std::vector<float> weight, std::vector<float> bias);
 
   /// Initialize from pre-trained fused weights (the usual QAT flow:
   /// train FP32, fold BN, fine-tune quantized).

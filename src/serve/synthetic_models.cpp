@@ -87,7 +87,7 @@ pipeline::DEtaNet synthetic_deta_net(std::uint64_t seed) {
   nn::Sequential model = nn::build_mlp(nn::deta_net_spec(), rng);
   nn::Standardizer standardizer = fitted_standardizer(rng);
   return pipeline::DEtaNet(std::move(model), std::move(standardizer),
-                           /*uses_polar=*/true, /*calibration=*/1.0);
+                           /*uses_polar=*/true);
 }
 
 recon::ComptonRing synthetic_ring(core::Rng& rng) {

@@ -19,6 +19,7 @@
 #include <string_view>
 
 #include "nn/serialize.hpp"
+#include "resign.hpp"
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
@@ -26,5 +27,8 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   // The return value is intentionally ignored: accepting OR rejecting
   // is fine, surviving is the property.
   (void)adapt::nn::load_model_from_bytes(bytes);
+  // The same bytes behind a valid footer reach the layer parser.
+  if (const auto signed_bytes = adapt::fuzz::resigned(bytes))
+    (void)adapt::nn::load_model_from_bytes(*signed_bytes);
   return 0;
 }

@@ -16,10 +16,14 @@
 #include <string_view>
 
 #include "quant/qat_io.hpp"
+#include "resign.hpp"
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   const std::string_view bytes(reinterpret_cast<const char*>(data), size);
   (void)adapt::quant::load_qat_model_from_bytes(bytes);
+  // The same bytes behind a valid footer reach the layer parser.
+  if (const auto signed_bytes = adapt::fuzz::resigned(bytes))
+    (void)adapt::quant::load_qat_model_from_bytes(*signed_bytes);
   return 0;
 }

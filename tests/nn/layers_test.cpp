@@ -7,6 +7,7 @@
 #include <limits>
 #include <vector>
 
+#include "core/contract.hpp"
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/linear.hpp"
@@ -105,6 +106,46 @@ TEST(Linear, ForwardMatchesManual) {
   EXPECT_FLOAT_EQ(y(0, 0), 2.0f * 1 + 3.0f * 0 + 0.5f);
   EXPECT_FLOAT_EQ(y(0, 1), 2.0f * 0 + 3.0f * 1 - 0.5f);
   EXPECT_FLOAT_EQ(y(0, 2), 2.0f * 1 - 3.0f * 1 + 0.0f);
+}
+
+TEST(Linear, GivenWeightsAreTakenAsTheyAre) {
+  const std::vector<float> w = {1.0f, 0.0f, 0.0f, 1.0f, 1.0f, -1.0f};
+  const std::vector<float> b = {0.5f, -0.5f, -0.0f};
+  Linear lin(2, 3, w, b);
+  ASSERT_EQ(lin.weight().value.rows(), 3u);
+  ASSERT_EQ(lin.weight().value.cols(), 2u);
+  EXPECT_EQ(std::memcmp(lin.weight().value.data(), w.data(),
+                        w.size() * sizeof(float)),
+            0);
+  EXPECT_EQ(std::memcmp(lin.bias().value.data(), b.data(),
+                        b.size() * sizeof(float)),
+            0);
+  // Gradients are sized and zeroed, so the layer trains like a drawn one.
+  EXPECT_EQ(lin.weight().grad.size(), w.size());
+  EXPECT_EQ(lin.bias().grad.size(), b.size());
+  Tensor x(1, 2);
+  x(0, 0) = 2.0f;
+  x(0, 1) = 3.0f;
+  const Tensor y = lin.forward(x, false);
+  EXPECT_FLOAT_EQ(y(0, 0), 2.5f);
+  EXPECT_FLOAT_EQ(y(0, 1), 2.5f);
+  EXPECT_FLOAT_EQ(y(0, 2), -1.0f);
+}
+
+TEST(Linear, GivenWeightSizesAreChecked) {
+  // Weight must be in x out = 6 floats, bias out = 3.
+  EXPECT_THROW(Linear(2, 3, std::vector<float>(5), std::vector<float>(3)),
+               core::ContractViolation);
+  EXPECT_THROW(Linear(2, 3, std::vector<float>(7), std::vector<float>(3)),
+               core::ContractViolation);
+  EXPECT_THROW(Linear(2, 3, std::vector<float>(6), std::vector<float>(2)),
+               core::ContractViolation);
+  EXPECT_THROW(Linear(2, 3, std::vector<float>(6), std::vector<float>(4)),
+               core::ContractViolation);
+  EXPECT_THROW(Linear(0, 3, std::vector<float>(), std::vector<float>(3)),
+               core::ContractViolation);
+  EXPECT_NO_THROW(
+      Linear(2, 3, std::vector<float>(6), std::vector<float>(3)));
 }
 
 TEST(Linear, InputGradientMatchesFiniteDifference) {

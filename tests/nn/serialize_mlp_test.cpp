@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <unistd.h>
 #include <memory>
 
+#include "core/checksum.hpp"
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/linear.hpp"
@@ -78,6 +83,55 @@ TEST(MlpBuilder, RejectsEmptySpecs) {
   EXPECT_THROW(build_mlp(spec, rng), std::invalid_argument);
 }
 
+/// The bit patterns of `v`: equal patterns mean the same bytes, which
+/// float == would not show for -0.0 / +0.0 or NaN payloads.
+std::vector<std::uint32_t> bits(const std::vector<float>& v) {
+  std::vector<std::uint32_t> out(v.size());
+  std::memcpy(out.data(), v.data(), v.size() * sizeof(float));
+  return out;
+}
+
+/// Every Linear weight and bias and every BatchNorm parameter and
+/// running statistic of `loaded` is the same bytes as in `saved`.
+void expect_same_parameters(Sequential& saved, Sequential& loaded) {
+  ASSERT_EQ(saved.n_layers(), loaded.n_layers());
+  for (std::size_t i = 0; i < saved.n_layers(); ++i) {
+    ASSERT_EQ(saved.layer(i).type(), loaded.layer(i).type()) << "layer " << i;
+    if (auto* a = dynamic_cast<Linear*>(&saved.layer(i))) {
+      auto& b = dynamic_cast<Linear&>(loaded.layer(i));
+      EXPECT_EQ(b.in_features(), a->in_features()) << "layer " << i;
+      EXPECT_EQ(b.weight().value.rows(), a->out_features()) << "layer " << i;
+      EXPECT_EQ(b.weight().value.cols(), a->in_features()) << "layer " << i;
+      EXPECT_EQ(bits(b.weight().value.vec()), bits(a->weight().value.vec()))
+          << "layer " << i;
+      EXPECT_EQ(bits(b.bias().value.vec()), bits(a->bias().value.vec()))
+          << "layer " << i;
+    } else if (auto* a = dynamic_cast<BatchNorm1d*>(&saved.layer(i))) {
+      auto& b = dynamic_cast<BatchNorm1d&>(loaded.layer(i));
+      EXPECT_EQ(bits(b.gamma().value.vec()), bits(a->gamma().value.vec()))
+          << "layer " << i;
+      EXPECT_EQ(bits(b.beta().value.vec()), bits(a->beta().value.vec()))
+          << "layer " << i;
+      EXPECT_EQ(bits(b.running_mean()), bits(a->running_mean()))
+          << "layer " << i;
+      EXPECT_EQ(bits(b.running_var()), bits(a->running_var()))
+          << "layer " << i;
+    }
+  }
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
+}
+
+/// `body` followed by its u64 FNV-1a digest, as save_model signs a file.
+std::string signed_file(std::string body) {
+  const std::uint64_t digest = core::fnv1a64(body.data(), body.size());
+  body.append(reinterpret_cast<const char*>(&digest), sizeof(digest));
+  return body;
+}
+
 class SerializeTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
@@ -116,6 +170,11 @@ TEST_F(SerializeTest, RoundTripPreservesOutputs) {
   const Tensor s1 = loaded->standardizer.transform(x);
   for (std::size_t i = 0; i < s0.size(); ++i)
     EXPECT_FLOAT_EQ(s0.vec()[i], s1.vec()[i]);
+
+  // The loader builds each layer from the file's weights: every
+  // parameter and statistic comes back as the same bytes.
+  expect_same_parameters(model, loaded->model);
+  EXPECT_EQ(weight_checksum(loaded->model), weight_checksum(model));
 }
 
 TEST_F(SerializeTest, RoundTripWithoutStandardizer) {
@@ -162,6 +221,35 @@ TEST_F(SerializeTest, TruncatedFileRejected) {
     ASSERT_EQ(truncate(path_.c_str(), size / 2), 0);
   }
   EXPECT_FALSE(load_model(path_).has_value());
+}
+
+TEST_F(SerializeTest, FooterlessVersionDoesNotSkipTheChecksum) {
+  core::Rng rng(11);
+  Sequential model = build_mlp(deta_net_spec(13), rng);
+  ASSERT_TRUE(save_model(model, {}, {{"uses_polar", 1.0}}, path_));
+  std::string bytes = read_bytes(path_);
+  ASSERT_GT(bytes.size(), 200u);
+  ASSERT_TRUE(load_model_from_bytes(bytes).has_value());
+
+  bytes[200] = static_cast<char>(bytes[200] ^ 0x01);
+  EXPECT_FALSE(load_model_from_bytes(bytes).has_value());
+  // Claiming the footerless version 1 must not turn the footer into
+  // ignored trailing bytes and let the flipped bit through.
+  const std::uint32_t v1 = 1;
+  std::memcpy(bytes.data() + 4, &v1, sizeof(v1));
+  EXPECT_FALSE(load_model_from_bytes(bytes).has_value());
+}
+
+TEST_F(SerializeTest, ResignedTrailingByteRejected) {
+  core::Rng rng(12);
+  Sequential model = build_mlp(deta_net_spec(13), rng);
+  ASSERT_TRUE(save_model(model, {}, {{"uses_polar", 1.0}}, path_));
+  const std::string bytes = read_bytes(path_);
+  const std::string body = bytes.substr(0, bytes.size() - sizeof(std::uint64_t));
+  // Re-signing the untouched body reproduces the file, so the helper
+  // signs exactly as save_model does.
+  ASSERT_EQ(signed_file(body), bytes);
+  EXPECT_FALSE(load_model_from_bytes(signed_file(body + '\0')).has_value());
 }
 
 TEST_F(SerializeTest, SigmoidLayerRoundTrips) {

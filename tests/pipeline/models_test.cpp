@@ -8,6 +8,8 @@
 #include <vector>
 
 #include "nn/linear.hpp"
+#include "nn/mlp.hpp"
+#include "nn/serialize.hpp"
 #include "temp_path.hpp"
 
 namespace adapt::pipeline {
@@ -158,6 +160,31 @@ TEST(DEtaNetWrapper, SaveLoadRoundTrip) {
       some_ring(detector::Origin::kGrb)};
   EXPECT_NEAR(loaded->predict(rings, 0.0)[0], 0.1, 1e-6);
   std::remove(path.c_str());
+}
+
+TEST(DEtaNetWrapper, LoadIgnoresAFileCalibrationFactor) {
+  // ModelProvider stores its fitted coverage factor under
+  // `calibration` in deta.adnn but deploys the raw net; DEtaNet::load
+  // must give that same raw net, not one with scaled widths.
+  const std::string path = test::temp_path("adaptml_deta_calib", ".adnn");
+  core::Rng rng(4);
+  DEtaNet net(nn::build_mlp(nn::deta_net_spec(13), rng), {}, true);
+  const std::vector<recon::ComptonRing> rings{
+      some_ring(detector::Origin::kGrb),
+      some_ring(detector::Origin::kBackground)};
+  // Wide bounds: the untrained net's widths would sit on the default
+  // cap, where a scaled and an unscaled width clamp to the same value.
+  constexpr double kFloor = 1e-9;
+  constexpr double kCap = 1e9;
+  const std::vector<double> saved = net.predict(rings, 25.0, kFloor, kCap);
+  for (const double d : saved) ASSERT_LT(d * 1.8, kCap);
+  ASSERT_TRUE(nn::save_model(*net.model(), net.standardizer(),
+                             {{"uses_polar", 1.0}, {"calibration", 1.8}},
+                             path));
+  auto loaded = DEtaNet::load(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->predict(rings, 25.0, kFloor, kCap), saved);
 }
 
 }  // namespace

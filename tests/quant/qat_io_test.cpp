@@ -10,16 +10,30 @@
 /// checksum-valid file escaped the "reject, never throw" loader
 /// contract as a ContractViolation.  The loader now validates the
 /// range itself and rejects.
+///
+/// The round trip holds a loaded stack to the saved one byte for byte:
+/// the loader builds each QatLinear from the file's weights, with no
+/// initialization draw in between.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <limits>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "core/checksum.hpp"
+#include "nn/activations.hpp"
+#include "quant/fake_quant.hpp"
 #include "quant/qat_io.hpp"
+#include "quant/qat_linear.hpp"
+#include "quant/quantized_mlp.hpp"
+#include "temp_path.hpp"
 
 namespace adapt::quant {
 namespace {
@@ -30,6 +44,14 @@ void append_u32(std::string& s, std::uint32_t v) {
 
 void append_f32(std::string& s, float v) {
   s.append(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+/// `body` followed by its u64 FNV-1a digest, as save_qat_model signs
+/// a file.
+std::string signed_file(std::string body) {
+  const std::uint64_t digest = core::fnv1a64(body.data(), body.size());
+  body.append(reinterpret_cast<const char*>(&digest), sizeof(digest));
+  return body;
 }
 
 /// A complete version-2 file holding exactly one FakeQuant layer with
@@ -48,9 +70,94 @@ std::string fake_quant_file(float lo, float hi) {
   append_f32(body, lo);
   append_f32(body, hi);
   append_u32(body, 0);  // n_metadata
-  const std::uint64_t digest = core::fnv1a64(body.data(), body.size());
-  body.append(reinterpret_cast<const char*>(&digest), sizeof(digest));
-  return body;
+  return signed_file(body);
+}
+
+std::vector<std::uint32_t> bits(const std::vector<float>& v) {
+  std::vector<std::uint32_t> out(v.size());
+  std::memcpy(out.data(), v.data(), v.size() * sizeof(float));
+  return out;
+}
+
+/// A calibrated two-layer QAT stack (13 -> 24 -> 1) laid out as
+/// build_qat_model lays it out, and its bytes as save_qat_model wrote
+/// them.
+struct SavedStack {
+  nn::Sequential model;
+  std::string bytes;
+};
+
+SavedStack saved_stack() {
+  SavedStack out;
+  core::Rng rng(21);
+  const auto fake_quant = [](float lo, float hi) {
+    auto fq = std::make_unique<FakeQuant>();
+    fq->set_range(lo, hi);
+    return fq;
+  };
+  out.model.add(fake_quant(-2.0f, 3.0f));
+  out.model.add(std::make_unique<QatLinear>(13, 24, rng));
+  out.model.add(std::make_unique<nn::ReLU>());
+  out.model.add(fake_quant(0.0f, 4.5f));
+  out.model.add(std::make_unique<QatLinear>(24, 1, rng));
+  const std::string path = test::temp_path("adaptml_qat_bytes_test", ".adqt");
+  EXPECT_TRUE(save_qat_model(out.model, {}, {{"config_sig", 7.0}}, path));
+  std::ifstream is(path, std::ios::binary);
+  out.bytes.assign(std::istreambuf_iterator<char>(is),
+                   std::istreambuf_iterator<char>());
+  std::remove(path.c_str());
+  return out;
+}
+
+TEST(QatIoBytesTest, RoundTripKeepsEveryParameterBitForBit) {
+  SavedStack saved = saved_stack();
+  nn::Sequential& model = saved.model;
+  auto loaded = load_qat_model_from_bytes(saved.bytes);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->metadata.at("config_sig"), 7.0);
+  ASSERT_EQ(loaded->model.n_layers(), model.n_layers());
+  for (std::size_t i = 0; i < model.n_layers(); ++i) {
+    ASSERT_EQ(loaded->model.layer(i).type(), model.layer(i).type());
+    if (auto* a = dynamic_cast<QatLinear*>(&model.layer(i))) {
+      const auto& b = dynamic_cast<const QatLinear&>(loaded->model.layer(i));
+      EXPECT_EQ(b.weight().value.rows(), a->out_features()) << "layer " << i;
+      EXPECT_EQ(b.weight().value.cols(), a->in_features()) << "layer " << i;
+      EXPECT_EQ(bits(b.weight().value.vec()), bits(a->weight().value.vec()))
+          << "layer " << i;
+      EXPECT_EQ(bits(b.bias().value.vec()), bits(a->bias().value.vec()))
+          << "layer " << i;
+    } else if (auto* a = dynamic_cast<FakeQuant*>(&model.layer(i))) {
+      const auto& b = dynamic_cast<const FakeQuant&>(loaded->model.layer(i));
+      EXPECT_EQ(b.qparams().min_value(), a->qparams().min_value());
+      EXPECT_EQ(b.qparams().max_value(), a->qparams().max_value());
+    }
+  }
+  EXPECT_EQ(export_quantized(loaded->model).weight_checksum(),
+            export_quantized(model).weight_checksum());
+}
+
+TEST(QatIoBytesTest, FooterlessVersionDoesNotSkipTheChecksum) {
+  std::string bytes = saved_stack().bytes;
+  ASSERT_TRUE(load_qat_model_from_bytes(bytes).has_value());
+  ASSERT_GT(bytes.size(), 200u);
+  bytes[200] = static_cast<char>(bytes[200] ^ 0x01);
+  EXPECT_FALSE(load_qat_model_from_bytes(bytes).has_value());
+  // Claiming the footerless version 1 must not turn the footer into
+  // ignored trailing bytes and let the flipped bit through.
+  const std::uint32_t v1 = 1;
+  std::memcpy(bytes.data() + 4, &v1, sizeof(v1));
+  EXPECT_FALSE(load_qat_model_from_bytes(bytes).has_value());
+}
+
+TEST(QatIoBytesTest, ResignedTrailingByteRejected) {
+  const std::string bytes = saved_stack().bytes;
+  const std::string body =
+      bytes.substr(0, bytes.size() - sizeof(std::uint64_t));
+  // Re-signing the untouched body reproduces the file, so the helper
+  // signs exactly as save_qat_model does.
+  ASSERT_EQ(signed_file(body), bytes);
+  EXPECT_FALSE(
+      load_qat_model_from_bytes(signed_file(body + '\0')).has_value());
 }
 
 TEST(QatIoBytesTest, WellFormedFakeQuantLoads) {

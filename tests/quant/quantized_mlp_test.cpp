@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
+#include "core/contract.hpp"
 #include "core/stats.hpp"
 #include "nn/mlp.hpp"
 #include "quant/fake_quant.hpp"
@@ -92,6 +94,38 @@ TEST(QatLinearLayer, ForwardUsesQuantizedWeights) {
   EXPECT_NEAR(y(0, 0), expected, 1e-6);
   // And differs (slightly) from the latent FP32 result.
   EXPECT_NE(y(0, 0), 1.701f);
+}
+
+TEST(QatLinearLayer, GivenWeightsAreTakenAsTheyAre) {
+  const std::vector<float> w = {1.0f, 0.701f, -0.25f, -0.0f};
+  const std::vector<float> b = {0.5f, -1.5f};
+  QatLinear lin(2, 2, w, b);
+  ASSERT_EQ(lin.weight().value.rows(), 2u);
+  ASSERT_EQ(lin.weight().value.cols(), 2u);
+  EXPECT_EQ(std::memcmp(lin.weight().value.data(), w.data(),
+                        w.size() * sizeof(float)),
+            0);
+  EXPECT_EQ(std::memcmp(lin.bias().value.data(), b.data(),
+                        b.size() * sizeof(float)),
+            0);
+  EXPECT_EQ(lin.weight().grad.size(), w.size());
+  EXPECT_EQ(lin.bias().grad.size(), b.size());
+}
+
+TEST(QatLinearLayer, GivenWeightSizesAreChecked) {
+  // Weight must be in x out = 6 floats, bias out = 3.
+  EXPECT_THROW(QatLinear(2, 3, std::vector<float>(5), std::vector<float>(3)),
+               core::ContractViolation);
+  EXPECT_THROW(QatLinear(2, 3, std::vector<float>(7), std::vector<float>(3)),
+               core::ContractViolation);
+  EXPECT_THROW(QatLinear(2, 3, std::vector<float>(6), std::vector<float>(2)),
+               core::ContractViolation);
+  EXPECT_THROW(QatLinear(2, 3, std::vector<float>(6), std::vector<float>(4)),
+               core::ContractViolation);
+  EXPECT_THROW(QatLinear(0, 3, std::vector<float>(), std::vector<float>(3)),
+               core::ContractViolation);
+  EXPECT_NO_THROW(
+      QatLinear(2, 3, std::vector<float>(6), std::vector<float>(3)));
 }
 
 TEST(QuantizedEngine, MatchesQatModelClosely) {
