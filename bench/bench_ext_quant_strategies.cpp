@@ -15,14 +15,15 @@
 /// erodes as bits shrink while FPGA resources keep improving —
 /// mapping the trade-off space the paper proposes to explore.
 
+#include <filesystem>
 #include <iostream>
 
 #include "bench_common.hpp"
 #include "fpga/hls_model.hpp"
 #include "nn/mlp.hpp"
-#include "quant/qat_io.hpp"
 #include "quant/qat_linear.hpp"
 #include "quant/quantized_mlp.hpp"
+#include "quant/serialize.hpp"
 
 using namespace adapt;
 
@@ -32,13 +33,16 @@ int main() {
                       "paper Sec. VI future work (not evaluated there)", cc);
 
   eval::TrialSetup setup = bench::default_setup();
-  eval::ModelProvider provider(setup, bench::provider_config());
+  const eval::ModelProviderConfig provider_config = bench::provider_config();
+  eval::ModelProvider provider(setup, provider_config);
 
   // Rebuild the QAT stack from the cached calibrated model at each
   // strategy (weights and activation ranges are shared; only the
   // weight quantizer changes).
-  const auto qat_path = std::string("adaptml_models/background_qat.adqt");
-  auto saved = quant::load_qat_model(qat_path);
+  const std::string qat_path =
+      (std::filesystem::path(provider_config.cache_dir) / "background_qat.adnn")
+          .string();
+  auto saved = quant::load_model(qat_path);
   if (!saved) {
     std::printf("missing %s — run examples/train_models first\n",
                 qat_path.c_str());
@@ -73,7 +77,7 @@ int main() {
   cc.trials = std::max<std::size_t>(cc.trials / 2, 10);  // Keep runtime sane.
   for (const Strategy& s : strategies) {
     // Re-apply the strategy to the calibrated QAT stack.
-    auto reloaded = quant::load_qat_model(qat_path);
+    auto reloaded = quant::load_model(qat_path);
     for (std::size_t i = 0; i < reloaded->model.n_layers(); ++i) {
       if (auto* lin = dynamic_cast<quant::QatLinear*>(
               &reloaded->model.layer(i))) {

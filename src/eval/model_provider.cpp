@@ -14,11 +14,10 @@
 #include "core/stats.hpp"
 #include "nn/activations.hpp"
 #include "nn/mlp.hpp"
-#include "nn/serialize.hpp"
 #include "nn/trainer.hpp"
 #include "quant/fuse.hpp"
-#include "quant/qat_io.hpp"
 #include "quant/qat_linear.hpp"
+#include "quant/serialize.hpp"
 
 namespace adapt::eval {
 
@@ -190,10 +189,10 @@ ModelProvider::ModelProvider(const TrialSetup& setup,
   // model set stays internally consistent.
   bool loaded = true;
   do {
-    auto bkg = nn::load_model(path("background.adnn"));
-    auto bkg_np = nn::load_model(path("background_nopolar.adnn"));
-    auto deta = nn::load_model(path("deta.adnn"));
-    auto qat = quant::load_qat_model(path("background_qat.adqt"));
+    auto bkg = quant::load_model(path("background.adnn"));
+    auto bkg_np = quant::load_model(path("background_nopolar.adnn"));
+    auto deta = quant::load_model(path("deta.adnn"));
+    auto qat = quant::load_model(path("background_qat.adnn"));
     if (!bkg || !bkg_np || !deta || !qat || !sig_ok(bkg->metadata) ||
         !sig_ok(bkg_np->metadata) || !sig_ok(deta->metadata) ||
         !sig_ok(qat->metadata)) {
@@ -227,23 +226,24 @@ ModelProvider::ModelProvider(const TrialSetup& setup,
     auto meta = background_->thresholds().to_metadata();
     meta.insert(extra.begin(), extra.end());
     meta["uses_polar"] = 1.0;
-    nn::save_model(*background_->fp32_model(), background_->standardizer(),
-                   meta, path("background.adnn"));
+    quant::save_model(*background_->fp32_model(),
+                      background_->standardizer(), meta,
+                      path("background.adnn"));
   }
   {
     auto meta = background_no_polar_->thresholds().to_metadata();
     meta.insert(extra.begin(), extra.end());
     meta["uses_polar"] = 0.0;
-    nn::save_model(*background_no_polar_->fp32_model(),
-                   background_no_polar_->standardizer(), meta,
-                   path("background_nopolar.adnn"));
+    quant::save_model(*background_no_polar_->fp32_model(),
+                      background_no_polar_->standardizer(), meta,
+                      path("background_nopolar.adnn"));
   }
   {
     std::map<std::string, double> meta = extra;
     meta["uses_polar"] = 1.0;
     meta["calibration"] = deta_calibration_;
-    nn::save_model(*deta_->model(), deta_->standardizer(), meta,
-                   path("deta.adnn"));
+    quant::save_model(*deta_->model(), deta_->standardizer(), meta,
+                      path("deta.adnn"));
   }
   // The QAT model was already saved by train_all (it owns the stack).
 }
@@ -476,9 +476,9 @@ void ModelProvider::train_all(const TrialSetup& setup) {
     auto meta = thresholds.to_metadata();
     meta["config_sig"] = config_signature(config_, setup);
     meta["uses_polar"] = 1.0;
-    quant::save_qat_model(
+    quant::save_model(
         qat, std_, meta,
-        (fs::path(config_.cache_dir) / "background_qat.adqt").string());
+        (fs::path(config_.cache_dir) / "background_qat.adnn").string());
   }
 }
 

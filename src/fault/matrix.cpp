@@ -16,7 +16,7 @@
 #include "core/contract.hpp"
 #include "core/rng.hpp"
 #include "loc/incremental.hpp"
-#include "nn/serialize.hpp"
+#include "quant/serialize.hpp"
 #include "serve/stream_router.hpp"
 #include "serve/synthetic_models.hpp"
 
@@ -395,7 +395,7 @@ void run_model_bytes_row(CellRun& run, const std::vector<Submission>& order,
       run.note("cannot write garbled model");
       continue;
     }
-    if (nn::load_model(bad.string()).has_value())
+    if (quant::load_model(bad.string()).has_value())
       run.note("garbled model bytes were accepted by the loader");
     else
       run.injector.count_detected(FaultClass::kModelBytes);

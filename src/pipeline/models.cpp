@@ -5,7 +5,7 @@
 
 #include "core/checksum.hpp"
 #include "core/contract.hpp"
-#include "nn/serialize.hpp"
+#include "quant/serialize.hpp"
 
 namespace adapt::pipeline {
 
@@ -63,11 +63,11 @@ bool BackgroundNet::save(const std::string& path) {
                 "only the FP32 background net serializes directly");
   auto meta = thresholds_.to_metadata();
   meta["uses_polar"] = uses_polar_ ? 1.0 : 0.0;
-  return nn::save_model(*fp32_, standardizer_, meta, path);
+  return quant::save_model(*fp32_, standardizer_, meta, path);
 }
 
 std::optional<BackgroundNet> BackgroundNet::load(const std::string& path) {
-  auto saved = nn::load_model(path);
+  auto saved = quant::load_model(path);
   if (!saved) return std::nullopt;
   const bool uses_polar =
       saved->metadata.count("uses_polar") == 0 ||
@@ -93,7 +93,7 @@ void fold_standardizer(core::Fnv1a64& h, const nn::Standardizer& s) {
 std::uint64_t BackgroundNet::weight_checksum() {
   core::Fnv1a64 h;
   const std::uint64_t model_digest =
-      int8_ ? int8_->weight_checksum() : nn::weight_checksum(*fp32_);
+      int8_ ? int8_->weight_checksum() : quant::weight_checksum(*fp32_);
   h.update(&model_digest, sizeof(model_digest));
   fold_standardizer(h, standardizer_);
   return h.digest();
@@ -101,7 +101,7 @@ std::uint64_t BackgroundNet::weight_checksum() {
 
 std::uint64_t DEtaNet::weight_checksum() {
   core::Fnv1a64 h;
-  const std::uint64_t model_digest = nn::weight_checksum(model_);
+  const std::uint64_t model_digest = quant::weight_checksum(model_);
   h.update(&model_digest, sizeof(model_digest));
   fold_standardizer(h, standardizer_);
   return h.digest();
@@ -143,11 +143,11 @@ std::vector<double> DEtaNet::predict_for_features(nn::Tensor raw_features,
 bool DEtaNet::save(const std::string& path) {
   std::map<std::string, double> meta;
   meta["uses_polar"] = uses_polar_ ? 1.0 : 0.0;
-  return nn::save_model(model_, standardizer_, meta, path);
+  return quant::save_model(model_, standardizer_, meta, path);
 }
 
 std::optional<DEtaNet> DEtaNet::load(const std::string& path) {
-  auto saved = nn::load_model(path);
+  auto saved = quant::load_model(path);
   if (!saved) return std::nullopt;
   const bool uses_polar =
       saved->metadata.count("uses_polar") == 0 ||

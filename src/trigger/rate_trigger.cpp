@@ -19,14 +19,16 @@ RateTrigger::RateTrigger(const TriggerConfig& config) : config_(config) {
   ADAPT_REQUIRE(config.threshold_sigma > 0.0, "threshold must be positive");
 }
 
-TriggerResult RateTrigger::scan(std::vector<double> event_times,
-                                double exposure_s) const {
-  ADAPT_REQUIRE(exposure_s > 0.0, "exposure must be positive");
-  // Readout streams arrive out of order (buffering, multiple front-end
-  // links), so the scan sorts rather than requiring monotone input.
-  // Non-finite timestamps must go first: a NaN breaks std::sort's
-  // strict-weak-ordering contract (undefined behavior) and poisons the
-  // lower_bound window counts below even when sort survives.
+namespace {
+
+/// Drops the non-finite entries of `event_times` (counted under
+/// `trigger.times_rejected.non_finite`) and sorts the rest.  Readout
+/// streams arrive out of order (buffering, multiple front-end links),
+/// so the scans sort rather than requiring monotone input.  Non-finite
+/// timestamps must go first: a NaN breaks std::sort's
+/// strict-weak-ordering contract (undefined behavior) and poisons the
+/// lower_bound window counts even when sort survives.
+void sort_finite(std::vector<double>& event_times) {
   static core::telemetry::Counter& rejected_times =
       core::telemetry::counter("trigger.times_rejected.non_finite");
   const auto finite_end =
@@ -36,12 +38,21 @@ TriggerResult RateTrigger::scan(std::vector<double> event_times,
       std::distance(finite_end, event_times.end())));
   event_times.erase(finite_end, event_times.end());
   std::sort(event_times.begin(), event_times.end());
+}
 
-  TriggerResult best;
-  for (const double window : config_.window_sizes_s) {
+/// The one window sweep behind scan() and scan_all(): slides every
+/// timescale of `config` across [0, exposure_s] and hands `visit` each
+/// window with its count, background expectation and significance.
+template <class Visit>
+void sweep_windows(const TriggerConfig& config,
+                   std::vector<double> event_times, double exposure_s,
+                   Visit&& visit) {
+  ADAPT_REQUIRE(exposure_s > 0.0, "exposure must be positive");
+  sort_finite(event_times);
+  for (const double window : config.window_sizes_s) {
     if (window > exposure_s) continue;
-    const double mu = config_.background_rate_hz * window;
-    const double stride = window * config_.stride_fraction;
+    const double mu = config.background_rate_hz * window;
+    const double stride = window * config.stride_fraction;
     for (double t0 = 0.0; t0 + window <= exposure_s + 1e-12; t0 += stride) {
       const double t1 = t0 + window;
       // Count events in [t0, t1) via binary search on the sorted times.
@@ -49,16 +60,29 @@ TriggerResult RateTrigger::scan(std::vector<double> event_times,
                                        event_times.end(), t0);
       const auto hi = std::lower_bound(lo, event_times.end(), t1);
       const auto counts = static_cast<std::size_t>(std::distance(lo, hi));
-      const double sigma = core::poisson_significance_sigma(counts, mu);
-      if (sigma > best.significance_sigma) {
-        best.significance_sigma = sigma;
-        best.t_start = t0;
-        best.t_end = t1;
-        best.counts = counts;
-        best.expected = mu;
-      }
+      visit(TriggerInterval{t0, t1,
+                            core::poisson_significance_sigma(counts, mu),
+                            counts, mu});
     }
   }
+}
+
+}  // namespace
+
+TriggerResult RateTrigger::scan(std::vector<double> event_times,
+                                double exposure_s) const {
+  // Keep the single most significant window (the first on a tie).
+  TriggerResult best;
+  sweep_windows(config_, std::move(event_times), exposure_s,
+                [&best](const TriggerInterval& w) {
+                  if (w.significance_sigma > best.significance_sigma) {
+                    best.significance_sigma = w.significance_sigma;
+                    best.t_start = w.t_start;
+                    best.t_end = w.t_end;
+                    best.counts = w.counts;
+                    best.expected = w.expected;
+                  }
+                });
   best.triggered = best.significance_sigma >= config_.threshold_sigma;
   return best;
 }
@@ -74,31 +98,14 @@ TriggerResult RateTrigger::scan(
 
 std::vector<TriggerInterval> RateTrigger::scan_all(
     std::vector<double> event_times, double exposure_s) const {
-  ADAPT_REQUIRE(exposure_s > 0.0, "exposure must be positive");
-  const auto finite_end =
-      std::remove_if(event_times.begin(), event_times.end(),
-                     [](double t) { return !std::isfinite(t); });
-  event_times.erase(finite_end, event_times.end());
-  std::sort(event_times.begin(), event_times.end());
-
-  // Same sliding scan as scan(), but collect EVERY window clearing the
-  // threshold instead of keeping one champion.
+  // Collect EVERY window clearing the threshold instead of keeping one
+  // champion.
   std::vector<TriggerInterval> hits;
-  for (const double window : config_.window_sizes_s) {
-    if (window > exposure_s) continue;
-    const double mu = config_.background_rate_hz * window;
-    const double stride = window * config_.stride_fraction;
-    for (double t0 = 0.0; t0 + window <= exposure_s + 1e-12; t0 += stride) {
-      const double t1 = t0 + window;
-      const auto lo = std::lower_bound(event_times.begin(),
-                                       event_times.end(), t0);
-      const auto hi = std::lower_bound(lo, event_times.end(), t1);
-      const auto counts = static_cast<std::size_t>(std::distance(lo, hi));
-      const double sigma = core::poisson_significance_sigma(counts, mu);
-      if (sigma >= config_.threshold_sigma)
-        hits.push_back(TriggerInterval{t0, t1, sigma, counts, mu});
-    }
-  }
+  sweep_windows(config_, std::move(event_times), exposure_s,
+                [&](const TriggerInterval& w) {
+                  if (w.significance_sigma >= config_.threshold_sigma)
+                    hits.push_back(w);
+                });
   if (hits.empty()) return hits;
 
   // Merge overlapping windows across timescales into disjoint episodes,

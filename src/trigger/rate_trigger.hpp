@@ -63,6 +63,8 @@ class RateTrigger {
   explicit RateTrigger(const TriggerConfig& config = {});
 
   /// Scan sorted-or-unsorted event times over [0, exposure_s].
+  /// Non-finite timestamps are dropped and counted under
+  /// `trigger.times_rejected.non_finite`.
   TriggerResult scan(std::vector<double> event_times,
                      double exposure_s) const;
 
@@ -73,7 +75,7 @@ class RateTrigger {
   /// Every over-threshold episode in the exposure, not just the best
   /// one: all windows (all timescales) whose significance clears the
   /// threshold, merged when they overlap, ordered by start time.
-  /// Non-finite timestamps are dropped exactly as in scan().
+  /// Non-finite timestamps are dropped and counted exactly as in scan().
   std::vector<TriggerInterval> scan_all(std::vector<double> event_times,
                                         double exposure_s) const;
 

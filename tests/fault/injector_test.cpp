@@ -11,10 +11,9 @@
 
 #include "core/rng.hpp"
 #include "nn/mlp.hpp"
-#include "nn/serialize.hpp"
 #include "quant/fuse.hpp"
-#include "quant/qat_io.hpp"
 #include "quant/quantized_mlp.hpp"
+#include "quant/serialize.hpp"
 #include "serve/stream_router.hpp"
 #include "serve/synthetic_models.hpp"
 #include "temp_path.hpp"
@@ -68,7 +67,7 @@ std::string read_file(const std::string& path) {
 
 /// A calibrated QAT stack at the background-net architecture, built the
 /// way the export pipeline builds one (build_mlp -> fuse_bn ->
-/// build_qat_model -> calibration forwards), so the ADQT file under
+/// build_qat_model -> calibration forwards), so the QAT file under
 /// test is structurally real.
 nn::Sequential calibrated_qat_model(std::uint64_t seed) {
   const auto batch = [](std::uint64_t s) {
@@ -89,23 +88,22 @@ nn::Sequential calibrated_qat_model(std::uint64_t seed) {
 }
 
 TEST(Injector, GarbledModelBytesAlwaysRejectedByLoader) {
-  // Both checksummed model formats: the FP32 ADNN stack (nn::serialize)
-  // and a calibrated ADQT QAT stack (quant::qat_io).
-  const std::string adnn_path =
+  // Both layer families through the one loader: the FP32 stack of a
+  // dEta net and a calibrated QAT stack.
+  const std::string fp32_path =
       test::temp_path("adaptml_injector_garble_test", ".adnn");
-  const std::string adqt_path =
-      test::temp_path("adaptml_injector_garble_test", ".adqt");
+  const std::string qat_path =
+      test::temp_path("adaptml_injector_garble_test_qat", ".adnn");
   pipeline::DEtaNet net = serve::synthetic_deta_net(5);
-  ASSERT_TRUE(net.save(adnn_path));
-  ASSERT_TRUE(nn::load_model(adnn_path).has_value());
+  ASSERT_TRUE(net.save(fp32_path));
+  ASSERT_TRUE(quant::load_model(fp32_path).has_value());
   nn::Sequential qat = calibrated_qat_model(6);
-  ASSERT_TRUE(quant::save_qat_model(qat, nn::Standardizer{},
-                                    {{"fixture", 1.0}}, adqt_path));
-  ASSERT_TRUE(quant::load_qat_model(adqt_path).has_value());
+  ASSERT_TRUE(quant::save_model(qat, nn::Standardizer{}, {{"fixture", 1.0}},
+                                qat_path));
+  ASSERT_TRUE(quant::load_model(qat_path).has_value());
 
   Injector inj(17);
-  for (const bool adqt : {false, true}) {
-    const std::string& path = adqt ? adqt_path : adnn_path;
+  for (const std::string& path : {fp32_path, qat_path}) {
     const std::string pristine = read_file(path);
     ASSERT_FALSE(pristine.empty()) << path;
     for (int i = 0; i < 8; ++i) {
@@ -114,16 +112,15 @@ TEST(Injector, GarbledModelBytesAlwaysRejectedByLoader) {
       std::ofstream out(path, std::ios::binary | std::ios::trunc);
       out.write(garbled.data(), static_cast<std::streamsize>(garbled.size()));
       out.close();
-      const bool loaded = adqt ? quant::load_qat_model(path).has_value()
-                               : nn::load_model(path).has_value();
-      EXPECT_FALSE(loaded) << path << " i=" << i;
+      EXPECT_FALSE(quant::load_model(path).has_value())
+          << path << " i=" << i;
     }
   }
   EXPECT_EQ(inj.ledger().injected[static_cast<std::size_t>(
                 FaultClass::kModelBytes)],
             16u);
-  std::remove(adnn_path.c_str());
-  std::remove(adqt_path.c_str());
+  std::remove(fp32_path.c_str());
+  std::remove(qat_path.c_str());
 }
 
 TEST(Injector, Int8BitFlipChangesChecksumAndFlipBackRestoresIt) {

@@ -7,10 +7,14 @@
 ///
 ///   make_fuzz_corpus OUT_DIR
 ///
-/// writes OUT_DIR/{nn_model,qat_model,rings}/seed_*.bin.  Output is
-/// deterministic (fixed Rng seeds), so regeneration is diff-clean
-/// unless a format actually changed — which is exactly when the corpus
-/// SHOULD change, alongside the format version bump.
+/// writes OUT_DIR/{nn_model,rings}/seed_*.bin.  The model seeds cover
+/// both layer families of the one model format: seed_full / seed_minimal
+/// hold FP32 stacks, seed_qat_full / seed_qat_minimal calibrated QAT
+/// stacks.  Output is deterministic (fixed Rng seeds), so regeneration
+/// is diff-clean unless a format actually changed — which is exactly
+/// when the corpus SHOULD change, alongside the format version bump.
+/// The fuzz-smoke stage of tools/check_static_analysis.sh regenerates
+/// the corpus and fails on any diff against the checked-in one.
 
 #include <cstdio>
 #include <filesystem>
@@ -26,10 +30,9 @@
 #include "nn/data.hpp"
 #include "nn/linear.hpp"
 #include "nn/sequential.hpp"
-#include "nn/serialize.hpp"
 #include "quant/fake_quant.hpp"
-#include "quant/qat_io.hpp"
 #include "quant/qat_linear.hpp"
+#include "quant/serialize.hpp"
 
 namespace {
 
@@ -51,8 +54,8 @@ bool write_nn_seeds(const fs::path& dir) {
     standardizer.set({0.1f, 0.2f, 0.3f, 0.4f}, {1.0f, 2.0f, 3.0f, 4.0f});
     const std::map<std::string, double> metadata = {
         {"threshold.bin0", 0.5}, {"epochs", 12.0}};
-    if (!nn::save_model(model, standardizer, metadata,
-                        (dir / "seed_full.bin").string()))
+    if (!quant::save_model(model, standardizer, metadata,
+                           (dir / "seed_full.bin").string()))
       return false;
   }
 
@@ -60,8 +63,8 @@ bool write_nn_seeds(const fs::path& dir) {
   {
     nn::Sequential model;
     model.add(std::make_unique<nn::Linear>(2, 2, rng));
-    if (!nn::save_model(model, nn::Standardizer{}, {},
-                        (dir / "seed_minimal.bin").string()))
+    if (!quant::save_model(model, nn::Standardizer{}, {},
+                           (dir / "seed_minimal.bin").string()))
       return false;
   }
   return true;
@@ -84,8 +87,8 @@ bool write_qat_seeds(const fs::path& dir) {
     nn::Standardizer standardizer;
     standardizer.set({1.0f, 2.0f, 3.0f}, {0.5f, 0.25f, 0.125f});
     const std::map<std::string, double> metadata = {{"calib.batches", 32.0}};
-    if (!quant::save_qat_model(model, standardizer, metadata,
-                               (dir / "seed_full.bin").string()))
+    if (!quant::save_model(model, standardizer, metadata,
+                           (dir / "seed_qat_full.bin").string()))
       return false;
   }
 
@@ -93,8 +96,8 @@ bool write_qat_seeds(const fs::path& dir) {
   {
     nn::Sequential model;
     model.add(std::make_unique<quant::QatLinear>(2, 1, rng));
-    if (!quant::save_qat_model(model, nn::Standardizer{}, {},
-                               (dir / "seed_minimal.bin").string()))
+    if (!quant::save_model(model, nn::Standardizer{}, {},
+                           (dir / "seed_qat_minimal.bin").string()))
       return false;
   }
   return true;
@@ -139,14 +142,12 @@ int main(int argc, char** argv) {
   }
   const fs::path out_dir = argv[1];
   const fs::path nn_dir = out_dir / "nn_model";
-  const fs::path qat_dir = out_dir / "qat_model";
   const fs::path ring_dir = out_dir / "rings";
   std::error_code ec;
   fs::create_directories(nn_dir, ec);
-  fs::create_directories(qat_dir, ec);
   fs::create_directories(ring_dir, ec);
 
-  if (!write_nn_seeds(nn_dir) || !write_qat_seeds(qat_dir) ||
+  if (!write_nn_seeds(nn_dir) || !write_qat_seeds(nn_dir) ||
       !write_ring_seeds(ring_dir)) {
     std::fprintf(stderr, "make_fuzz_corpus: a seed failed to serialize\n");
     return 1;

@@ -1,10 +1,10 @@
 #pragma once
 
 /// \file resign.hpp
-/// Both model formats end in a u64 FNV-1a footer over every byte
-/// before it, so almost every mutated input stops at the checksum and
-/// never reaches the structural parser.  The model harnesses also feed
-/// the parser a copy whose last 8 bytes are re-signed over the rest.
+/// A model file ends in a u64 FNV-1a footer over every byte before it,
+/// so almost every mutated input stops at the checksum and never
+/// reaches the structural parser.  The model harness also feeds the
+/// parser a copy whose last 8 bytes are re-signed over the rest.
 
 #include <cstdint>
 #include <cstring>

@@ -7,17 +7,25 @@
 #include <iterator>
 #include <unistd.h>
 #include <memory>
+#include <optional>
 
 #include "core/checksum.hpp"
+#include "core/telemetry.hpp"
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/linear.hpp"
 #include "nn/mlp.hpp"
-#include "nn/serialize.hpp"
+#include "quant/serialize.hpp"
 #include "temp_path.hpp"
 
 namespace adapt::nn {
 namespace {
+
+using quant::load_model;
+using quant::load_model_from_bytes;
+using quant::save_model;
+using quant::SavedModel;
+using quant::weight_checksum;
 
 TEST(MlpBuilder, BackgroundSpecMatchesPaper) {
   // "four FC layers in total ... maximum width of 256 in its first FC
@@ -250,6 +258,64 @@ TEST_F(SerializeTest, ResignedTrailingByteRejected) {
   // signs exactly as save_model does.
   ASSERT_EQ(signed_file(body), bytes);
   EXPECT_FALSE(load_model_from_bytes(signed_file(body + '\0')).has_value());
+}
+
+/// Loads `bytes` and expects a rejection counted once under
+/// nn.model_files_rejected.
+void expect_rejected_and_counted(const std::string& bytes) {
+  core::telemetry::set_enabled(true);
+  const core::telemetry::Counter& rejected =
+      core::telemetry::counter("nn.model_files_rejected");
+  const std::uint64_t before = rejected.value();
+  std::optional<SavedModel> loaded;
+  EXPECT_NO_THROW(loaded = load_model_from_bytes(bytes));
+  EXPECT_FALSE(loaded.has_value());
+  EXPECT_EQ(rejected.value() - before, 1u);
+  core::telemetry::set_enabled(false);
+}
+
+/// The bytes save_model writes for Linear(4 -> 8), then `second` (a
+/// BatchNorm1d or a Linear), then ReLU and Linear(8 -> 1), under
+/// `standardizer`.
+std::string stack_bytes(std::unique_ptr<Layer> second,
+                        const Standardizer& standardizer,
+                        const std::string& path) {
+  core::Rng rng(13);
+  Sequential model;
+  model.add(std::make_unique<Linear>(4, 8, rng));
+  model.add(std::move(second));
+  model.add(std::make_unique<ReLU>());
+  model.add(std::make_unique<Linear>(8, 1, rng));
+  EXPECT_TRUE(save_model(model, standardizer, {}, path));
+  return read_bytes(path);
+}
+
+TEST_F(SerializeTest, WidthMismatchedStackRejected) {
+  // Each stack is signed and every layer is well formed, but its first
+  // forward would throw on the width mismatch.
+  core::Rng rng(14);
+  ASSERT_TRUE(load_model_from_bytes(
+                  stack_bytes(std::make_unique<BatchNorm1d>(8), {}, path_))
+                  .has_value());
+  expect_rejected_and_counted(
+      stack_bytes(std::make_unique<BatchNorm1d>(6), {}, path_));
+  expect_rejected_and_counted(
+      stack_bytes(std::make_unique<Linear>(4, 8, rng), {}, path_));
+}
+
+TEST_F(SerializeTest, StandardizerWidthMismatchRejected) {
+  const auto standardizer = [](std::size_t width) {
+    Standardizer s;
+    s.set(std::vector<float>(width, 0.0f), std::vector<float>(width, 1.0f));
+    return s;
+  };
+  ASSERT_TRUE(load_model_from_bytes(stack_bytes(std::make_unique<ReLU>(),
+                                                standardizer(4), path_))
+                  .has_value());
+  expect_rejected_and_counted(
+      stack_bytes(std::make_unique<ReLU>(), standardizer(3), path_));
+  expect_rejected_and_counted(
+      stack_bytes(std::make_unique<ReLU>(), standardizer(5), path_));
 }
 
 TEST_F(SerializeTest, SigmoidLayerRoundTrips) {

@@ -9,7 +9,7 @@
 
 #include "nn/linear.hpp"
 #include "nn/mlp.hpp"
-#include "nn/serialize.hpp"
+#include "quant/serialize.hpp"
 #include "temp_path.hpp"
 
 namespace adapt::pipeline {
@@ -178,7 +178,7 @@ TEST(DEtaNetWrapper, LoadIgnoresAFileCalibrationFactor) {
   constexpr double kCap = 1e9;
   const std::vector<double> saved = net.predict(rings, 25.0, kFloor, kCap);
   for (const double d : saved) ASSERT_LT(d * 1.8, kCap);
-  ASSERT_TRUE(nn::save_model(*net.model(), net.standardizer(),
+  ASSERT_TRUE(quant::save_model(*net.model(), net.standardizer(),
                              {{"uses_polar", 1.0}, {"calibration", 1.8}},
                              path));
   auto loaded = DEtaNet::load(path);

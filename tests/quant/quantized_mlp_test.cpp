@@ -10,8 +10,8 @@
 #include "nn/mlp.hpp"
 #include "quant/fake_quant.hpp"
 #include "quant/fuse.hpp"
-#include "quant/qat_io.hpp"
 #include "quant/qat_linear.hpp"
+#include "quant/serialize.hpp"
 #include "temp_path.hpp"
 
 namespace adapt::quant {
@@ -240,11 +240,10 @@ TEST(QatIo, RoundTripPreservesQuantizedBehaviour) {
   nn::Standardizer std_;
   nn::Tensor fitdata = random_batch(64, 13, 77);
   std_.fit(fitdata);
-  const std::string path = test::temp_path("adaptml_qat_io_test", ".adqt");
-  ASSERT_TRUE(save_qat_model(fixture.qat, std_,
-                             {{"polar_thr_0", -0.4}, {"config_sig", 12.0}},
-                             path));
-  auto loaded = load_qat_model(path);
+  const std::string path = test::temp_path("adaptml_qat_file_test", ".adnn");
+  ASSERT_TRUE(save_model(fixture.qat, std_,
+                         {{"polar_thr_0", -0.4}, {"config_sig", 12.0}}, path));
+  auto loaded = load_model(path);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->metadata.at("polar_thr_0"), -0.4);
   ASSERT_TRUE(loaded->standardizer.fitted());
@@ -260,8 +259,7 @@ TEST(QatIo, RoundTripPreservesQuantizedBehaviour) {
 }
 
 TEST(QatIo, MissingOrCorruptFileRejected) {
-  EXPECT_FALSE(
-      load_qat_model(test::temp_path("nonexistent", ".adqt")).has_value());
+  EXPECT_FALSE(load_model(test::temp_path("nonexistent", ".adnn")).has_value());
 }
 
 }  // namespace

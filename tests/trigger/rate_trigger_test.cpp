@@ -281,8 +281,19 @@ TEST(ScanAll, NonFiniteTimesAreDropped) {
   dirty.push_back(std::numeric_limits<double>::quiet_NaN());
   dirty.push_back(std::numeric_limits<double>::infinity());
 
+  core::telemetry::set_enabled(true);
+  const auto before = core::telemetry::snapshot();
   const auto a = trigger.scan_all(std::move(clean), 1.0);
+  const auto mid = core::telemetry::snapshot();
   const auto b = trigger.scan_all(std::move(dirty), 1.0);
+  const auto after = core::telemetry::snapshot();
+  core::telemetry::set_enabled(false);
+
+  // Dropped and counted exactly as in scan().
+  EXPECT_EQ(
+      mid.since(before).counters.at("trigger.times_rejected.non_finite"), 0u);
+  EXPECT_EQ(
+      after.since(mid).counters.at("trigger.times_rejected.non_finite"), 2u);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].t_start, b[i].t_start);

@@ -21,9 +21,12 @@
 #                        step itself proves the gate is live via a
 #                        compile-fail probe.  Documented-skip when no
 #                        clang++ is installed, like tidy)
-#   8. fuzz-smoke        (tests/fuzz parser harnesses replay the
-#                        checked-in corpus plus ~60 s of deterministic
-#                        seeded mutations each, under ASan+UBSan)
+#   8. fuzz-smoke        (the checked-in seed corpus must match a fresh
+#                        make_fuzz_corpus run byte for byte; then the
+#                        tests/fuzz harnesses for the two parsers, model
+#                        files and ring files, replay it plus ~60 s of
+#                        deterministic seeded mutations each, under
+#                        ASan+UBSan)
 #
 # Exits non-zero on the first failing stage.  Budget: ~10 minutes on
 # a multicore dev box; the dominant costs are the sanitizer builds and
@@ -61,7 +64,7 @@ while [ $# -gt 0 ]; do
       shift
       ;;
     -h|--help)
-      sed -n '2,45p' "${BASH_SOURCE[0]}"; exit 0 ;;
+      sed -n '2,48p' "${BASH_SOURCE[0]}"; exit 0 ;;
     *)
       [ -z "${build_root}" ] || { echo "error: unexpected arg $1" >&2; exit 2; }
       build_root="$1"
@@ -221,22 +224,31 @@ if want thread-safety; then
 fi
 
 # --- 8. parser fuzz smoke ---------------------------------------------
-# Each harness replays the checked-in seed corpus, then spends
+# First the checked-in seed corpus must be current: make_fuzz_corpus
+# regenerates it into a scratch directory and any diff against
+# tests/fuzz/corpus/ fails the stage (a format change commits its new
+# seeds; an unchanged format reproduces every seed byte for byte).
+# Then each harness replays the corpus and spends
 # ADAPT_FUZZ_SMOKE_SECS (default 60) on deterministic seeded mutations
 # of it, under ASan+UBSan.  Under Clang the same sources build as real
 # libFuzzer targets for longer offline campaigns; the smoke stage uses
 # the standalone driver so it runs identically on the gcc-only image.
 if want fuzz-smoke; then
   smoke_secs="${ADAPT_FUZZ_SMOKE_SECS:-60}"
-  stage "fuzz-smoke (${smoke_secs}s/harness, ASan+UBSan, seeded mutations)"
+  stage "fuzz-smoke (corpus check, ${smoke_secs}s/harness, ASan+UBSan, seeded mutations)"
   cmake -B "${build_root}/fuzz" -S "${repo}" \
     -DADAPT_SANITIZE=address -DADAPT_CHECKED=ON -DADAPT_BUILD_FUZZERS=ON \
     -DADAPT_BUILD_BENCH=OFF -DADAPT_BUILD_EXAMPLES=OFF >/dev/null
   cmake --build "${build_root}/fuzz" -j"${jobs}" \
-    --target fuzz_nn_model fuzz_qat_model fuzz_rings >/dev/null \
+    --target fuzz_nn_model fuzz_rings make_fuzz_corpus >/dev/null \
     || fail "fuzz harness build failed"
-  for pair in "fuzz_nn_model nn_model" "fuzz_qat_model qat_model" \
-              "fuzz_rings rings"; do
+  regenerated="${build_root}/fuzz/corpus-check"
+  rm -rf "${regenerated}"
+  "${build_root}/fuzz/tests/fuzz/make_fuzz_corpus" "${regenerated}" >/dev/null \
+    || fail "make_fuzz_corpus failed"
+  diff -r "${repo}/tests/fuzz/corpus" "${regenerated}" \
+    || fail "tests/fuzz/corpus/ is stale: run make_fuzz_corpus tests/fuzz/corpus and commit the diff"
+  for pair in "fuzz_nn_model nn_model" "fuzz_rings rings"; do
     set -- ${pair}
     harness="$1"; corpus="${repo}/tests/fuzz/corpus/$2"
     [ -d "${corpus}" ] || fail "missing seed corpus ${corpus}"
