@@ -1,10 +1,13 @@
 #include "loc/arc_ranges.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <utility>
 
 #include "core/contract.hpp"
 #include "core/telemetry.hpp"
 #include "core/units.hpp"
+#include "loc/kernels/band_kernel_impl.hpp"
 
 namespace adapt::loc {
 
@@ -17,10 +20,10 @@ BinRanges combine(int bins, std::pair<long, long> rm,
                   std::pair<long, long> rp) {
   BinRanges out;
   const auto one = [&](std::pair<long, long> range) {
+    if (range.second - range.first + 1 >= bins) range = {0, bins - 1};
     out.n = 1;
-    out.r[0] = range.second - range.first + 1 >= bins
-                   ? std::pair<long, long>{0, bins - 1}
-                   : range;
+    out.first[0] = range.first;
+    out.last[0] = range.second;
     return out;
   };
   const long len = (rp.second - rp.first + 1) + (rm.second - rm.first + 1);
@@ -31,13 +34,15 @@ BinRanges combine(int bins, std::pair<long, long> rm,
   if (rp.second + 1 >= rm.first + bins)
     return one({rp.first, rm.second + bins});
   out.n = 2;
-  out.r[0] = rm;
-  out.r[1] = rp;
+  out.first[0] = rm.first;
+  out.last[0] = rm.second;
+  out.first[1] = rp.first;
+  out.last[1] = rp.second;
   return out;
 }
 
 /// The exact per-row computation: arc ends from libm acos, bins from
-/// ceil and floor.  Stage 2 of ArcRanges::build() defers to it.
+/// ceil and floor.  The arc kernel defers to it.
 BinRanges exact_ranges(int bins, double m, double s, double phi0, double eta,
                        double w) {
   if (s < 1e-12) {
@@ -46,7 +51,8 @@ BinRanges exact_ranges(int bins, double m, double s, double phi0, double eta,
     BinRanges out;
     if (std::abs(m - eta) <= w + 1e-12) {
       out.n = 1;
-      out.r[0] = {0, bins - 1};
+      out.first[0] = 0;
+      out.last[0] = bins - 1;
     }
     return out;
   }
@@ -69,37 +75,50 @@ BinRanges exact_ranges(int bins, double m, double s, double phi0, double eta,
                  to_range(phi0 + a_min, phi0 + a_max));
 }
 
-/// floor(x) into `k`; false when x lies within `margin` of an integer,
-/// where a value that close could floor differently.
-bool floor_clear_of_margin(double x, double margin, long& k) {
-  k = static_cast<long>(x);
-  if (x < static_cast<double>(k)) --k;
-  const double frac = x - static_cast<double>(k);
-  return frac > margin && frac < 1.0 - margin;
+/// Per-thread scratch: the arc kernel's lanes, and the ranges between
+/// the two kernels of fold().
+double* scratch_lanes(std::size_t n) {
+  thread_local std::vector<double> lanes;
+  if (lanes.size() < kArcLanes * n) lanes.resize(kArcLanes * n);
+  return lanes.data();
+}
+
+std::span<BinRanges> scratch_ranges(std::size_t n) {
+  thread_local std::vector<BinRanges> ranges;
+  if (ranges.size() < n) ranges.resize(n);
+  return {ranges.data(), n};
 }
 
 }  // namespace
 
+namespace kernels {
+
+bool exact_row_ranges(const ArcRows& rows, std::size_t k,
+                      const RingBand& ring, double w, BinRanges& out) {
+  const double m = ring.axis.z * rows.cos[k];
+  const double s = ring.axis_xy * rows.sin[k];
+  out = exact_ranges(static_cast<int>(rows.bins[k]), m, s, ring.phi0,
+                     ring.eta, w);
+  return !(s < 1e-12);
+}
+
+}  // namespace kernels
+
 ArcRanges::ArcRanges(std::size_t capacity)
     : row_(capacity),
+      offset_(capacity),
       bins_(capacity),
       cos_(capacity),
       sin_(capacity),
       inv_bin_w_(capacity),
-      margin_(capacity),
-      m_(capacity),
-      s_(capacity),
-      lo_(capacity),
-      hi_(capacity),
-      ends_{std::vector<double>(capacity), std::vector<double>(capacity),
-            std::vector<double>(capacity), std::vector<double>(capacity)},
-      ranges_(capacity) {}
+      margin_(capacity) {}
 
 void ArcRanges::add_row(const SkyGrid& grid, std::size_t row) {
   ADAPT_REQUIRE(n_ < row_.size(), "arc range rows exceed their capacity");
   const int bins = grid.az_bins(row);
   row_[n_] = row;
-  bins_[n_] = bins;
+  offset_[n_] = grid.row_offset(row);
+  bins_[n_] = static_cast<double>(bins);
   cos_[n_] = grid.row_cos(row);
   sin_[n_] = grid.row_sin(row);
   inv_bin_w_[n_] = static_cast<double>(bins) / core::kTwoPi;
@@ -111,72 +130,34 @@ void ArcRanges::add_row(const SkyGrid& grid, std::size_t row) {
   ++n_;
 }
 
-std::size_t ArcRanges::build(double axis_z, double axis_xy, double phi0,
-                             double eta, double w) {
+ArcRows ArcRanges::rows() const {
+  return ArcRows{n_,           offset_.data(), bins_.data(),
+                 cos_.data(),  sin_.data(),    inv_bin_w_.data(),
+                 margin_.data()};
+}
+
+std::size_t ArcRanges::build(const RingBand& ring, double w,
+                             std::span<BinRanges> out,
+                             const BandKernels& kernels) const {
   static core::telemetry::Counter& fallback_ctr =
       core::telemetry::counter("loc.incremental.arc_fallbacks");
-  const std::size_t n = n_;
-  const double* row_cos = cos_.data();
-  const double* row_sin = sin_.data();
-  const double* inv_bin_w = inv_bin_w_.data();
-  double* m_out = m_.data();
-  double* s_out = s_.data();
-  double* lo_out = lo_.data();
-  double* hi_out = hi_.data();
-  double* e0 = ends_[0].data();
-  double* e1 = ends_[1].data();
-  double* e2 = ends_[2].data();
-  double* e3 = ends_[3].data();
-
-  // Stage 1: every row's lanes, with the exact m, s, lo and hi.
-#pragma omp simd
-  for (std::size_t k = 0; k < n; ++k) {
-    const double m = axis_z * row_cos[k];
-    const double s = axis_xy * row_sin[k];
-    const double lo = (eta - w - m) / s;
-    const double hi = (eta + w - m) / s;
-    const double a_min = acos_approx(hi);
-    const double a_max = acos_approx(lo);
-    m_out[k] = m;
-    s_out[k] = s;
-    lo_out[k] = lo;
-    hi_out[k] = hi;
-    e0[k] = (phi0 + a_min) * inv_bin_w[k] - 0.5 - kArcSlackBins;
-    e1[k] = (phi0 + a_max) * inv_bin_w[k] - 0.5 + kArcSlackBins;
-    e2[k] = (phi0 - a_max) * inv_bin_w[k] - 0.5 - kArcSlackBins;
-    e3[k] = (phi0 - a_min) * inv_bin_w[k] - 0.5 + kArcSlackBins;
-  }
-
-  // Stage 2: integer bins, or the exact computation near a boundary.
-  std::size_t fallbacks = 0;
-  for (std::size_t k = 0; k < n; ++k) {
-    BinRanges& out = ranges_[k];
-    if (s_out[k] < 1e-12) {
-      out = exact_ranges(bins_[k], m_out[k], s_out[k], phi0, eta, w);
-      continue;
-    }
-    if (lo_out[k] > 1.0 || hi_out[k] < -1.0) {
-      out.n = 0;  // band misses the row
-      continue;
-    }
-    const double margin = margin_[k];
-    long f0 = 0;
-    long f1 = 0;
-    long f2 = 0;
-    long f3 = 0;
-    if (floor_clear_of_margin(e0[k], margin, f0) &&
-        floor_clear_of_margin(e1[k], margin, f1) &&
-        floor_clear_of_margin(e2[k], margin, f2) &&
-        floor_clear_of_margin(e3[k], margin, f3)) {
-      // ceil(e) - 1 == floor(e) for a non-integer e.
-      out = combine(bins_[k], {f2, f3 + 1}, {f0, f1 + 1});
-    } else {
-      ++fallbacks;
-      fallback_ctr.add();
-      out = exact_ranges(bins_[k], m_out[k], s_out[k], phi0, eta, w);
-    }
-  }
+  ADAPT_REQUIRE(out.size() >= n_, "arc range output shorter than the rows");
+  const std::size_t fallbacks =
+      kernels.arc_ranges(rows(), ring, w, scratch_lanes(n_), out.data());
+  if (fallbacks > 0) fallback_ctr.add(fallbacks);
   return fallbacks;
+}
+
+std::size_t ArcRanges::fold(const RingBand& ring, double sigma,
+                            const SkyGrid& grid, double* excess,
+                            const BandKernels& kernels) const {
+  const std::span<BinRanges> ranges = scratch_ranges(n_);
+  build(ring, sigma * ring.d_eta, ranges, kernels);
+  const CentreArrays centres = grid.centers();
+  return kernels.fold_ranges(
+      rows(), ranges.data(), ring, sigma * sigma,
+      CentrePointers{centres.x.data(), centres.y.data(), centres.z.data()},
+      excess);
 }
 
 }  // namespace adapt::loc

@@ -18,52 +18,6 @@ namespace {
 
 constexpr std::size_t kNpos = std::numeric_limits<std::size_t>::max();
 
-/// Folds one ring into `n` consecutive pixels.  Same contribution rule
-/// as the batch likelihood: only residuals strictly inside the cap add
-/// excess.  max(0, 0.5 * (cap^2 - r^2)) is that rule without a branch:
-/// outside the cap it adds +0.0, which leaves the sum's bits alone
-/// (sums start at +0.0 and only grow), so the loop vectorizes and the
-/// sums stay those of `if (r^2 < cap^2) excess += ...`.
-void fold_run(const Vec3& axis, double eta, double d_eta, double cap2,
-              const Vec3* centres, double* excess, long n) {
-  for (long j = 0; j < n; ++j) {
-    const double r = (axis.dot(centres[j]) - eta) / d_eta;
-    excess[j] += std::max(0.0, 0.5 * (cap2 - r * r));
-  }
-}
-
-/// Folds a ring into the ranges `arcs` last built for it, on rows of
-/// `grid` whose excess `row_excess(row)` points at.  Each range is at
-/// most two runs of its row; an empty second run is not called.
-/// Returns the pixels tested.
-template <class RowExcess>
-std::size_t fold_ranges(const ArcRanges& arcs, const SkyGrid& grid,
-                        const Vec3& axis, double eta, double d_eta,
-                        double cap2, RowExcess&& row_excess) {
-  std::size_t touched = 0;
-  for (std::size_t k = 0; k < arcs.size(); ++k) {
-    const BinRanges& ranges = arcs.ranges(k);
-    if (ranges.n == 0) continue;
-    const std::size_t row = arcs.row(k);
-    const long bins = grid.az_bins(row);
-    const Vec3* centres = grid.row_centers(row).data();
-    double* excess = row_excess(row);
-    for (int j = 0; j < ranges.n; ++j) {
-      const auto [b0, b1] = ranges.r[static_cast<std::size_t>(j)];
-      // b0 lies in [-bins - 1, bins - 1] (arc_ranges.hpp).
-      long first = b0;
-      while (first < 0) first += bins;
-      const long count = b1 - b0 + 1;
-      const long head = std::min(count, bins - first);
-      fold_run(axis, eta, d_eta, cap2, centres + first, excess + first, head);
-      if (count > head)
-        fold_run(axis, eta, d_eta, cap2, centres, excess, count - head);
-      touched += static_cast<std::size_t>(count);
-    }
-  }
-  return touched;
-}
-
 }  // namespace
 
 IncrementalLocalizer::IncrementalLocalizer(const IncrementalConfig& config)
@@ -83,7 +37,6 @@ IncrementalLocalizer::IncrementalLocalizer(const IncrementalConfig& config)
                     config.max_polar_deg);
   coarse_excess_.assign(coarse_.n_pixels(), 0.0);
   coarse_refined_.assign(static_cast<std::size_t>(coarse_.n_rows()), 0);
-  fine_excess_.resize(static_cast<std::size_t>(fine_.n_rows()));
   coarse_arcs_ = ArcRanges(static_cast<std::size_t>(coarse_.n_rows()));
   for (std::size_t row = 0;
        row < static_cast<std::size_t>(coarse_.n_rows()); ++row)
@@ -121,21 +74,11 @@ std::size_t IncrementalLocalizer::add_ring(const recon::ComptonRing& ring) {
       RingBand{ring.axis, ring.eta, ring.d_eta,
                std::hypot(ring.axis.x, ring.axis.y),
                std::atan2(ring.axis.y, ring.axis.x)});
-  const double cap2 = config_.truncation_sigma * config_.truncation_sigma;
-  const double w = config_.truncation_sigma * band.d_eta;
-  // Every row's ranges first, then the folds.
-  coarse_arcs_.build(band.axis.z, band.axis_xy, band.phi0, band.eta, w);
+  const double sigma = config_.truncation_sigma;
   std::size_t touched =
-      fold_ranges(coarse_arcs_, coarse_, band.axis, band.eta, band.d_eta,
-                  cap2, [this](std::size_t row) {
-                    return coarse_excess_.data() + coarse_.row_offset(row);
-                  });
-  if (fine_arcs_.size() > 0) {
-    fine_arcs_.build(band.axis.z, band.axis_xy, band.phi0, band.eta, w);
-    touched += fold_ranges(
-        fine_arcs_, fine_, band.axis, band.eta, band.d_eta, cap2,
-        [this](std::size_t row) { return fine_excess_[row].data(); });
-  }
+      coarse_arcs_.fold(band, sigma, coarse_, coarse_excess_.data());
+  if (fine_arcs_.size() > 0)
+    touched += fine_arcs_.fold(band, sigma, fine_, fine_excess_.data());
 
   pixels_touched_ += touched;
   posterior_dirty_ = true;
@@ -156,26 +99,21 @@ void IncrementalLocalizer::refine_coarse_row(std::size_t coarse_row) {
   namespace tm = core::telemetry;
   static tm::Counter& refined_ctr =
       tm::counter("loc.incremental.rows_refined");
-  const double cap2 = config_.truncation_sigma * config_.truncation_sigma;
   std::size_t first = 0;
   const std::size_t count = fine_rows_of(coarse_row, first);
+  // The fine excess is allocated at the first refinement; a row's
+  // pixels stay +0.0 until its replay.
+  if (fine_excess_.empty()) fine_excess_.assign(fine_.n_pixels(), 0.0);
   replay_arcs_.clear();
-  for (std::size_t fr = first; fr < first + count; ++fr) {
-    fine_excess_[fr].assign(static_cast<std::size_t>(fine_.az_bins(fr)),
-                            0.0);
+  for (std::size_t fr = first; fr < first + count; ++fr)
     replay_arcs_.add_row(fine_, fr);
-  }
   // Replay in arrival order so the sums are bit-identical to the
   // ones a from-the-start refined row would have accumulated.
   std::size_t touched = 0;
   if (count > 0) {
-    for (const RingBand& band : rings_) {
-      replay_arcs_.build(band.axis.z, band.axis_xy, band.phi0, band.eta,
-                         config_.truncation_sigma * band.d_eta);
-      touched += fold_ranges(
-          replay_arcs_, fine_, band.axis, band.eta, band.d_eta, cap2,
-          [this](std::size_t row) { return fine_excess_[row].data(); });
-    }
+    for (const RingBand& band : rings_)
+      touched += replay_arcs_.fold(band, config_.truncation_sigma, fine_,
+                                   fine_excess_.data());
   }
   pixels_touched_ += touched;
   for (std::size_t fr = first; fr < first + count; ++fr) {
@@ -213,38 +151,47 @@ void IncrementalLocalizer::ensure_posterior() {
   }
 
   // Assemble the mixed posterior: refined rows contribute their fine
-  // pixels, unrefined rows their coarse pixels.
-  mixed_value_.clear();
-  mixed_sa_.clear();
+  // pixels, unrefined rows their coarse pixels, each row one copy of
+  // its excess and one fill of its solid angle.
   fine_row_off_.assign(static_cast<std::size_t>(fine_.n_rows()), kNpos);
   coarse_row_off_.assign(n_coarse_rows, kNpos);
+  std::size_t total = 0;
   for (std::size_t cr = 0; cr < n_coarse_rows; ++cr) {
     if (coarse_refined_[cr]) {
       std::size_t first = 0;
       const std::size_t count = fine_rows_of(cr, first);
       for (std::size_t fr = first; fr < first + count; ++fr) {
-        fine_row_off_[fr] = mixed_value_.size();
-        const double sa = fine_.row_pixel_solid_angle_deg2(fr);
-        for (const double v : fine_excess_[fr]) {
-          mixed_value_.push_back(v);
-          mixed_sa_.push_back(sa);
-        }
+        fine_row_off_[fr] = total;
+        total += static_cast<std::size_t>(fine_.az_bins(fr));
       }
     } else {
-      coarse_row_off_[cr] = mixed_value_.size();
-      const std::size_t off = coarse_.row_offset(cr);
-      const auto bins = static_cast<std::size_t>(coarse_.az_bins(cr));
-      const double sa = coarse_.row_pixel_solid_angle_deg2(cr);
-      for (std::size_t b = 0; b < bins; ++b) {
-        mixed_value_.push_back(coarse_excess_[off + b]);
-        mixed_sa_.push_back(sa);
-      }
+      coarse_row_off_[cr] = total;
+      total += static_cast<std::size_t>(coarse_.az_bins(cr));
     }
+  }
+  mixed_value_.resize(total);
+  mixed_sa_.resize(total);
+  const auto place = [&](std::span<const double> excess, std::size_t off,
+                         double sa) {
+    std::copy(excess.begin(), excess.end(),
+              mixed_value_.begin() + static_cast<std::ptrdiff_t>(off));
+    std::fill_n(mixed_sa_.begin() + static_cast<std::ptrdiff_t>(off),
+                excess.size(), sa);
+  };
+  for (std::size_t fr = 0; fr < fine_row_off_.size(); ++fr) {
+    if (fine_row_off_[fr] != kNpos)
+      place(fine_row_excess(fr), fine_row_off_[fr],
+            fine_.row_pixel_solid_angle_deg2(fr));
+  }
+  for (std::size_t cr = 0; cr < n_coarse_rows; ++cr) {
+    if (coarse_row_off_[cr] != kNpos)
+      place({coarse_excess_.data() + coarse_.row_offset(cr),
+             static_cast<std::size_t>(coarse_.az_bins(cr))},
+            coarse_row_off_[cr], coarse_.row_pixel_solid_angle_deg2(cr));
   }
 
   // Stable softmax over the mixed entries with their solid-angle
   // weights; same degenerate semantics as normalize_log_posterior.
-  const std::size_t total = mixed_value_.size();
   mixed_prob_.assign(total, 0.0);
   double max_v = -std::numeric_limits<double>::infinity();
   bool any_finite = false;
@@ -368,24 +315,27 @@ SkyMap IncrementalLocalizer::snapshot() {
        cr < static_cast<std::size_t>(coarse_.n_rows()); ++cr) {
     refine_coarse_row(cr);
   }
-  std::vector<double> log_post(fine_.n_pixels());
-  for (std::size_t fr = 0;
-       fr < static_cast<std::size_t>(fine_.n_rows()); ++fr) {
-    std::copy(fine_excess_[fr].begin(), fine_excess_[fr].end(),
-              log_post.begin() +
-                  static_cast<std::ptrdiff_t>(fine_.row_offset(fr)));
-  }
   return SkyMap::from_log_posterior(
-      fine_, log_post,
+      fine_, fine_excess_,
       SkyMapConfig{config_.resolution_deg, config_.truncation_sigma,
                    config_.max_polar_deg});
 }
 
 std::size_t IncrementalLocalizer::refined_fine_rows() const {
   std::size_t n = 0;
-  for (const auto& row : fine_excess_)
-    if (!row.empty()) ++n;
+  for (std::size_t cr = 0; cr < coarse_refined_.size(); ++cr) {
+    std::size_t first = 0;
+    if (coarse_refined_[cr]) n += fine_rows_of(cr, first);
+  }
   return n;
+}
+
+std::span<const double> IncrementalLocalizer::fine_row_excess(
+    std::size_t row) const {
+  if (!coarse_refined_[row / static_cast<std::size_t>(config_.coarse_factor)])
+    return {};
+  return {fine_excess_.data() + fine_.row_offset(row),
+          static_cast<std::size_t>(fine_.az_bins(row))};
 }
 
 }  // namespace adapt::loc

@@ -23,19 +23,24 @@
 /// pixel that passes the exact residual test is among them, so the
 /// sums equal a full-row scan's bit for bit.  A ring's azimuth-only
 /// invariants (hypot and atan2 of its axis) are computed once per ring,
-/// not once per row; they place the arcs and nothing else.  The arcs
-/// of every visited row come first, from one ArcRanges::build() per
-/// ring and row list (arc_ranges.hpp: a vectorized polynomial acos,
+/// not once per row; they place the arcs and nothing else.  Each ring
+/// and row list is one band update, ArcRanges::fold() (arc_ranges.hpp):
+/// the arcs of every visited row first (a vectorized polynomial acos,
 /// exact libm acos only where an arc end falls within its error margin
-/// of a bin boundary), and then the folds, with no empty run folded.
-/// Each tested pixel's residual is ring_residual's (c.s - eta) / d_eta
-/// against the grid's shared pixel-centre table (sky_grid.hpp), so no
-/// tested pixel calls into libm.
+/// of a bin boundary), then the folds, both by the dispatched band
+/// kernels (loc/kernels: scalar, AVX2 or AVX-512, bit-identical).  Each
+/// tested pixel's residual is ring_residual's (c.s - eta) / d_eta
+/// against the grid's shared pixel-centre table (sky_grid.hpp, x/y/z
+/// arrays), so no tested pixel calls into libm.  The update cost
+/// add_ring() returns, `touched`, counts the candidate pixels, not the
+/// vector lanes walked, so it is the same for every variant.
 ///
 /// Coarse-to-fine: a coarse grid (`coarse_factor` x the resolution) is
 /// always updated; full-resolution rows are materialized lazily — only
 /// the coarse rows holding the top `refine_mass_fraction` of posterior
 /// mass are refined, by replaying the stored rings over those rows.
+/// The fine excess is one per-pixel array, allocated at the first
+/// refinement; only refined rows are folded into it.
 /// Refinement is monotone (a refined row stays refined and is kept
 /// current by subsequent updates) and replay happens in ring-arrival
 /// order, so results are independent of *when* refinement happened.
@@ -136,8 +141,8 @@ class IncrementalLocalizer {
   explicit IncrementalLocalizer(const IncrementalConfig& config = {});
 
   /// Fold one ring into the accumulator.  Returns the number of
-  /// candidate pixels examined (the update cost); 0 and a counted
-  /// rejection for unusable rings.
+  /// candidate pixels examined (the update cost, not the vector lanes
+  /// walked); 0 and a counted rejection for unusable rings.
   std::size_t add_ring(const recon::ComptonRing& ring);
 
   /// Fold a batch; returns total candidate pixels examined.
@@ -167,24 +172,13 @@ class IncrementalLocalizer {
 
   /// Accumulated excess of fine row `row`, one value per azimuth bin
   /// (empty while the row is not refined).
-  std::span<const double> fine_row_excess(std::size_t row) const {
-    return fine_excess_[row];
-  }
+  std::span<const double> fine_row_excess(std::size_t row) const;
 
   const SkyGrid& fine_grid() const { return fine_; }
   const SkyGrid& coarse_grid() const { return coarse_; }
   const IncrementalConfig& config() const { return config_; }
 
  private:
-  /// One accepted ring as the band fold reads it.
-  struct RingBand {
-    core::Vec3 axis;
-    double eta;
-    double d_eta;
-    double axis_xy;  ///< hypot(axis.x, axis.y); places the arcs only
-    double phi0;     ///< atan2(axis.y, axis.x); places the arcs only
-  };
-
   void refine_coarse_row(std::size_t coarse_row);
   std::size_t fine_rows_of(std::size_t coarse_row, std::size_t& first) const;
   void ensure_posterior();
@@ -195,14 +189,15 @@ class IncrementalLocalizer {
 
   std::vector<double> coarse_excess_;          ///< Per coarse pixel.
   std::vector<std::uint8_t> coarse_refined_;   ///< Per coarse row.
-  std::vector<std::vector<double>> fine_excess_;  ///< Per fine row
-                                                  ///< (empty: not
-                                                  ///< refined).
+  /// Per fine pixel, allocated at the first refinement; only the
+  /// refined rows' pixels are ever folded into.
+  std::vector<double> fine_excess_;
   std::vector<RingBand> rings_;  ///< Replay log for refinement
                                  ///< backfill, in arrival order.
-  // Arc ranges per ring, storage sized here at construction: every
-  // coarse row, the refined fine rows (in refinement order), and the
-  // fine rows of the coarse row being refined.
+  // The rows each band update visits, storage sized here at
+  // construction: every coarse row, the refined fine rows (in
+  // refinement order), and the fine rows of the coarse row being
+  // refined.
   ArcRanges coarse_arcs_;
   ArcRanges fine_arcs_;
   ArcRanges replay_arcs_;

@@ -19,7 +19,7 @@ using core::Vec3;
 
 namespace {
 
-using CenterTable = std::shared_ptr<const std::vector<Vec3>>;
+using CenterTable = std::shared_ptr<const detail::CentreTable>;
 
 /// Process-lifetime registry of pixel-centre tables, one per grid
 /// geometry.  Keys are the bit patterns of (resolution_deg,
@@ -91,8 +91,10 @@ SkyGrid::SkyGrid(double resolution_deg, double max_polar_deg)
   }
 
   centers_ = center_registry().intern(resolution_deg, max_polar_deg, [&] {
-    auto table = std::make_shared<std::vector<Vec3>>();
-    table->reserve(total_);
+    auto table = std::make_shared<detail::CentreTable>();
+    table->x.reserve(total_);
+    table->y.reserve(total_);
+    table->z.reserve(total_);
     for (std::size_t row = 0; row < static_cast<std::size_t>(n_polar_);
          ++row) {
       const double polar = row_polar_rad(row);
@@ -101,7 +103,10 @@ SkyGrid::SkyGrid(double resolution_deg, double max_polar_deg)
         const double azimuth = core::kTwoPi *
                                (static_cast<double>(az) + 0.5) /
                                static_cast<double>(bins);
-        table->push_back(core::from_spherical(polar, azimuth));
+        const Vec3 centre = core::from_spherical(polar, azimuth);
+        table->x.push_back(centre.x);
+        table->y.push_back(centre.y);
+        table->z.push_back(centre.z);
       }
     }
     return CenterTable(std::move(table));

@@ -13,16 +13,18 @@
 ///
 /// Pixel-centre table: every pixel centre is computed once, row-major,
 /// by from_spherical(row_polar_rad(row), 2*pi*(az + 0.5)/az_bins(row)),
-/// and every reader — pixel_center(), row_centers(), the band fold and
-/// the map's queries — reads those same bits.  The table is
-/// immutable and interned for the process lifetime in a registry keyed
-/// by (resolution_deg, max_polar_deg): every grid of one geometry,
-/// copies included, shares one table.  All per-stream localizers on
-/// one serve grid then hold one table between them (a 2 deg grid is
-/// 5,180 centres, 0.5 deg is 82,594), and a localizer built mid-run
-/// costs no trigonometry.  The registry is guarded by a
-/// core::Mutex taken only while a grid is constructed; reads of a
-/// built table take no lock.
+/// and stored as three arrays, x, y and z, indexed by pixel (SoA), so
+/// the band fold (loc/kernels) loads a run of centres as three vector
+/// registers.  Every reader — pixel_center(), which builds the Vec3,
+/// centers(), row_centers(), the band fold and the map's queries —
+/// reads those same bits.  The table is immutable and interned for
+/// the process lifetime in a registry keyed by (resolution_deg,
+/// max_polar_deg): every grid of one geometry, copies included, shares
+/// one table.  All per-stream localizers on one serve grid then hold
+/// one table between them (a 2 deg grid is 5,180 centres, 0.5 deg is
+/// 82,594), and a localizer built mid-run costs no trigonometry.  The
+/// registry is guarded by a core::Mutex taken only while a grid is
+/// constructed; reads of a built table take no lock.
 ///
 /// Boundary contract of pixel_of():
 ///   - polar angle in [0, max_polar_deg] maps to a valid pixel; the
@@ -52,6 +54,30 @@
 #include "core/vec3.hpp"
 
 namespace adapt::loc {
+
+/// Pixel centres as x/y/z arrays of one length (a whole table or one
+/// row of it); element i is the centre (x[i], y[i], z[i]).
+struct CentreArrays {
+  std::span<const double> x;
+  std::span<const double> y;
+  std::span<const double> z;
+
+  std::size_t size() const { return x.size(); }
+  core::Vec3 operator[](std::size_t i) const { return {x[i], y[i], z[i]}; }
+  CentreArrays subspan(std::size_t first, std::size_t count) const {
+    return {x.subspan(first, count), y.subspan(first, count),
+            z.subspan(first, count)};
+  }
+};
+
+namespace detail {
+/// The shared pixel-centre table (see the file comment).
+struct CentreTable {
+  std::vector<double> x;
+  std::vector<double> y;
+  std::vector<double> z;
+};
+}  // namespace detail
 
 /// Degrees of slop accepted past the field-of-view edge before a
 /// direction stops mapping to a pixel (covers acos/rad_to_deg rounding
@@ -86,16 +112,20 @@ class SkyGrid {
 
   /// Pixel centres, read from the shared table (see the file comment).
   core::Vec3 pixel_center(std::size_t index) const {
-    return (*centers_)[index];
+    return centers()[index];
   }
   core::Vec3 pixel_center(std::size_t row, std::size_t az) const {
-    return (*centers_)[row_offset_[row] + az];
+    return centers()[row_offset_[row] + az];
   }
-  /// The row's pixel centres, azimuth bin 0 first.  Grids of one
-  /// geometry return views of the same table.
-  std::span<const core::Vec3> row_centers(std::size_t row) const {
-    return {centers_->data() + row_offset_[row],
-            static_cast<std::size_t>(az_bins_[row])};
+  /// The whole centre table, indexed by pixel.  Grids of one geometry
+  /// return views of the same arrays.
+  CentreArrays centers() const {
+    return {centers_->x, centers_->y, centers_->z};
+  }
+  /// The row's pixel centres, azimuth bin 0 first.
+  CentreArrays row_centers(std::size_t row) const {
+    return centers().subspan(row_offset_[row],
+                             static_cast<std::size_t>(az_bins_[row]));
   }
 
   /// Solid angle [deg^2] of one pixel in `row` (all pixels of a row
@@ -129,7 +159,7 @@ class SkyGrid {
   std::vector<double> row_sa_deg2_;
   std::vector<double> row_cos_;
   std::vector<double> row_sin_;
-  std::shared_ptr<const std::vector<core::Vec3>> centers_;
+  std::shared_ptr<const detail::CentreTable> centers_;
 };
 
 /// exp(d) for a softmax shift d <= 0, without the call where the

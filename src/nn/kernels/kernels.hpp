@@ -15,7 +15,8 @@
 /// Variants: scalar (always compiled, the reference), AVX2, and
 /// AVX-512 (VNNI).  Dispatch happens once per process from cpuid
 /// (core::cpu_features) with an `ADAPT_SIMD=scalar|avx2|avx512`
-/// override for testing and forced-fallback CI runs.
+/// override for testing and forced-fallback CI runs, by the rule every
+/// kernel family shares (core/simd_dispatch.hpp).
 ///
 /// Bit-identity is a hard requirement, not a nicety: the fault layer
 /// compares inference outputs across runs and replicas to catch SEUs,
@@ -32,12 +33,14 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "core/simd_dispatch.hpp"
 #include "core/telemetry.hpp"
 
 namespace adapt::nn::kernels {
 
-enum class Isa : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
-inline constexpr int kIsaCount = 3;
+using core::Isa;
+using core::kIsaCount;
+using core::parse_isa_name;
 
 /// Packed INT8 weight panel: the one layout u8i8_gemm reads.
 ///
@@ -190,18 +193,12 @@ bool supported(Isa isa);
 /// use this to pit variants against each other in one process.
 const KernelSet& kernel_set(Isa isa);
 
-/// The dispatched variant: the best supported ISA, overridden by
-/// ADAPT_SIMD=scalar|avx2|avx512 (an unsupported or unparseable
-/// request logs a telemetry marker and falls back rather than
-/// crashing — tuning knobs must never abort flight code), and by the
-/// test-only force below.  Resolved once, then cached.
+/// The dispatched variant: core::resolve_isa() over supported() (the
+/// best supported ISA, overridden by ADAPT_SIMD=scalar|avx2|avx512;
+/// markers `nn.kernel.dispatch.*`), or the test-only force below.
+/// Resolved once, then cached.
 const KernelSet& active();
 Isa active_isa();
-
-/// Name of the `ADAPT_SIMD` value, or Isa count sentinel on parse
-/// failure.  Split out so the override grammar is unit-testable
-/// without re-execing the process.
-bool parse_isa_name(const char* value, Isa* out);
 
 /// Test hooks: force dispatch to a specific (supported) variant, and
 /// undo it.  Not for production use — dispatch is meant to be a

@@ -1,4 +1,5 @@
-/// Kernel registry: one-time dispatch from cpuid + ADAPT_SIMD.
+/// Kernel registry: one-time dispatch from cpuid + ADAPT_SIMD
+/// (core::resolve_isa).
 ///
 /// This TU builds with baseline flags only — it never executes a SIMD
 /// instruction itself; it just hands out function pointers into the
@@ -7,8 +8,6 @@
 #include "nn/kernels/kernels.hpp"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "core/cpu_features.hpp"
@@ -21,14 +20,7 @@ namespace tm = core::telemetry;
 
 namespace {
 
-const char* isa_name(Isa isa) {
-  switch (isa) {
-    case Isa::kAvx512: return "avx512";
-    case Isa::kAvx2: return "avx2";
-    case Isa::kScalar: break;
-  }
-  return "scalar";
-}
+using core::isa_name;
 
 KernelSet make_set(Isa isa, U8I8GemmFn u8i8, U8RequantFn requant,
                    F32RowBlockFn f32, std::size_t f32_tile_rows) {
@@ -65,33 +57,6 @@ const KernelSet& set_for(Isa isa) {
 #endif
   (void)isa;
   return scalar;
-}
-
-Isa best_supported() {
-  if (supported(Isa::kAvx512)) return Isa::kAvx512;
-  if (supported(Isa::kAvx2)) return Isa::kAvx2;
-  return Isa::kScalar;
-}
-
-/// The one-time dispatch decision: ADAPT_SIMD when valid and
-/// supported, else the best the CPU offers.  A request this machine
-/// cannot honor (ADAPT_SIMD=avx512 on an AVX2 box, or a typo) clamps
-/// down instead of crashing, leaving a telemetry marker for triage.
-Isa resolve_dispatch() {
-  Isa isa = best_supported();
-  if (const char* env = std::getenv("ADAPT_SIMD"); env != nullptr &&
-                                                   env[0] != '\0') {
-    Isa requested = Isa::kScalar;
-    if (!parse_isa_name(env, &requested)) {
-      tm::counter("nn.kernel.dispatch.bad_override").add();
-    } else if (!supported(requested)) {
-      tm::counter("nn.kernel.dispatch.unsupported_override").add();
-    } else {
-      isa = requested;
-    }
-  }
-  tm::counter(std::string("nn.kernel.dispatch.") + isa_name(isa)).add();
-  return isa;
 }
 
 /// Test-only override; -1 means "not forced".
@@ -138,28 +103,11 @@ const KernelSet& kernel_set(Isa isa) {
 const KernelSet& active() {
   const int forced = forced_isa.load(std::memory_order_acquire);
   if (forced >= 0) return set_for(static_cast<Isa>(forced));
-  static const Isa dispatched = resolve_dispatch();
+  static const Isa dispatched = core::resolve_isa(supported, "nn.kernel");
   return set_for(dispatched);
 }
 
 Isa active_isa() { return active().isa; }
-
-bool parse_isa_name(const char* value, Isa* out) {
-  if (value == nullptr || out == nullptr) return false;
-  if (std::strcmp(value, "scalar") == 0) {
-    *out = Isa::kScalar;
-    return true;
-  }
-  if (std::strcmp(value, "avx2") == 0) {
-    *out = Isa::kAvx2;
-    return true;
-  }
-  if (std::strcmp(value, "avx512") == 0) {
-    *out = Isa::kAvx512;
-    return true;
-  }
-  return false;
-}
 
 void force_isa_for_testing(Isa isa) {
   ADAPT_REQUIRE(supported(isa),

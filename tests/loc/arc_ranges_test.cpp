@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
@@ -10,18 +11,25 @@
 #include <vector>
 
 #include "core/rng.hpp"
+#include "core/simd_dispatch.hpp"
 #include "core/telemetry.hpp"
 #include "core/units.hpp"
 
 namespace adapt::loc {
 namespace {
 
+/// Up to two inclusive unwrapped bin ranges, as the oracle writes them.
+struct OracleRanges {
+  std::array<std::pair<long, long>, 2> r;
+  int n = 0;
+};
+
 /// The per-row arc placement ArcRanges replaced, kept verbatim as the
 /// oracle: two libm acos, then ceil/floor of each arc end's bin
 /// coordinate, per row.
-BinRanges oracle_ranges(int bins, double m, double s, double phi0,
-                        double eta, double w) {
-  BinRanges out;
+OracleRanges oracle_ranges(int bins, double m, double s, double phi0,
+                           double eta, double w) {
+  OracleRanges out;
   const auto full = [&] {
     out.n = 1;
     out.r[0] = {0, bins - 1};
@@ -84,48 +92,76 @@ ArcRanges all_rows(const SkyGrid& grid) {
   return arcs;
 }
 
-/// Builds `band`'s ranges and compares every row with the oracle;
-/// adds the fallbacks build() took to `fallbacks`.
-::testing::AssertionResult matches_oracle(ArcRanges& arcs,
+/// Every band-kernel variant this host runs, scalar first.
+std::vector<const BandKernels*> runnable_kernels() {
+  std::vector<const BandKernels*> out;
+  for (int i = 0; i < core::kIsaCount; ++i) {
+    const auto isa = static_cast<core::Isa>(i);
+    if (band_kernels_supported(isa)) out.push_back(&band_kernels(isa));
+  }
+  return out;
+}
+
+/// Builds `band`'s ranges with every runnable variant and compares
+/// every row with the oracle; every variant must also send the same
+/// rows to the exact computation.  Adds that count to `fallbacks`.
+::testing::AssertionResult matches_oracle(const ArcRanges& arcs,
                                           const SkyGrid& grid,
                                           const Band& band,
                                           std::size_t& fallbacks) {
-  const double axis_xy = std::hypot(band.axis.x, band.axis.y);
-  const double phi0 = std::atan2(band.axis.y, band.axis.x);
-  fallbacks += arcs.build(band.axis.z, axis_xy, phi0, band.eta, band.w);
-  for (std::size_t k = 0; k < arcs.size(); ++k) {
-    const std::size_t row = arcs.row(k);
-    const BinRanges want = oracle_ranges(
-        grid.az_bins(row), band.axis.z * grid.row_cos(row),
-        axis_xy * grid.row_sin(row), phi0, band.eta, band.w);
-    const BinRanges& got = arcs.ranges(k);
-    // The fold wraps a range's first bin with at most two adds and
-    // walks at most one row's worth (arc_ranges.hpp).
-    const long bins = grid.az_bins(row);
-    for (int j = 0; j < got.n; ++j) {
-      const auto [b0, b1] = got.r[static_cast<std::size_t>(j)];
-      if (b0 < -bins - 1 || b0 > bins - 1 || b1 < b0 || b1 - b0 + 1 > bins)
-        return ::testing::AssertionFailure()
-               << "row " << row << ": range [" << b0 << ", " << b1
-               << "] outside the unwrapped bounds for " << bins << " bins";
-    }
-    bool same = got.n == want.n;
-    for (int j = 0; same && j < want.n; ++j)
-      same = got.r[static_cast<std::size_t>(j)] ==
-             want.r[static_cast<std::size_t>(j)];
-    if (!same) {
-      auto failure = ::testing::AssertionFailure();
-      failure << "row " << row << ": got " << got.n << " ranges";
-      for (int j = 0; j < got.n; ++j)
-        failure << " [" << got.r[static_cast<std::size_t>(j)].first << ", "
-                << got.r[static_cast<std::size_t>(j)].second << "]";
-      failure << ", oracle " << want.n;
-      for (int j = 0; j < want.n; ++j)
-        failure << " [" << want.r[static_cast<std::size_t>(j)].first << ", "
-                << want.r[static_cast<std::size_t>(j)].second << "]";
-      return failure;
+  RingBand ring;
+  ring.axis = band.axis;
+  ring.eta = band.eta;
+  ring.d_eta = band.w / 3.0;
+  ring.axis_xy = std::hypot(band.axis.x, band.axis.y);
+  ring.phi0 = std::atan2(band.axis.y, band.axis.x);
+  std::vector<BinRanges> out(arcs.size());
+  std::size_t scalar_fallbacks = 0;
+  for (const BandKernels* kernels : runnable_kernels()) {
+    const std::size_t taken = arcs.build(ring, band.w, out, *kernels);
+    if (kernels->isa == core::Isa::kScalar) scalar_fallbacks = taken;
+    if (taken != scalar_fallbacks)
+      return ::testing::AssertionFailure()
+             << kernels->name << ": " << taken << " exact rows, scalar "
+             << scalar_fallbacks;
+    for (std::size_t k = 0; k < arcs.size(); ++k) {
+      const std::size_t row = arcs.row(k);
+      const OracleRanges want = oracle_ranges(
+          grid.az_bins(row), band.axis.z * grid.row_cos(row),
+          ring.axis_xy * grid.row_sin(row), ring.phi0, band.eta, band.w);
+      const BinRanges& got = out[k];
+      // The fold wraps a range's first bin with at most two adds and
+      // walks at most one row's worth (arc_ranges.hpp).
+      const long bins = grid.az_bins(row);
+      for (int j = 0; j < got.n; ++j) {
+        const long b0 = got.first[j];
+        const long b1 = got.last[j];
+        if (b0 < -bins - 1 || b0 > bins - 1 || b1 < b0 || b1 - b0 + 1 > bins)
+          return ::testing::AssertionFailure()
+                 << kernels->name << " row " << row << ": range [" << b0
+                 << ", " << b1 << "] outside the unwrapped bounds for "
+                 << bins << " bins";
+      }
+      bool same = got.n == want.n;
+      for (int j = 0; same && j < want.n; ++j)
+        same = got.first[j] == want.r[static_cast<std::size_t>(j)].first &&
+               got.last[j] == want.r[static_cast<std::size_t>(j)].second;
+      if (!same) {
+        auto failure = ::testing::AssertionFailure();
+        failure << kernels->name << " row " << row << ": got " << got.n
+                << " ranges";
+        for (int j = 0; j < got.n; ++j)
+          failure << " [" << got.first[j] << ", " << got.last[j] << "]";
+        failure << ", oracle " << want.n;
+        for (int j = 0; j < want.n; ++j)
+          failure << " [" << want.r[static_cast<std::size_t>(j)].first
+                  << ", " << want.r[static_cast<std::size_t>(j)].second
+                  << "]";
+        return failure;
+      }
     }
   }
+  fallbacks += scalar_fallbacks;
   return ::testing::AssertionSuccess();
 }
 
@@ -266,7 +302,8 @@ TEST(ArcRanges, ArcEndsOnABinBoundaryTakeTheExactPath) {
       counted_before;
   core::telemetry::set_enabled(was_enabled);
   EXPECT_GT(fallbacks, built / 2) << fallbacks << " of " << built;
-  EXPECT_EQ(counted, fallbacks);
+  // Every runnable variant took the same exact rows, each one counted.
+  EXPECT_EQ(counted, fallbacks * runnable_kernels().size());
 }
 
 TEST(ArcRanges, AcosErrorIsAQuarterOfTheMargin) {

@@ -271,7 +271,7 @@ TEST(IncrementalLocalizer, ClosedFormDriftIsBounded) {
           const double s = axis_xy * grid.row_sin(row);
           const double bin_w =
               core::kTwoPi / static_cast<double>(grid.az_bins(row));
-          const std::span<const core::Vec3> centres = grid.row_centers(row);
+          const CentreArrays centres = grid.row_centers(row);
           for (std::size_t az = 0; az < centres.size(); ++az) {
             const double phi_c = (static_cast<double>(az) + 0.5) * bin_w;
             const double closed = m + s * std::cos(phi_c - phi0);

@@ -184,8 +184,8 @@ TEST(SkyGrid, CachedCentersAreTheClosedFormBitForBit) {
 }
 
 /// Start of a grid's pixel-centre table (row 0 comes first).
-const core::Vec3* table_of(const SkyGrid& grid) {
-  return grid.row_centers(0).data();
+const double* table_of(const SkyGrid& grid) {
+  return grid.row_centers(0).x.data();
 }
 
 TEST(SkyGrid, OneGeometrySharesOneCenterTable) {
@@ -211,7 +211,7 @@ TEST(SkyGrid, ConcurrentConstructionSharesOneTable) {
   // Run under TSan this is the table registry's data-race check.
   constexpr int kThreads = 4;
   constexpr std::array<double, 3> kRes = {1.7, 2.3, 3.1};
-  std::array<std::array<const core::Vec3*, kRes.size()>, kThreads> seen{};
+  std::array<std::array<const double*, kRes.size()>, kThreads> seen{};
   std::array<double, kThreads> checksum{};
   std::atomic<int> ready{0};
   std::vector<std::thread> threads;

@@ -22,8 +22,9 @@ Run from anywhere; exits non-zero when any rule fires:
      name already mentions its stem) is a finding too, so the list
      cannot rot into entries that point nowhere.
   5. no-intrinsics-outside-kernels: x86 SIMD intrinsics (_mm*) and
-     vector types (__m128/__m256/__m512) are confined to
-     src/nn/kernels/.  Every vector kernel carries a bit-identity
+     vector types (__m128/__m256/__m512) are confined to the two
+     dispatched kernel directories, src/nn/kernels/ and
+     src/loc/kernels/.  Every vector kernel carries a bit-identity
      obligation against its scalar reference; scattering intrinsics
      elsewhere would scatter that obligation too, and the rest of the
      codebase must stay portable to non-x86 hosts.
@@ -98,6 +99,10 @@ COVERAGE_ALLOWLIST = {
     "src/nn/kernels/scalar.cpp": "tests/nn/kernels_test.cpp",
     "src/nn/kernels/avx2.cpp": "tests/nn/kernels_test.cpp",
     "src/nn/kernels/avx512.cpp": "tests/nn/kernels_test.cpp",
+    "src/loc/kernels/registry.cpp": "tests/loc/band_fold_test.cpp",
+    "src/loc/kernels/scalar.cpp": "tests/loc/band_fold_test.cpp",
+    "src/loc/kernels/avx2.cpp": "tests/loc/band_fold_test.cpp",
+    "src/loc/kernels/avx512.cpp": "tests/loc/band_fold_test.cpp",
     "src/quant/fake_quant.cpp": "tests/quant/quant_property_test.cpp",
     "src/quant/qat_linear.cpp": "tests/quant/quant_property_test.cpp",
 }
@@ -106,6 +111,9 @@ NAKED_PARSE = re.compile(r"\b(?:std::)?(atof|strtod)\s*\(")
 STD_RAND = re.compile(r"\b(?:std::)?s?rand\s*\(")
 # A float literal: digits with an f/F suffix (1.0f, .5f, 1e3f, 2f).
 FLOAT_LITERAL = re.compile(r"[0-9.]([eE][-+]?[0-9]+)?[fF]\b")
+# The dispatched kernel directories, the only homes of intrinsics
+# (rule 5).
+KERNEL_DIRS = ("src/nn/kernels/", "src/loc/kernels/")
 # An x86 intrinsic call or vector type (SSE/AVX/AVX-512 families).
 INTRINSIC = re.compile(r"\b(?:_mm(?:256|512)?_[a-z0-9_]+|__m(?:64|128|256|512)[di]?)\b")
 BATCH_SKYMAP = re.compile(r"\bSkyMap::compute\s*\(")
@@ -218,10 +226,11 @@ def main() -> int:
                 findings.append(
                     f"{rel}:{ln}: float literal in double-precision physics "
                     "code [no-float-literal-in-physics]")
-            if (not rel.startswith("src/nn/kernels/")
+            if (not rel.startswith(KERNEL_DIRS)
                     and INTRINSIC.search(line)):
                 findings.append(
-                    f"{rel}:{ln}: SIMD intrinsics belong in src/nn/kernels/ "
+                    f"{rel}:{ln}: SIMD intrinsics belong in "
+                    "src/nn/kernels/ or src/loc/kernels/ "
                     "(dispatched, bit-identical to scalar) "
                     "[no-intrinsics-outside-kernels]")
             if rel.startswith("src/serve/") and BATCH_SKYMAP.search(line):

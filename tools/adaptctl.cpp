@@ -56,6 +56,7 @@
 #include "eval/reject_gate.hpp"
 #include "fault/matrix.hpp"
 #include "scenario/config.hpp"
+#include "loc/kernels/band_kernels.hpp"
 #include "loc/localizer.hpp"
 #include "loc/skymap.hpp"
 #include "trigger/rate_trigger.hpp"
@@ -374,22 +375,30 @@ int cmd_cpu_features(const CliArgs&) {
 
   std::printf("detected: %s\n", core::cpu_features_summary().c_str());
 
-  core::TextTable variants({"variant", "compiled", "supported"});
+  const auto yes_no = [](bool b) { return b ? "yes" : "no"; };
+  core::TextTable variants({"variant", "nn compiled", "nn supported",
+                            "fold compiled", "fold supported"});
   for (int i = 0; i < nk::kIsaCount; ++i) {
     const auto isa = static_cast<nk::Isa>(i);
-    const char* name = i == 0 ? "scalar" : (i == 1 ? "avx2" : "avx512");
-    variants.add_row({name, nk::compiled(isa) ? "yes" : "no",
-                      nk::supported(isa) ? "yes" : "no"});
+    variants.add_row({core::isa_name(isa), yes_no(nk::compiled(isa)),
+                      yes_no(nk::supported(isa)),
+                      yes_no(loc::band_kernels_compiled(isa)),
+                      yes_no(loc::band_kernels_supported(isa))});
   }
   variants.print(std::cout);
 
+  // The nn kernels and the localizer's band fold dispatch by one rule
+  // (core::resolve_isa) but need different instructions for AVX-512,
+  // so each prints its own line.
   const nk::KernelSet& active = nk::active();
+  const loc::BandKernels& fold = loc::active_band_kernels();
   const char* override_env = std::getenv("ADAPT_SIMD");
-  if (override_env != nullptr && override_env[0] != '\0') {
-    std::printf("dispatch: %s (ADAPT_SIMD=%s)\n", active.name, override_env);
-  } else {
-    std::printf("dispatch: %s\n", active.name);
-  }
+  const std::string why =
+      override_env != nullptr && override_env[0] != '\0'
+          ? std::string(" (ADAPT_SIMD=") + override_env + ")"
+          : std::string();
+  std::printf("dispatch: %s%s\n", active.name, why.c_str());
+  std::printf("fold dispatch: %s%s\n", fold.name, why.c_str());
 
   // Run one synthetic INT8 forward (paper network dimensions) plus a
   // small float GEMM so the per-layer table and the nn.kernel.*
@@ -417,10 +426,11 @@ int cmd_cpu_features(const CliArgs&) {
                         std::string("f32_gemm.") + active.name});
   layers_table.print(std::cout, "Per-layer kernel dispatch");
 
-  std::printf("nn.kernel.* counters:\n");
+  std::printf("nn.kernel.* and loc.kernel.* counters:\n");
   const core::telemetry::Snapshot snap = core::telemetry::snapshot();
   for (const auto& [name, value] : snap.counters) {
-    if (name.rfind("nn.kernel.", 0) == 0) {
+    if (name.rfind("nn.kernel.", 0) == 0 ||
+        name.rfind("loc.kernel.", 0) == 0) {
       std::printf("  %s = %llu\n", name.c_str(),
                   static_cast<unsigned long long>(value));
     }
@@ -540,7 +550,8 @@ void usage() {
       "              per-cell ScenarioReports and enforces the ledger"
       " invariant)\n"
       "  cpu-features  report detected ISA, compiled/supported kernel\n"
-      "              variants, and per-layer dispatch (ADAPT_SIMD="
+      "              variants, the nn kernels' and the band fold's\n"
+      "              dispatch, and per-layer dispatch (ADAPT_SIMD="
       "scalar|avx2|avx512 overrides)\n"
       "  --metrics json|csv  dump pipeline telemetry to stdout after "
       "the command\n"
